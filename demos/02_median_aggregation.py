@@ -10,11 +10,8 @@ quantiles) is attached instead.
 Run: python demos/02_median_aggregation.py
 """
 
-import numpy as np
-
 from proxsel import (
     SimConfig,
-    estimate_invalid_tcp,
     estimate_invalid_tcp_ocp,
     generate_invalid_tcp_ocp_data,
     subsample_ci,
@@ -27,17 +24,19 @@ print(
     f"OCPs={data.p_w} (3 invalid)\n"
 )
 
-# Per-OCP fits: the three treatment-coupled OCP columns (0, 1, 2) give
-# visibly displaced estimates; the valid majority clusters at the truth.
-print("per-OCP single fits:")
-for k in range(data.p_w):
-    est = estimate_invalid_tcp(data, ocp_index=k)
-    tag = "invalid" if k < config.s_w else "valid"
-    print(f"  OCP {k} ({tag:7s}): beta_hat = {est.beta_hat:+.4f}")
-
+# The aggregate keeps every per-OCP fit: the three treatment-coupled OCP
+# columns (0, 1, 2) give visibly displaced estimates; the valid majority
+# clusters at the truth.
 agg = estimate_invalid_tcp_ocp(data)
+print("per-OCP single fits:")
+for k, est in enumerate(agg.per_ocp_fits):
+    tag = "invalid" if k < config.s_w else "valid"
+    print(
+        f"  OCP {k} ({tag:7s}): beta_hat = {est.beta_hat:+.4f}, "
+        f"95% CI [{est.ci_lower:+.4f}, {est.ci_upper:+.4f}]"
+    )
+
 print(f"\nmedian over OCPs: beta_hat = {agg.beta_hat:.4f}")
-print("  (single per-OCP estimates:", np.round(agg.per_ocp_estimates, 3), ")")
 
 lo, hi = subsample_ci(data, n_subsamples=200, seed=0)
 print(f"subsampling 95% interval: [{lo:.4f}, {hi:.4f}]")

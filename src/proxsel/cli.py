@@ -156,7 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--format", default="structured", choices=("structured", "table")
     )
-    est.add_argument("--jobs", type=int, default=1, help="worker threads")
+    est.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker threads for --mode rotation (other modes run serially)",
+    )
     est.add_argument("--timing", action="store_true")
 
     ide = sub.add_parser(
@@ -259,12 +264,23 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _selection_row(
+def _ocp_row(
     label: str,
-    estimate: ProxyEstimate,
+    fit: ProxyEstimate | ProxselError,
     tcp_names: Sequence[str],
 ) -> OcpRow:
-    selected = set(int(j) for j in estimate.selected_invalid_tcps)
+    """One report row: the selection and interval of a fit, or its error."""
+    if isinstance(fit, ProxselError):
+        return OcpRow(
+            label=label,
+            invalid_tcps=(),
+            valid_tcps=(),
+            beta_hat=None,
+            ci_lower=None,
+            ci_upper=None,
+            error=f"{type(fit).__name__}: {fit}",
+        )
+    selected = set(int(j) for j in fit.selected_invalid_tcps)
     invalid = tuple(tcp_names[j] for j in sorted(selected))
     valid = tuple(
         name for j, name in enumerate(tcp_names) if j not in selected
@@ -273,9 +289,9 @@ def _selection_row(
         label=label,
         invalid_tcps=invalid,
         valid_tcps=valid,
-        beta_hat=estimate.beta_hat,
-        ci_lower=estimate.ci_lower,
-        ci_upper=estimate.ci_upper,
+        beta_hat=fit.beta_hat,
+        ci_lower=fit.ci_lower,
+        ci_upper=fit.ci_upper,
     )
 
 
@@ -388,11 +404,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.mode == "single":
         index = _resolve_column(args.ocp, ocp_names, 0, "--ocp")
         est = estimate_invalid_tcp(data, index, est_config)
-        rows = [_selection_row(ocp_names[index], est, tcp_names)]
+        rows = [_ocp_row(ocp_names[index], est, tcp_names)]
         estimate = estimate_to_dict(est, tcp_names)
     elif args.mode == "median":
-        rows = _per_ocp_rows(data, est_config, tcp_names, ocp_names, args.jobs)
         agg = estimate_invalid_tcp_ocp(data, est_config)
+        rows = [
+            _ocp_row(label, fit, tcp_names)
+            for label, fit in zip(ocp_names, agg.per_ocp_fits)
+        ]
         estimate = estimate_to_dict(agg, tcp_names)
         if args.subsample_n > 0:
             lo, hi = subsample_ci(
@@ -447,31 +466,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _per_ocp_rows(
-    data: Dataset,
-    est_config: EstimationConfig,
-    tcp_names: Sequence[str],
-    ocp_names: Sequence[str],
-    n_jobs: int,
-) -> list[OcpRow]:
-    def one(k: int) -> OcpRow:
-        try:
-            est = estimate_invalid_tcp(data, k, est_config)
-        except ProxselError as exc:
-            return OcpRow(
-                label=ocp_names[k],
-                invalid_tcps=(),
-                valid_tcps=(),
-                beta_hat=None,
-                ci_lower=None,
-                ci_upper=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return _selection_row(ocp_names[k], est, tcp_names)
-
-    return _map_indexed(one, data.p_w, n_jobs)
-
-
 def _rotation(
     data: Dataset,
     est_config: EstimationConfig,
@@ -491,18 +485,10 @@ def _rotation(
             Y=data.Y, D=data.D, Z=z, W=data.W[:, [i]], X=data.X
         )
         try:
-            est = estimate_invalid_tcp(rotated, 0, est_config)
+            fit = estimate_invalid_tcp(rotated, 0, est_config)
         except ProxselError as exc:
-            return OcpRow(
-                label=pool[i],
-                invalid_tcps=(),
-                valid_tcps=(),
-                beta_hat=None,
-                ci_lower=None,
-                ci_upper=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return _selection_row(pool[i], est, names)
+            fit = exc
+        return _ocp_row(pool[i], fit, names)
 
     rows = _map_indexed(one, len(pool), n_jobs)
     betas = [row.beta_hat for row in rows if row.beta_hat is not None]

@@ -99,13 +99,22 @@ STREAM_SUBSAMPLE = 2
 # ---------------------------------------------------------------------------
 
 
+def _read_only(owned: np.ndarray) -> np.ndarray:
+    """Freeze an array nothing else holds a writable reference to."""
+    owned.flags.writeable = False
+    return owned
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One sample: outcome, treatment, proxy blocks, optional covariates.
 
     ``X`` may be ``None`` or an ``n x 0`` matrix when there are no observed
     covariates. Requires ``n > p_z + p_w + p_x + 1`` so every second-stage
-    regression has positive degrees of freedom.
+    regression has positive degrees of freedom. The dataset stores read-only
+    copies of its arrays, so neither ``data.Y[...] = ...`` nor a write to
+    the caller's own array can make the first stage, computed once on first
+    use and kept on the dataset, go stale.
     """
 
     Y: np.ndarray
@@ -113,6 +122,9 @@ class Dataset:
     Z: np.ndarray
     W: np.ndarray
     X: np.ndarray | None = None
+    _first_stage: "_FirstStageBundle | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         y = as_vector(self.Y, "Y")
@@ -135,11 +147,10 @@ class Dataset:
             raise ValueError(
                 f"need n > p_z + p_w + p_x + 1 = {min_n}, got n = {n}"
             )
-        object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "D", d)
-        object.__setattr__(self, "Z", z)
-        object.__setattr__(self, "W", w)
-        object.__setattr__(self, "X", x)
+        for name, arr in (("Y", y), ("D", d), ("Z", z), ("W", w), ("X", x)):
+            # Copy (keeping the memory layout): np.asarray above does not,
+            # and the caller must not reach the cached first stage's inputs.
+            object.__setattr__(self, name, _read_only(arr.copy(order="K")))
 
     @property
     def n(self) -> int:
@@ -192,10 +203,15 @@ class ProxyEstimate:
 
     ``variance`` is the estimated asymptotic variance of
     ``sqrt(n) * (beta_hat - beta)``; the closed-form interval is
-    ``beta_hat ± z * sqrt(variance / n)``. Methods without a closed form
-    (the median-over-OCPs aggregator) carry NaN variance/CI until
-    :func:`subsample_ci` is attached by the caller. ``selected_invalid_tcps``
-    always equals the support of ``alpha_hat``.
+    ``beta_hat ± z * sqrt(variance / n)``. The closed-form methods share one
+    ratio-form refit, ``beta_hat = D' P_perp Y / D' P_perp D`` with
+    ``P_perp`` projecting off the other regressors, and its collapsed
+    plug-in variance ``sigma2_eps / mean((P_perp D)^2)``. Methods without a
+    closed form (the median-over-OCPs aggregator) carry NaN variance/CI
+    until :func:`subsample_ci` is attached by the caller; the aggregator
+    also keeps each OCP's fit, or the :class:`ProxselError` it raised, in
+    ``per_ocp_fits``. ``selected_invalid_tcps`` always equals the support of
+    ``alpha_hat``.
     """
 
     beta_hat: float
@@ -206,7 +222,17 @@ class ProxyEstimate:
     ci_lower: float
     ci_upper: float
     method: str
-    per_ocp_estimates: np.ndarray | None = None
+    per_ocp_fits: tuple["ProxyEstimate | ProxselError", ...] | None = None
+
+    @property
+    def per_ocp_estimates(self) -> np.ndarray | None:
+        """Each OCP's effect from ``per_ocp_fits``, NaN where it failed."""
+        if self.per_ocp_fits is None:
+            return None
+        return np.array(
+            [f.beta_hat if isinstance(f, ProxyEstimate) else math.nan
+             for f in self.per_ocp_fits]
+        )
 
 
 @dataclass(frozen=True)
@@ -247,40 +273,39 @@ class EstimationConfig:
 class _FirstStageBundle(NamedTuple):
     """All per-dataset first-stage quantities, computed with one factorization."""
 
-    m: np.ndarray  # augmented design (Z, D, X, 1)
     gamma_vec: np.ndarray  # outcome coefficients on (Z, D, X)
     delta_mat: np.ndarray  # per-OCP coefficients on (Z, D, X), one column each
     what_mat: np.ndarray  # fitted OCP columns, n x p_w
 
 
-def _augmented_design(data: Dataset) -> np.ndarray:
-    return np.concatenate(
+def _first_stage_bundle(data: Dataset) -> _FirstStageBundle:
+    m = np.concatenate(
         [data.Z, data.D[:, None], data.X, np.ones((data.n, 1))], axis=1
     )
-
-
-def _first_stage_bundle(data: Dataset) -> _FirstStageBundle:
-    m = _augmented_design(data)
     fit = ols(m, np.column_stack([data.Y, data.W]))
     coef = fit.coefficients
     return _FirstStageBundle(
-        m=m,
-        gamma_vec=coef[:-1, 0].copy(),
-        delta_mat=coef[:-1, 1:].copy(),
-        what_mat=data.W - fit.residuals[:, 1:],
+        gamma_vec=_read_only(coef[:-1, 0].copy()),
+        delta_mat=_read_only(coef[:-1, 1:].copy()),
+        what_mat=_read_only(data.W - fit.residuals[:, 1:]),
     )
 
 
+def _cached_first_stage(data: Dataset) -> _FirstStageBundle:
+    # Two threads racing here compute the same numbers twice; no lock needed.
+    if data._first_stage is None:
+        object.__setattr__(data, "_first_stage", _first_stage_bundle(data))
+    return data._first_stage
+
+
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
-    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
+    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``.
+
+    All OCPs share one factorization, computed on the dataset's first call
+    into any estimator and reused by every later one.
+    """
     _check_ocp_index(data, ocp_index)
-    bundle = _first_stage_bundle(data)
-    return _first_stage_from_bundle(data, bundle, ocp_index)
-
-
-def _first_stage_from_bundle(
-    data: Dataset, bundle: _FirstStageBundle, ocp_index: int
-) -> FirstStage:
+    bundle = _cached_first_stage(data)
     return FirstStage(
         what=bundle.what_mat[:, ocp_index].copy(),
         gamma_hat_vec=bundle.gamma_vec,
@@ -313,25 +338,20 @@ def _median_1d(values: np.ndarray) -> float:
     return float((v[half - 1] + v[half]) / 2.0)
 
 
-def _tcp_ratios(fs: FirstStage) -> tuple[np.ndarray, np.ndarray]:
+def _tcp_coefficients(fs: FirstStage) -> tuple[np.ndarray, np.ndarray]:
+    """TCP entries of the outcome and OCP coefficient vectors.
+
+    Both pilots divide by, or scale, the OCP coefficients, so a numerically
+    zero one is a relevance failure for either.
+    """
     gamma = fs.gamma_hat_vec[: fs.n_tcps]
     delta = fs.delta_hat_vec[: fs.n_tcps]
-    abs_delta = np.abs(delta)
-    bad = [int(j) for j in np.nonzero(abs_delta <= DELTA_FLOOR)[0]]
+    bad = [int(j) for j in np.nonzero(np.abs(delta) <= DELTA_FLOOR)[0]]
     if bad:
         raise AssumptionViolation(
             f"OCP reduced-form coefficient is numerically zero at TCP indices "
             f"{bad}; the ratio pilot estimator is undefined there",
             indices=bad,
-        )
-    weak = abs_delta < 0.05 * _median_1d(abs_delta)
-    if np.any(weak):
-        warnings.warn(
-            f"weak TCP relevance at indices "
-            f"{[int(j) for j in np.nonzero(weak)[0]]}: |coefficient| below "
-            f"5% of the median; pilot ratios may be unstable",
-            WeakProxyWarning,
-            stacklevel=3,
         )
     return gamma, delta
 
@@ -344,26 +364,28 @@ def median_gamma(fs: FirstStage) -> float:
     TCPs are valid the median is a consistent pilot. Even counts average the
     two central order statistics.
     """
-    gamma, delta = _tcp_ratios(fs)
+    gamma, delta = _tcp_coefficients(fs)
+    abs_delta = np.abs(delta)
+    weak = abs_delta < 0.05 * _median_1d(abs_delta)
+    if np.any(weak):
+        warnings.warn(
+            f"weak TCP relevance at indices "
+            f"{[int(j) for j in np.nonzero(weak)[0]]}: |coefficient| below "
+            f"5% of the median; pilot ratios may be unstable",
+            WeakProxyWarning,
+            stacklevel=2,
+        )
     return _median_1d(gamma / delta)
 
 
 def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
     """Pilot estimate of the direct TCP effects given the ratio pilot.
 
-    No division happens here, so only the hard zero-coefficient guard
-    applies (the relevance warning belongs to :func:`median_gamma`, which
-    forms the ratios).
+    No division happens here, so only the zero-coefficient guard applies
+    (the relevance warning belongs to :func:`median_gamma`, which forms the
+    ratios).
     """
-    gamma = fs.gamma_hat_vec[: fs.n_tcps]
-    delta = fs.delta_hat_vec[: fs.n_tcps]
-    bad = [int(j) for j in np.nonzero(np.abs(delta) <= DELTA_FLOOR)[0]]
-    if bad:
-        raise AssumptionViolation(
-            f"OCP reduced-form coefficient is numerically zero at TCP indices "
-            f"{bad}; the pilot effect estimates are undefined there",
-            indices=bad,
-        )
+    gamma, delta = _tcp_coefficients(fs)
     return gamma - float(gamma_m) * delta
 
 
@@ -565,10 +587,7 @@ def lasso_proximal(
     ``beta = d_tilde'(Y - Z alpha) / ||d_tilde||^2``. The pair equals the
     minimizer of the jointly penalized regression at the same penalty.
     """
-    _check_ocp_index(data, ocp_index)
-    bundle = _first_stage_bundle(data)
-    what = bundle.what_mat[:, ocp_index]
-    g, d_tilde = _reduced_design(data, what)
+    g, d_tilde = _reduced_design(data, first_stage(data, ocp_index).what)
     alpha = lasso_solve(g, data.Y, lam)
     beta = float(d_tilde @ (data.Y - data.Z @ alpha) / (d_tilde @ d_tilde))
     return alpha, beta
@@ -588,11 +607,8 @@ def adaptive_lasso_proximal(
     under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
     Returns the penalized coefficient vector and its support.
     """
-    _check_ocp_index(data, ocp_index)
-    bundle = _first_stage_bundle(data)
-    fs = _first_stage_from_bundle(data, bundle, ocp_index)
-    alpha_ad, selected, _ = _adaptive_step(data, fs, lambda_n, adaptive_floor)
-    return alpha_ad, selected
+    fs = first_stage(data, ocp_index)
+    return _adaptive_step(data, fs, lambda_n, adaptive_floor)
 
 
 def _adaptive_step(
@@ -600,14 +616,13 @@ def _adaptive_step(
     fs: FirstStage,
     lambda_n: float,
     adaptive_floor: float,
-) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    gamma_m = median_gamma(fs)
-    alpha_m = alpha_median(fs, gamma_m)
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    alpha_m = alpha_median(fs, median_gamma(fs))
     weights = 1.0 / np.maximum(np.abs(alpha_m), adaptive_floor)
     g, _ = _reduced_design(data, fs.what)
     alpha_ad = lasso_solve(g, data.Y, lambda_n, weights)
     selected = tuple(int(j) for j in np.nonzero(alpha_ad)[0])
-    return alpha_ad, selected, alpha_m
+    return alpha_ad, selected
 
 
 # ---------------------------------------------------------------------------
@@ -621,96 +636,64 @@ def _zscore(alpha_level: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha_level / 2.0)
 
 
-def _plugin_variance(
-    data: Dataset, nhat: np.ndarray, sigma2_eps: float
-) -> float:
-    """Asymptotic-variance plug-in for the ratio-form estimator.
-
-    Evaluates the population expression
-    ``sigma2_eps * bracket^{-2} * V`` with every expectation replaced by a
-    sample mean, where ``bracket`` subtracts from ``E(D^2)`` the quadratic
-    form of ``D`` on the fitted-regressor block ``nhat`` routed through the
-    augmented design ``M``, and ``V`` carries the matching quadratic and
-    cross terms. Because every column of ``nhat`` lies in the span of ``M``,
-    the sample version collapses to ``sigma2_eps / mean(d_res^2)`` with
-    ``d_res`` the residual of ``D`` on ``nhat`` — both forms are computed by
-    this literal transcription, and the test suite pins their equality.
-    """
-    m = _augmented_design(data)
-    n = data.n
-    d = data.D
-    smm = m.T @ m / n
-    snn = nhat.T @ nhat / n
-    snm = nhat.T @ m / n
-    snd = nhat.T @ d / n
-    smd = m.T @ d / n
-    sdd = float(d @ d) / n
-    try:
-        snn_inv_snd = np.linalg.solve(snn, snd)
-        mid = snm @ np.linalg.solve(smm, snm.T)
-        quad = float(snn_inv_snd @ (mid @ snn_inv_snd))
-        cross = float(snn_inv_snd @ (snm @ np.linalg.solve(smm, smd)))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(
-            f"singular moment matrix in the variance plug-in: {exc}"
-        ) from exc
-    bracket = sdd - quad
-    v = sdd + quad - 2.0 * cross
-    if bracket <= 0:
-        raise RankDeficient(
-            "nonpositive residual treatment variation in the variance plug-in"
-        )
-    return float(sigma2_eps * v / bracket**2)
-
-
 def _second_stage(
     data: Dataset,
-    what_cols: np.ndarray | None,
-    raw_ocp_cols: np.ndarray | None,
+    ocps: Sequence[int],
     selected: Sequence[int],
     alpha_level: float,
     method: str,
     *,
     with_variance: bool = True,
 ) -> ProxyEstimate:
-    """Refit on (treatment, selected TCPs, fitted OCPs, covariates, intercept).
+    """Refit on (treatment, selected TCPs, fitted OCPs ``ocps``, X, 1).
 
-    All closed-form methods funnel through here, so estimators that agree on
-    the selected set agree on every output bit-for-bit. The error variance
-    feeding the interval follows the standard two-stage convention: the
-    second-stage coefficients are applied to the *raw* OCP columns, not the
-    fitted ones — fitted-value residuals would cancel the OCP's own
-    measurement noise against the fit and understate the error variance
-    (increasingly so as the proxy count grows).
+    One least-squares pass regresses ``Y`` and ``D`` on the non-treatment
+    regressors ``N``; with residuals ``r_Y`` and ``r_D`` the effect is the
+    ratio form ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the
+    other coefficients follow by Frisch-Waugh as ``c_Y - beta * c_D``, and
+    the plug-in variance of ``sqrt(n) * (beta_hat - beta)`` is
+    ``sigma2_eps / (r_D'r_D / n)``. All closed-form methods funnel through
+    here, so estimators that agree on the selected set agree on every output
+    bit-for-bit. ``sigma2_eps`` follows the standard two-stage convention:
+    the coefficients are applied to the *raw* OCP columns, not the fitted
+    ones — fitted-value residuals would cancel the OCP's own measurement
+    noise against the fit and understate the error variance (increasingly
+    so as the proxy count grows).
     """
     sel = sorted(set(int(j) for j in selected))
     if sel and (sel[0] < 0 or sel[-1] >= data.p_z):
         raise IndexError(
             f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
         )
-    parts = [data.D[:, None], data.Z[:, sel]]
-    if what_cols is not None:
-        parts.append(what_cols)
-    parts.append(data.X)
-    parts.append(np.ones((data.n, 1)))
-    design = np.concatenate(parts, axis=1)
-    fit = ols(design, data.Y)
-    coef = fit.coefficients
-    beta = float(coef[0])
+    ocps = list(ocps)
+    for k in ocps:
+        _check_ocp_index(data, k)
+    what = data.W[:, []]  # no OCP enters the OLS baseline
+    if ocps:
+        what = _cached_first_stage(data).what_mat[:, ocps]
+    others = np.concatenate(
+        [data.Z[:, sel], what, data.X, np.ones((data.n, 1))], axis=1
+    )
+    fit = ols(others, np.column_stack([data.Y, data.D]))
+    r_y, r_d = fit.residuals[:, 0], fit.residuals[:, 1]
+    d_sq = float(r_d @ r_d)
+    if d_sq <= DEGENERATE_TREATMENT_RTOL * float(data.D @ data.D):
+        raise RankDeficient(
+            "treatment is numerically collinear with the other refit "
+            "regressors; no variation left to identify the effect"
+        )
+    beta = float(r_d @ r_y) / d_sq
+    coef = fit.coefficients[:, 0] - beta * fit.coefficients[:, 1]
     k = len(sel)
     alpha_vec = np.zeros(data.p_z)
-    alpha_vec[sel] = coef[1 : 1 + k]
-    gamma = float(coef[1 + k]) if what_cols is not None else math.nan
+    alpha_vec[sel] = coef[:k]
+    gamma = float(coef[k]) if ocps else math.nan
 
     if with_variance:
-        if what_cols is None:
-            resid = fit.residuals
-        else:
-            n_w = what_cols.shape[1]
-            gamma_block = coef[1 + k : 1 + k + n_w]
-            resid = fit.residuals + (what_cols - raw_ocp_cols) @ gamma_block
+        gamma_block = coef[k : k + len(ocps)]
+        resid = r_y - beta * r_d + (what - data.W[:, ocps]) @ gamma_block
         sigma2_eps = float(resid @ resid) / data.n
-        sigma2 = _plugin_variance(data, design[:, 1:], sigma2_eps)
+        sigma2 = sigma2_eps / (d_sq / data.n)
         half = _zscore(alpha_level) * math.sqrt(sigma2 / data.n)
         ci_lo, ci_hi = beta - half, beta + half
     else:
@@ -734,19 +717,15 @@ def post_adaptive_2sls(
     selected_set: Sequence[int],
     alpha_level: float = 0.05,
 ) -> ProxyEstimate:
-    """Post-selection refit: OLS of Y on (D, selected TCPs, fitted OCP, X, 1).
+    """Post-selection refit: Y on (D, selected TCPs, fitted OCP, X, 1).
 
-    The treatment coefficient equals the ratio form
-    ``D' P_perp Y / D' P_perp D`` with ``P_perp`` projecting off the
-    non-treatment regressors; its closed-form interval uses the plug-in
-    variance of :func:`_plugin_variance`.
+    The treatment coefficient is the ratio form ``D' P_perp Y / D' P_perp D``
+    with ``P_perp`` projecting off the non-treatment regressors; its
+    closed-form interval uses the collapsed plug-in variance
+    ``sigma2_eps / mean(d_res^2)``, ``d_res = P_perp D``.
     """
-    _check_ocp_index(data, ocp_index)
-    bundle = _first_stage_bundle(data)
-    what = bundle.what_mat[:, ocp_index : ocp_index + 1]
-    raw = data.W[:, ocp_index : ocp_index + 1]
     return _second_stage(
-        data, what, raw, selected_set, alpha_level, "post_adaptive_2sls"
+        data, [ocp_index], selected_set, alpha_level, "post_adaptive_2sls"
     )
 
 
@@ -758,18 +737,14 @@ def oracle_p2sls(
 ) -> ProxyEstimate:
     """Benchmark estimator given the true invalid-TCP set.
 
-    Identical to :func:`post_adaptive_2sls` with the selection replaced by
-    the truth (and so shares its code path exactly); reported separately
-    because it anchors the simulation studies.
+    The ratio-form refit of :func:`post_adaptive_2sls`, with its collapsed
+    plug-in variance, on the true set instead of a selected one (and so the
+    same code path exactly); reported separately because it anchors the
+    simulation studies.
     """
-    _check_ocp_index(data, ocp_index)
-    bundle = _first_stage_bundle(data)
-    what = bundle.what_mat[:, ocp_index : ocp_index + 1]
-    raw = data.W[:, ocp_index : ocp_index + 1]
-    est = _second_stage(
-        data, what, raw, true_invalid_set, alpha_level, "oracle_p2sls"
+    return _second_stage(
+        data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls"
     )
-    return est
 
 
 def naive_p2sls(
@@ -785,15 +760,8 @@ def naive_p2sls(
     OCP benchmark variant); ``gamma_hat`` then reports the first column's
     coefficient.
     """
-    bundle = _first_stage_bundle(data)
-    if ocp_index is None:
-        what = bundle.what_mat
-        raw = data.W
-    else:
-        _check_ocp_index(data, ocp_index)
-        what = bundle.what_mat[:, ocp_index : ocp_index + 1]
-        raw = data.W[:, ocp_index : ocp_index + 1]
-    return _second_stage(data, what, raw, (), alpha_level, "naive_p2sls")
+    ocps = range(data.p_w) if ocp_index is None else [ocp_index]
+    return _second_stage(data, ocps, (), alpha_level, "naive_p2sls")
 
 
 def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
@@ -802,7 +770,7 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
     Ignores both proxy blocks, so its bias equals the full hidden-confounder
     contribution; ``gamma_hat`` is NaN because no OCP enters the model.
     """
-    return _second_stage(data, None, None, (), alpha_level, "ols_baseline")
+    return _second_stage(data, (), (), alpha_level, "ols_baseline")
 
 
 # ---------------------------------------------------------------------------
@@ -810,29 +778,22 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_lambda(
-    data: Dataset, ocp_index: int, config: EstimationConfig
-) -> float:
-    if config.lambda_n is not None:
-        return float(config.lambda_n)
-    return select_lambda(data, ocp_index, config.lambda_mode)
-
-
 def _pipeline_single(
     data: Dataset,
-    bundle: _FirstStageBundle,
     ocp_index: int,
     config: EstimationConfig,
     *,
     with_variance: bool = True,
 ) -> ProxyEstimate:
-    fs = _first_stage_from_bundle(data, bundle, ocp_index)
-    lam = _resolve_lambda(data, ocp_index, config)
-    _, selected, _ = _adaptive_step(data, fs, lam, config.adaptive_floor)
+    fs = first_stage(data, ocp_index)
+    if config.lambda_n is not None:
+        lam = float(config.lambda_n)
+    else:
+        lam = select_lambda(data, ocp_index, config.lambda_mode)
+    _, selected = _adaptive_step(data, fs, lam, config.adaptive_floor)
     return _second_stage(
         data,
-        fs.what[:, None],
-        data.W[:, ocp_index : ocp_index + 1],
+        [ocp_index],
         selected,
         config.alpha_level,
         "post_adaptive_2sls",
@@ -851,10 +812,7 @@ def estimate_invalid_tcp(
     weighted lasso selection of invalid TCPs, post-selection refit with a
     closed-form confidence interval.
     """
-    _check_ocp_index(data, ocp_index)
-    config = config or EstimationConfig()
-    bundle = _first_stage_bundle(data)
-    return _pipeline_single(data, bundle, ocp_index, config)
+    return _pipeline_single(data, ocp_index, config or EstimationConfig())
 
 
 def estimate_invalid_tcp_ocp(
@@ -865,7 +823,8 @@ def estimate_invalid_tcp_ocp(
 
     Runs :func:`estimate_invalid_tcp` once per OCP column and reports the
     median treatment effect, which tolerates a minority of invalid OCPs.
-    Per-OCP failures are recorded as NaN in ``per_ocp_estimates``; the
+    ``per_ocp_fits`` keeps each column's fit, or the error it raised, and
+    ``per_ocp_estimates`` its effect (NaN for a failed column); the
     aggregate proceeds only when a strict majority of runs succeed. No
     closed-form interval exists for the median — attach one with
     :func:`subsample_ci` — so variance and CI fields are NaN here.
@@ -879,26 +838,23 @@ def _median_over_ocps(
     *,
     with_variance: bool = True,
 ) -> ProxyEstimate:
-    bundle = _first_stage_bundle(data)
-    per_ocp = np.full(data.p_w, math.nan)
-    fits: list[ProxyEstimate] = []
-    n_failed = 0
+    per_ocp: list[ProxyEstimate | ProxselError] = []
     for j in range(data.p_w):
         try:
-            est = _pipeline_single(
-                data, bundle, j, config, with_variance=with_variance
+            per_ocp.append(
+                _pipeline_single(data, j, config, with_variance=with_variance)
             )
-        except ProxselError:
-            n_failed += 1
-            continue
-        per_ocp[j] = est.beta_hat
-        fits.append(est)
+        except ProxselError as exc:
+            # Without the traceback the kept error holds no frame, and so no
+            # reference cycle back to this one.
+            per_ocp.append(exc.with_traceback(None))
+    fits = [f for f in per_ocp if isinstance(f, ProxyEstimate)]
     required = data.p_w // 2 + 1
     if len(fits) < required:
         raise AggregateFailure(
             f"only {len(fits)} of {data.p_w} per-OCP runs succeeded; "
             f"need at least {required}",
-            n_failed=n_failed,
+            n_failed=data.p_w - len(fits),
             n_total=data.p_w,
         )
     beta = float(np.median([f.beta_hat for f in fits]))
@@ -913,7 +869,7 @@ def _median_over_ocps(
         ci_lower=math.nan,
         ci_upper=math.nan,
         method="median_over_ocps",
-        per_ocp_estimates=per_ocp,
+        per_ocp_fits=tuple(per_ocp),
     )
 
 
@@ -1027,11 +983,8 @@ def select_lambda(
         raise InvalidBound(f"mode must be 'rate' or 'cv', got {mode!r}")
     if data.n < 20:
         raise InvalidBound(f"cv mode needs n >= 20, got n = {data.n}")
-    _check_ocp_index(data, ocp_index)
 
-    bundle = _first_stage_bundle(data)
-    what = bundle.what_mat[:, ocp_index]
-    g, _ = _reduced_design(data, what)
+    g, _ = _reduced_design(data, first_stage(data, ocp_index).what)
     y = data.Y
     lam_max = float(np.max(np.abs(g.T @ y)))
     if lam_max <= 0.0:

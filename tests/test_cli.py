@@ -10,6 +10,7 @@ import pytest
 from proxsel.cli import build_parser, main
 from proxsel.data_io import SchemaMap, load_csv, read_report
 from proxsel.estimators import (
+    Dataset,
     EstimationConfig,
     default_subsample_size,
     estimate_invalid_tcp,
@@ -238,6 +239,52 @@ class TestEstimateCommand:
         assert report.estimate["ci_upper"] == hi
         assert report.estimate["ci_method"] == "subsampling"
         assert report.estimate["subsample_b"] == default_subsample_size(300)
+
+    def test_median_rows_equal_the_single_ocp_estimates(self, tmp_path):
+        config = SimConfig(
+            n=300, p_z=5, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0, seed=22
+        )
+        base = generate_invalid_tcp_ocp_data(config, 0)
+        w = base.W.copy()
+        w[:, 2] = base.D  # its TCP coefficients are zero: the pilots fail
+        broken = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+        tcp_names = [f"z{j}" for j in range(1, 6)]
+        ocp_names = ["w1", "w2", "w3"]
+        data_path = tmp_path / "broken.csv"
+        schema_path = tmp_path / "broken_schema.json"
+        dataset_to_csv(data_path, broken, tcp_names, ocp_names)
+        write_schema(schema_path, tcp_names, ocp_names)
+        out = tmp_path / "median.json"
+        code = main(
+            [
+                "estimate",
+                "--data",
+                str(data_path),
+                "--schema",
+                str(schema_path),
+                "--subsample-n",
+                "0",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        report = read_report(str(out))
+        for k, row in enumerate(report.per_ocp[:2]):
+            direct = estimate_invalid_tcp(broken, k)
+            assert row.error is None
+            assert row.beta_hat == direct.beta_hat
+            assert row.ci_lower == direct.ci_lower
+            assert row.ci_upper == direct.ci_upper
+            assert row.invalid_tcps == tuple(
+                tcp_names[j] for j in direct.selected_invalid_tcps
+            )
+        failed = report.per_ocp[2]
+        assert failed.beta_hat is None
+        assert failed.error.startswith("AssumptionViolation:")
+        assert report.estimate["beta_hat"] == float(
+            np.median([row.beta_hat for row in report.per_ocp[:2]])
+        )
 
     def test_median_mode_is_byte_identical_across_worker_counts(
         self, multi_ocp_csv, tmp_path

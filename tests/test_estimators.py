@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,10 +29,12 @@ from proxsel.estimators import (
     subsample_ci,
     _median_1d,
 )
+import proxsel.estimators as estimators_module
 from proxsel.exceptions import (
     AggregateFailure,
     AssumptionViolation,
     InvalidBound,
+    ProxselError,
     RankDeficient,
     WeakProxyWarning,
 )
@@ -78,6 +83,82 @@ class TestFirstStage:
         data = generate_invalid_tcp_data(SimConfig(n=100, p_z=3, s_z=1), 0)
         with pytest.raises(IndexError):
             first_stage(data, ocp_index=1)
+
+    def test_dataset_arrays_are_read_only_copies(self):
+        y = np.arange(20.0)
+        rng = np.random.default_rng(0)
+        data = Dataset(
+            Y=y, D=rng.normal(size=20), Z=rng.normal(size=(20, 2)),
+            W=rng.normal(size=(20, 1)),
+        )
+        for arr in (data.Y, data.D, data.Z, data.W, data.X):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        y[0] = 5.0  # the caller's own array stays writable ...
+        assert data.Y[0] == 0.0  # ... and the dataset does not see it
+
+    def test_writing_the_source_arrays_leaves_the_estimate_alone(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=2, s_w=0, y_noise_sd=1.0), 0
+        )
+        y, d, z, w = (a.copy() for a in (base.Y, base.D, base.Z, base.W))
+        data = Dataset(Y=y, D=d, Z=z, W=w)
+        before = estimate_invalid_tcp(data, 1)  # caches the first stage
+        y += 3.0 * d
+        z[:, 0] = (z[:, 0] - z[:, 0].mean()) / z[:, 0].std()
+        w *= 2.0
+        d -= 1.0
+        after = estimate_invalid_tcp(data, 1)
+        fresh = estimate_invalid_tcp(
+            Dataset(Y=base.Y, D=base.D, Z=base.Z, W=base.W), 1
+        )
+        for est in (after, fresh):
+            assert est.beta_hat == before.beta_hat
+            assert est.variance == before.variance
+            assert est.selected_invalid_tcps == before.selected_invalid_tcps
+
+    def test_every_entry_point_shares_one_first_stage(self, monkeypatch):
+        calls = []
+
+        def counting_ols(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return ols(*args, **kwargs)
+
+        monkeypatch.setattr(estimators_module, "ols", counting_ols)
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=2, s_w=0, y_noise_sd=1.0), 0
+        )
+        estimate_invalid_tcp(data, 0)
+        estimate_invalid_tcp(data, 1)
+        oracle_p2sls(data, (0, 1))
+        naive_p2sls(data)
+        first_stage(data, 1)
+        # one first stage (Y and both OCPs) plus one refit (Y and D) each
+        assert calls == [(300, 3)] + [(300, 2)] * 4
+
+    def test_threads_racing_on_a_fresh_dataset_agree(self):
+        # The cache has no lock: racing threads may each compute the first
+        # stage, but every one must see the serial numbers.
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0), 0
+        )
+        expected = [estimate_invalid_tcp(base, k).beta_hat for k in range(3)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=base.W)
+                barrier = threading.Barrier(6)
+
+                def run(i):
+                    barrier.wait(timeout=30)
+                    return estimate_invalid_tcp(data, i % 3).beta_hat
+
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    got = list(pool.map(run, range(6), timeout=60))
+                assert got == [expected[i % 3] for i in range(6)]
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestMedianPilots:
@@ -209,6 +290,30 @@ class TestOracleReduction:
         with pytest.raises(RankDeficient):
             oracle_p2sls(data, (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("gap, degenerate", [(1e-7, True), (1e-5, False)])
+    def test_refit_gate_is_on_the_residual_treatment(self, gap, degenerate):
+        # The refit refuses a treatment whose residual on the other
+        # regressors has squared norm at most DEGENERATE_TREATMENT_RTOL
+        # (1e-12) of D'D, i.e. ||P_perp D|| / ||D|| <= 1e-6: the same gate
+        # the selection stage applies.
+        base = generate_invalid_tcp_data(
+            SimConfig(n=300, p_z=4, s_z=1, y_noise_sd=1.0), 0
+        )
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(base.n, 2))
+        others = np.column_stack([x, np.ones(base.n)])
+        span = others @ np.array([1.0, -2.0, 0.5])
+        noise = residual_project(others, rng.normal(size=base.n))
+        d = span + gap * np.linalg.norm(span) / np.linalg.norm(noise) * noise
+        data = Dataset(Y=base.Y, D=d, Z=base.Z, W=base.W, X=x)
+        if degenerate:
+            with pytest.raises(RankDeficient):
+                ols_baseline(data)
+        else:
+            est = ols_baseline(data)
+            assert math.isfinite(est.beta_hat)
+            assert math.isfinite(est.variance) and est.variance > 0
+
 
 class TestInvariances:
     def test_treatment_effect_shift_moves_the_estimate_one_for_one(self):
@@ -329,6 +434,26 @@ class TestMedianOverOcps:
         finite = agg.per_ocp_estimates[np.isfinite(agg.per_ocp_estimates)]
         assert finite.size == 3
         assert agg.beta_hat == pytest.approx(float(np.median(finite)), abs=1e-15)
+
+    def test_failed_columns_keep_their_error(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=400, p_z=5, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0), 1
+        )
+        w = base.W.copy()
+        w[:, 1] = base.D
+        data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w, X=base.X)
+        agg = estimate_invalid_tcp_ocp(data)
+        first, failed, last = agg.per_ocp_fits
+        assert isinstance(failed, AssumptionViolation)
+        assert failed.__traceback__ is None
+        for k, fit in ((0, first), (2, last)):
+            direct = estimate_invalid_tcp(data, k)
+            assert fit.beta_hat == direct.beta_hat
+            assert fit.ci_lower == direct.ci_lower
+            assert fit.selected_invalid_tcps == direct.selected_invalid_tcps
+        with pytest.raises(ProxselError) as err:
+            estimate_invalid_tcp(data, 1)
+        assert str(err.value) == str(failed)
 
     def test_majority_failure_aborts(self):
         rng = np.random.default_rng(11)

@@ -22,8 +22,6 @@ from proxsel.simulation import SimConfig, generate_invalid_tcp_data
 
 from conftest import make_exact_dataset
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 # --- independent solvers used as oracles ----------------------------------
 
@@ -59,6 +57,7 @@ def fista_lasso(x, y, lam, weights=None, tol=1e-12, max_iter=500_000):
 
 
 def cvxpy_lasso(x, y, lam, weights=None):
+    cvxpy = pytest.importorskip("cvxpy")
     p = x.shape[1]
     w = np.ones(p) if weights is None else np.asarray(weights, float)
     a = cvxpy.Variable(p)
@@ -188,6 +187,7 @@ class TestLassoSolve:
 
 def joint_penalized_oracle(data, lam):
     """Jointly penalized regression solved by an interior-point method."""
+    cvxpy = pytest.importorskip("cvxpy")
     n = data.n
     alpha = cvxpy.Variable(data.p_z)
     beta = cvxpy.Variable()
