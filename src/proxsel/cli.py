@@ -35,7 +35,6 @@ from .data_io import (
     OcpRow,
     RunReport,
     SchemaMap,
-    config_from_text,
     config_to_dict,
     estimate_to_dict,
     load_csv,
@@ -55,7 +54,7 @@ from .estimators import (
     subsample_ci,
     _reduced_design,
 )
-from .exceptions import ConfigError, ProxselError
+from .exceptions import AggregateFailure, ConfigError, ProxselError
 from .identification import (
     check_identification,
     irrepresentable_diagnostic,
@@ -419,7 +418,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 est_config,
                 n_subsamples=args.subsample_n,
                 b=args.subsample_b,
-                alpha_level=est_config.alpha_level,
                 seed=args.seed,
             )
             estimate["ci_lower"] = lo
@@ -493,7 +491,12 @@ def _rotation(
     rows = _map_indexed(one, len(pool), n_jobs)
     betas = [row.beta_hat for row in rows if row.beta_hat is not None]
     if not betas:
-        raise ProxselError("every rotation failed; no aggregate to report")
+        raise AggregateFailure(
+            "every rotation failed; no aggregate to report: "
+            + "; ".join(f"{row.label}: {row.error}" for row in rows),
+            n_failed=len(rows),
+            n_total=len(rows),
+        )
     summary: dict[str, Any] = {
         "method": "rotation_median",
         "beta_hat": float(np.median(np.asarray(betas))),

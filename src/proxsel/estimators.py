@@ -82,13 +82,18 @@ ADAPTIVE_FLOOR = 1e-8
 DEGENERATE_TREATMENT_RTOL = 1e-12
 
 #: Stationarity tolerance certified on every lasso solution (absolute).
-DEFAULT_KKT_TOL = 1e-6
+KKT_TOL = 1e-6
 
 #: Duality-gap tolerance, relative to the squared response norm.
-DEFAULT_DUAL_GAP_TOL = 1e-8
+DUAL_GAP_TOL = 1e-8
 
 #: Hard cap on coordinate-descent sweeps.
 DEFAULT_MAX_SWEEPS = 100_000
+
+#: ``select_lambda`` cv mode: folds, grid points, smallest/largest grid penalty.
+CV_FOLDS = 10
+CV_GRID_SIZE = 50
+CV_GRID_MIN_RATIO = 1e-3
 
 #: RNG stream tag for subsample index draws (see ``numpy.random.SeedSequence``).
 STREAM_SUBSAMPLE = 2
@@ -241,8 +246,9 @@ class EstimationConfig:
 
     ``lambda_n = None`` defers to :func:`select_lambda` with ``lambda_mode``
     (default: the rate rule, which grows like ``sqrt(n)/log(n)`` scaled by
-    the response's standard deviation). ``adaptive_floor`` caps the adaptive
-    weights for pilot coefficients that are numerically zero.
+    the response's standard deviation). ``alpha_level`` is the level of
+    every interval, :func:`subsample_ci`'s included. ``adaptive_floor`` caps
+    the adaptive weights for pilot coefficients that are numerically zero.
     """
 
     lambda_n: float | None = None
@@ -453,25 +459,24 @@ def lasso_solve(
     *,
     start=None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    dual_gap_tol: float = DEFAULT_DUAL_GAP_TOL,
-    kkt_tol: float = DEFAULT_KKT_TOL,
 ) -> np.ndarray:
     """Minimize ``0.5*||y - X a||^2 + lam * sum_j weights_j * |a_j|``.
 
     Cyclic coordinate descent on the Gram system, iterated past the duality
     -gap tolerance all the way to a coordinate-wise fixed point, so the
     returned vector carries exact zeros off the support and passes the
-    stationarity check of :func:`kkt_violation` at ``kkt_tol``; the solver
-    certifies both before returning. ``lam = 0`` falls back to least squares
-    (minimum-norm when the design is singular). ``start`` warm-starts the
-    iteration; the solution of a convex problem does not depend on it.
+    stationarity check of :func:`kkt_violation` at the module constant
+    ``KKT_TOL``; the solver certifies both before returning. ``lam = 0``
+    falls back to least squares (minimum-norm when the design is singular).
+    ``start`` warm-starts the iteration; the solution of a convex problem
+    does not depend on it.
 
     Raises
     ------
     NoConvergence
         If ``max_sweeps`` sweeps do not reach the duality-gap tolerance
-        ``dual_gap_tol * ||response||^2``, or the terminal iterate fails the
-        stationarity certificate.
+        ``DUAL_GAP_TOL * ||response||^2`` (a module constant), or the
+        terminal iterate fails the stationarity certificate.
     """
     x = as_matrix(design, "design")
     y = as_vector(response, "response")
@@ -487,7 +492,7 @@ def lasso_solve(
 
     if lam == 0.0:
         alpha = np.linalg.lstsq(x, y, rcond=None)[0]
-        _certify(x, y, alpha, lam, w, kkt_tol)
+        _certify(x, y, alpha, lam, w)
         return alpha
 
     if start is None:
@@ -502,7 +507,7 @@ def lasso_solve(
     diag = np.diag(gram).copy()
     active = [j for j in range(p) if diag[j] > 0.0]
     thresh = lam * w
-    gap_target = dual_gap_tol * float(y @ y)
+    gap_target = DUAL_GAP_TOL * float(y @ y)
 
     stalled = False
     for _ in range(max_sweeps):
@@ -530,16 +535,16 @@ def lasso_solve(
             f"coordinate descent used {max_sweeps} sweeps but the duality gap "
             f"{gap:.3e} still exceeds {gap_target:.3e}"
         )
-    _certify(x, y, alpha, lam, w, kkt_tol)
+    _certify(x, y, alpha, lam, w)
     return alpha
 
 
-def _certify(x, y, alpha, lam, w, kkt_tol) -> None:
+def _certify(x, y, alpha, lam, w) -> None:
     viol = kkt_violation(x, y, alpha, lam, w)
-    if viol > kkt_tol:
+    if viol > KKT_TOL:
         raise NoConvergence(
             f"terminal iterate fails the stationarity certificate: "
-            f"violation {viol:.3e} > {kkt_tol:g}"
+            f"violation {viol:.3e} > {KKT_TOL:g}"
         )
 
 
@@ -608,15 +613,6 @@ def adaptive_lasso_proximal(
     Returns the penalized coefficient vector and its support.
     """
     fs = first_stage(data, ocp_index)
-    return _adaptive_step(data, fs, lambda_n, adaptive_floor)
-
-
-def _adaptive_step(
-    data: Dataset,
-    fs: FirstStage,
-    lambda_n: float,
-    adaptive_floor: float,
-) -> tuple[np.ndarray, tuple[int, ...]]:
     alpha_m = alpha_median(fs, median_gamma(fs))
     weights = 1.0 / np.maximum(np.abs(alpha_m), adaptive_floor)
     g, _ = _reduced_design(data, fs.what)
@@ -642,8 +638,6 @@ def _second_stage(
     selected: Sequence[int],
     alpha_level: float,
     method: str,
-    *,
-    with_variance: bool = True,
 ) -> ProxyEstimate:
     """Refit on (treatment, selected TCPs, fitted OCPs ``ocps``, X, 1).
 
@@ -689,24 +683,19 @@ def _second_stage(
     alpha_vec[sel] = coef[:k]
     gamma = float(coef[k]) if ocps else math.nan
 
-    if with_variance:
-        gamma_block = coef[k : k + len(ocps)]
-        resid = r_y - beta * r_d + (what - data.W[:, ocps]) @ gamma_block
-        sigma2_eps = float(resid @ resid) / data.n
-        sigma2 = sigma2_eps / (d_sq / data.n)
-        half = _zscore(alpha_level) * math.sqrt(sigma2 / data.n)
-        ci_lo, ci_hi = beta - half, beta + half
-    else:
-        sigma2 = math.nan
-        ci_lo = ci_hi = math.nan
+    gamma_block = coef[k : k + len(ocps)]
+    resid = r_y - beta * r_d + (what - data.W[:, ocps]) @ gamma_block
+    sigma2_eps = float(resid @ resid) / data.n
+    sigma2 = sigma2_eps / (d_sq / data.n)
+    half = _zscore(alpha_level) * math.sqrt(sigma2 / data.n)
     return ProxyEstimate(
         beta_hat=beta,
         gamma_hat=gamma,
         alpha_hat=alpha_vec,
         selected_invalid_tcps=tuple(int(j) for j in np.nonzero(alpha_vec)[0]),
         variance=sigma2,
-        ci_lower=ci_lo,
-        ci_upper=ci_hi,
+        ci_lower=beta - half,
+        ci_upper=beta + half,
         method=method,
     )
 
@@ -778,29 +767,6 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_single(
-    data: Dataset,
-    ocp_index: int,
-    config: EstimationConfig,
-    *,
-    with_variance: bool = True,
-) -> ProxyEstimate:
-    fs = first_stage(data, ocp_index)
-    if config.lambda_n is not None:
-        lam = float(config.lambda_n)
-    else:
-        lam = select_lambda(data, ocp_index, config.lambda_mode)
-    _, selected = _adaptive_step(data, fs, lam, config.adaptive_floor)
-    return _second_stage(
-        data,
-        [ocp_index],
-        selected,
-        config.alpha_level,
-        "post_adaptive_2sls",
-        with_variance=with_variance,
-    )
-
-
 def estimate_invalid_tcp(
     data: Dataset,
     ocp_index: int = 0,
@@ -808,11 +774,19 @@ def estimate_invalid_tcp(
 ) -> ProxyEstimate:
     """Full adaptive pipeline against a single designated OCP column.
 
-    Sequence: reduced-form first stage, median-ratio pilots, adaptively
-    weighted lasso selection of invalid TCPs, post-selection refit with a
-    closed-form confidence interval.
+    The public stages composed: the penalty ``config.lambda_n`` (or
+    :func:`select_lambda` in ``config.lambda_mode``), the pilots and weighted
+    lasso of :func:`adaptive_lasso_proximal`, then the closed-form interval
+    of the :func:`post_adaptive_2sls` refit.
     """
-    return _pipeline_single(data, ocp_index, config or EstimationConfig())
+    config = config or EstimationConfig()
+    lam = config.lambda_n
+    if lam is None:
+        lam = select_lambda(data, ocp_index, config.lambda_mode)
+    _, selected = adaptive_lasso_proximal(
+        data, ocp_index, lam, adaptive_floor=config.adaptive_floor
+    )
+    return post_adaptive_2sls(data, ocp_index, selected, config.alpha_level)
 
 
 def estimate_invalid_tcp_ocp(
@@ -829,21 +803,11 @@ def estimate_invalid_tcp_ocp(
     closed-form interval exists for the median — attach one with
     :func:`subsample_ci` — so variance and CI fields are NaN here.
     """
-    return _median_over_ocps(data, config or EstimationConfig())
-
-
-def _median_over_ocps(
-    data: Dataset,
-    config: EstimationConfig,
-    *,
-    with_variance: bool = True,
-) -> ProxyEstimate:
+    config = config or EstimationConfig()
     per_ocp: list[ProxyEstimate | ProxselError] = []
     for j in range(data.p_w):
         try:
-            per_ocp.append(
-                _pipeline_single(data, j, config, with_variance=with_variance)
-            )
+            per_ocp.append(estimate_invalid_tcp(data, j, config))
         except ProxselError as exc:
             # Without the traceback the kept error holds no frame, and so no
             # reference cycle back to this one.
@@ -883,7 +847,6 @@ def subsample_ci(
     config: EstimationConfig | None = None,
     n_subsamples: int = 1000,
     b: int | None = None,
-    alpha_level: float = 0.05,
     seed: int = 0,
     *,
     recenter: bool = False,
@@ -893,7 +856,8 @@ def subsample_ci(
     Draws ``n_subsamples`` row subsets of size ``b`` (default
     ``floor(n^{4/5})``) without replacement, recomputes
     :func:`estimate_invalid_tcp_ocp` on each, and returns the empirical
-    ``alpha/2`` and ``1 - alpha/2`` quantiles of the subsample estimates.
+    ``alpha/2`` and ``1 - alpha/2`` quantiles of the subsample estimates,
+    with ``alpha = config.alpha_level``.
     ``recenter=True`` instead inverts the classical subsampling root
     ``sqrt(b) * (estimate_b - estimate_n)`` (the orthodox construction; the
     raw-quantile default matches the reference simulation design).
@@ -910,14 +874,13 @@ def subsample_ci(
         raise InvalidBound(f"need 0 < b < n = {n}, got b = {b}")
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
-    _zscore(alpha_level)  # validates the level
 
     estimates = np.full(n_subsamples, math.nan)
     n_failed = 0
     with warnings.catch_warnings():
         # Weak-relevance warnings inside subsample replicas reflect the
         # subsample's own noise, not the data; only the quantiles of the
-        # point estimates matter here, so skip per-replica interval work.
+        # replicas' point estimates enter the interval.
         warnings.simplefilter("ignore", WeakProxyWarning)
         for i in range(n_subsamples):
             rng = np.random.default_rng(
@@ -925,8 +888,8 @@ def subsample_ci(
             )
             idx = np.sort(rng.choice(n, size=b, replace=False))
             try:
-                estimates[i] = _median_over_ocps(
-                    data.take_rows(idx), config, with_variance=False
+                estimates[i] = estimate_invalid_tcp_ocp(
+                    data.take_rows(idx), config
                 ).beta_hat
             except (ProxselError, ValueError):
                 n_failed += 1
@@ -938,9 +901,9 @@ def subsample_ci(
             n_total=n_subsamples,
         )
     values = estimates[np.isfinite(estimates)]
-    lo_q, hi_q = alpha_level / 2.0, 1.0 - alpha_level / 2.0
+    lo_q, hi_q = config.alpha_level / 2.0, 1.0 - config.alpha_level / 2.0
     if recenter:
-        center = _median_over_ocps(data, config, with_variance=False).beta_hat
+        center = estimate_invalid_tcp_ocp(data, config).beta_hat
         roots = math.sqrt(b) * (values - center)
         r_lo, r_hi = np.quantile(roots, [lo_q, hi_q])
         scale = math.sqrt(n)
@@ -961,20 +924,16 @@ def select_lambda(
     data: Dataset,
     ocp_index: int = 0,
     mode: str = "cv",
-    *,
-    n_folds: int = 10,
-    grid_size: int = 50,
-    grid_min_ratio: float = 1e-3,
 ) -> float:
     """Penalty level for the selection stage.
 
     ``rate`` mode returns ``std(Y) * sqrt(n) / log(n)`` — a deterministic
     schedule that diverges while remaining ``o(sqrt(n))``, the growth regime
     under which the adaptive selection is consistent. ``cv`` mode runs
-    ``n_folds``-fold cross-validation of the plain lasso on the residualized
-    TCP design over a ``grid_size``-point logarithmic grid anchored at the
-    smallest penalty with an all-zero solution; folds are contiguous row
-    blocks (no RNG) and ties prefer the larger penalty.
+    ``CV_FOLDS``-fold cross-validation of the plain lasso on the residualized
+    TCP design over ``CV_GRID_SIZE`` log-spaced penalties, from the smallest
+    with an all-zero solution down to ``CV_GRID_MIN_RATIO`` times it; folds
+    are contiguous row blocks (no RNG) and ties prefer the larger penalty.
     """
     if mode == "rate":
         n = data.n
@@ -989,12 +948,12 @@ def select_lambda(
     lam_max = float(np.max(np.abs(g.T @ y)))
     if lam_max <= 0.0:
         return 0.0
-    grid = np.geomspace(grid_min_ratio * lam_max, lam_max, grid_size)[::-1]
+    grid = np.geomspace(CV_GRID_MIN_RATIO * lam_max, lam_max, CV_GRID_SIZE)[::-1]
 
     n = data.n
-    bounds = np.linspace(0, n, n_folds + 1).astype(int)
-    mse = np.zeros(grid_size)
-    for f in range(n_folds):
+    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
+    mse = np.zeros(CV_GRID_SIZE)
+    for f in range(CV_FOLDS):
         val = np.zeros(n, dtype=bool)
         val[bounds[f] : bounds[f + 1]] = True
         g_tr, y_tr = g[~val], y[~val]
@@ -1004,8 +963,5 @@ def select_lambda(
             start = lasso_solve(g_tr, y_tr, lam, start=start)
             resid = y_va - g_va @ start
             mse[gi] += float(resid @ resid)
-    best = 0
-    for gi in range(1, grid_size):
-        if mse[gi] < mse[best]:
-            best = gi
-    return float(grid[best])
+    # The grid descends, so argmin's first minimum is the larger penalty.
+    return float(grid[int(np.argmin(mse))])

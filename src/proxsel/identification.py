@@ -29,7 +29,7 @@ from .exceptions import (
     InvalidBound,
     SingularBlock,
 )
-from .linalg import as_matrix, as_vector, gram_support_extremes, project
+from .linalg import as_matrix, as_vector, project
 
 #: Refuse brute-force enumerations beyond this many subsets.
 MAX_COMBINATIONS = 1_000_000

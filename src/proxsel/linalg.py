@@ -65,9 +65,14 @@ def orthonormal_basis(design, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     :class:`~proxsel.exceptions.RankDeficient` otherwise.
     """
     x = as_matrix(design, "design")
+    if x.shape[1] == 0:
+        return np.zeros((x.shape[0], 0))
+    return _full_rank_qr(x, rank_tol)[0]
+
+
+def _full_rank_qr(x: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of a design with at least one column, certified full rank."""
     n, p = x.shape
-    if p == 0:
-        return np.zeros((n, 0))
     if p > n:
         raise RankDeficient(f"design has more columns ({p}) than rows ({n})")
     q, r = np.linalg.qr(x)
@@ -79,7 +84,7 @@ def orthonormal_basis(design, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
             "design is rank deficient: smallest/largest singular value "
             f"= {sv[-1]:.3e}/{sv[0]:.3e} at cutoff {rank_tol:g}"
         )
-    return q
+    return q, r
 
 
 def project(design, target, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -149,13 +154,7 @@ def ols(design, response, rank_tol: float = DEFAULT_RANK_TOL) -> OlsFit:
         coef = np.zeros((0, ym.shape[1]))
         resid = ym.copy()
     else:
-        q, r = np.linalg.qr(x)
-        sv = np.linalg.svd(r, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= rank_tol * sv[0]:
-            raise RankDeficient(
-                "design is rank deficient: smallest/largest singular value "
-                f"= {sv[-1]:.3e}/{sv[0]:.3e} at cutoff {rank_tol:g}"
-            )
+        q, r = _full_rank_qr(x, rank_tol)
         coef = np.linalg.solve(r, q.T @ ym)
         resid = ym - x @ coef
     rv = np.sum(resid**2, axis=0) / n

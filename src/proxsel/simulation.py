@@ -257,7 +257,6 @@ def _run_method(
                 est_config,
                 n_subsamples=ci_config.n_subsamples,
                 b=ci_config.b,
-                alpha_level=est_config.alpha_level,
                 seed=sub_seed,
                 recenter=ci_config.recenter,
             )

@@ -337,6 +337,40 @@ class TestEstimateCommand:
         per = [row.beta_hat for row in report.per_ocp]
         assert report.estimate["beta_hat"] == float(np.median(per))
 
+    def test_rotation_names_the_cause_when_every_rotation_fails(
+        self, multi_ocp_csv, tmp_path, capsys
+    ):
+        _, schema_path, data = multi_ocp_csv
+        w = data.W.copy()
+        w[:, 1] = data.D  # collinear with D in every TCP block it joins
+        broken = Dataset(Y=data.Y, D=data.D, Z=data.Z, W=w, X=data.X)
+        data_path = tmp_path / "broken.csv"
+        dataset_to_csv(
+            data_path, broken, [f"z{j}" for j in range(1, 6)],
+            [f"w{k}" for k in range(1, 4)],
+        )
+        out = tmp_path / "rotation.json"
+        code = main(
+            [
+                "estimate",
+                "--data",
+                str(data_path),
+                "--schema",
+                str(schema_path),
+                "--mode",
+                "rotation",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: AggregateFailure: every rotation failed")
+        assert "w1: RankDeficient" in err
+        assert "w2: AssumptionViolation" in err
+        assert "w3: RankDeficient" in err
+
     def test_rotation_mode_needs_at_least_two_ocps(self, exact_csv, tmp_path, capsys):
         data_path, schema_path, _, _ = exact_csv
         out = tmp_path / "r.json"

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsel.estimators import (
+    STREAM_SUBSAMPLE,
     Dataset,
     EstimationConfig,
     FirstStage,
+    adaptive_lasso_proximal,
     alpha_median,
     default_subsample_size,
     estimate_invalid_tcp,
@@ -26,6 +28,7 @@ from proxsel.estimators import (
     ols_baseline,
     oracle_p2sls,
     post_adaptive_2sls,
+    select_lambda,
     subsample_ci,
     _median_1d,
 )
@@ -395,6 +398,47 @@ class TestVariancePlugin:
         assert wide.ci_upper - wide.ci_lower > narrow.ci_upper - narrow.ci_lower
 
 
+def assert_same_fit(a, b):
+    """Field-for-field equality of two single-OCP fits (the dataclass
+    ``==`` raises on two distinct ``alpha_hat`` arrays)."""
+    assert a.beta_hat == b.beta_hat
+    assert a.gamma_hat == b.gamma_hat
+    np.testing.assert_array_equal(a.alpha_hat, b.alpha_hat)
+    assert a.selected_invalid_tcps == b.selected_invalid_tcps
+    assert a.variance == b.variance
+    assert (a.ci_lower, a.ci_upper) == (b.ci_lower, b.ci_upper)
+    assert a.method == b.method
+    assert a.per_ocp_fits is None and b.per_ocp_fits is None
+
+
+class TestPipelineComposition:
+    @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EstimationConfig(alpha_level=0.1),
+            EstimationConfig(lambda_mode="cv"),
+            EstimationConfig(lambda_n=4.0, adaptive_floor=1e-4),
+        ],
+        ids=["rate", "cv", "fixed"],
+    )
+    def test_pipeline_is_its_public_stages_composed(self, cfg):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=200, p_z=6, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0), 4
+        )
+        agg = estimate_invalid_tcp_ocp(data, cfg)
+        for j in range(data.p_w):
+            lam = cfg.lambda_n
+            if lam is None:
+                lam = select_lambda(data, j, cfg.lambda_mode)
+            _, selected = adaptive_lasso_proximal(
+                data, j, lam, adaptive_floor=cfg.adaptive_floor
+            )
+            composed = post_adaptive_2sls(data, j, selected, cfg.alpha_level)
+            assert_same_fit(estimate_invalid_tcp(data, j, cfg), composed)
+            assert_same_fit(agg.per_ocp_fits[j], composed)
+
+
 class TestMedianOverOcps:
     def test_single_ocp_aggregate_matches_the_single_pipeline(self):
         data = generate_invalid_tcp_data(
@@ -500,6 +544,39 @@ class TestSubsampleCi:
         pivot = subsample_ci(data, n_subsamples=30, seed=5, recenter=True)
         assert raw != pivot
         assert pivot[0] < pivot[1]
+
+    @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
+    @pytest.mark.parametrize("recenter", [False, True])
+    def test_level_comes_from_the_config(self, recenter):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(
+                n=600, p_z=6, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0, seed=3
+            ),
+            0,
+        )
+        config = EstimationConfig(alpha_level=0.5)
+        b = default_subsample_size(data.n)
+        estimates = []
+        for i in range(20):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((3, STREAM_SUBSAMPLE, i))
+            )
+            idx = np.sort(rng.choice(data.n, size=b, replace=False))
+            sub = estimate_invalid_tcp_ocp(data.take_rows(idx), config)
+            estimates.append(sub.beta_hat)
+        estimates = np.array(estimates)
+        interval = subsample_ci(
+            data, config, n_subsamples=20, seed=3, recenter=recenter
+        )
+        if recenter:
+            center = estimate_invalid_tcp_ocp(data, config).beta_hat
+            roots = math.sqrt(b) * (estimates - center)
+            r_lo, r_hi = np.quantile(roots, [0.25, 0.75])
+            scale = math.sqrt(data.n)
+            expected = (center - r_hi / scale, center - r_lo / scale)
+        else:
+            expected = tuple(np.quantile(estimates, [0.25, 0.75]))
+        assert interval == expected
 
     def test_subsample_size_bounds_are_enforced(self):
         data = generate_invalid_tcp_ocp_data(

@@ -152,6 +152,11 @@ class TestOls:
         with pytest.raises(RankDeficient):
             ols(np.column_stack([col, 2 * col]), np.ones(6))
 
+    def test_more_columns_than_rows_raises(self):
+        design = np.random.default_rng(0).normal(size=(3, 5))
+        with pytest.raises(RankDeficient, match="more columns"):
+            ols(design, np.ones(3))
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
