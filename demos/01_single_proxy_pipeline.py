@@ -33,8 +33,8 @@ print(f"true effect: {config.beta_true}, truly invalid TCPs: 0, 1, 2\n")
 # Stage 1 — reduced forms on the augmented design (TCPs, treatment, 1).
 fs = first_stage(data)
 print("stage 1: reduced-form coefficient blocks")
-print("  outcome side :", np.round(fs.gamma_hat_vec[: data.p_z], 3))
-print("  proxy side   :", np.round(fs.delta_hat_vec[: data.p_z], 3))
+print("  outcome side :", np.round(fs.gamma_hat_vec, 3))
+print("  proxy side   :", np.round(fs.delta_hat_vec, 3))
 
 # Stage 2 — ratio pilots. Valid TCPs share one ratio; the median ignores
 # the invalid minority, and subtracting the implied component exposes the

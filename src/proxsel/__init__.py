@@ -31,7 +31,6 @@ from .exceptions import (
 )
 from .linalg import (
     OlsFit,
-    gram_support_extremes,
     ols,
     orthonormal_basis,
     project,
@@ -118,7 +117,6 @@ __all__ = [
     "residual_project",
     "ols",
     "orthonormal_basis",
-    "gram_support_extremes",
     # identification & diagnostics
     "IdentificationReport",
     "DiagnosticReport",

@@ -530,9 +530,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         loaded = _load(args, schema)
         index = _resolve_column(args.ocp, schema.ocp_columns, 0, "--ocp")
         fs = first_stage(loaded.dataset, index)
-        p_z = loaded.dataset.p_z
-        delta = fs.delta_hat_vec[:p_z]
-        gamma = fs.gamma_hat_vec[:p_z]
+        delta, gamma = fs.delta_hat_vec, fs.gamma_hat_vec
         source = {
             "data": args.data,
             "ocp": schema.ocp_columns[index],

@@ -176,7 +176,8 @@ def load_csv(
                 missing_names.append(name)
         if missing_names:
             raise MissingColumn(
-                "column(s) not found in header: " + ", ".join(missing_names)
+                "column(s) not found in header: " + ", ".join(missing_names),
+                columns=missing_names,
             )
         names = schema.all_columns()
         rows: list[list[float]] = []
@@ -198,7 +199,9 @@ def load_csv(
                     if strict:
                         raise ParseError(
                             f"row {row_index}, column {name!r}: "
-                            f"cannot parse {cell!r} as a number"
+                            f"cannot parse {cell!r} as a number",
+                            row=row_index,
+                            column=name,
                         ) from None
                     drop = True
                     break

@@ -190,16 +190,15 @@ class FirstStage:
     """Reduced-form fits on the augmented design ``M = (Z, D, X, 1)``.
 
     ``what`` is the fitted value of the chosen OCP column on ``M``;
-    ``gamma_hat_vec`` / ``delta_hat_vec`` are the coefficient vectors of the
-    outcome / OCP regressions on the ``(Z, D, X)`` block (the intercept
-    coefficient is not retained — nothing downstream uses it). The first
-    ``n_tcps`` entries are the TCP coefficients.
+    ``gamma_hat_vec`` / ``delta_hat_vec`` are the TCP blocks (length
+    ``p_z``) of the outcome / OCP regressions' coefficients. The treatment,
+    covariate and intercept coefficients are not retained; nothing
+    downstream uses them.
     """
 
     what: np.ndarray
     gamma_hat_vec: np.ndarray
     delta_hat_vec: np.ndarray
-    n_tcps: int
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,8 @@ class EstimationConfig:
 class _FirstStageBundle(NamedTuple):
     """All per-dataset first-stage quantities, computed with one factorization."""
 
-    gamma_vec: np.ndarray  # outcome coefficients on (Z, D, X)
-    delta_mat: np.ndarray  # per-OCP coefficients on (Z, D, X), one column each
+    gamma_vec: np.ndarray  # outcome coefficients on Z
+    delta_mat: np.ndarray  # per-OCP coefficients on Z, one column each
     what_mat: np.ndarray  # fitted OCP columns, n x p_w
 
 
@@ -289,10 +288,10 @@ def _first_stage_bundle(data: Dataset) -> _FirstStageBundle:
         [data.Z, data.D[:, None], data.X, np.ones((data.n, 1))], axis=1
     )
     fit = ols(m, np.column_stack([data.Y, data.W]))
-    coef = fit.coefficients
+    tcp_coef = fit.coefficients[: data.p_z]
     return _FirstStageBundle(
-        gamma_vec=_read_only(coef[:-1, 0].copy()),
-        delta_mat=_read_only(coef[:-1, 1:].copy()),
+        gamma_vec=_read_only(tcp_coef[:, 0].copy()),
+        delta_mat=_read_only(tcp_coef[:, 1:].copy()),
         what_mat=_read_only(data.W - fit.residuals[:, 1:]),
     )
 
@@ -316,7 +315,6 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
         what=bundle.what_mat[:, ocp_index].copy(),
         gamma_hat_vec=bundle.gamma_vec,
         delta_hat_vec=bundle.delta_mat[:, ocp_index].copy(),
-        n_tcps=data.p_z,
     )
 
 
@@ -345,13 +343,12 @@ def _median_1d(values: np.ndarray) -> float:
 
 
 def _tcp_coefficients(fs: FirstStage) -> tuple[np.ndarray, np.ndarray]:
-    """TCP entries of the outcome and OCP coefficient vectors.
+    """The outcome and OCP coefficient vectors, guarded for relevance.
 
     Both pilots divide by, or scale, the OCP coefficients, so a numerically
     zero one is a relevance failure for either.
     """
-    gamma = fs.gamma_hat_vec[: fs.n_tcps]
-    delta = fs.delta_hat_vec[: fs.n_tcps]
+    gamma, delta = fs.gamma_hat_vec, fs.delta_hat_vec
     bad = [int(j) for j in np.nonzero(np.abs(delta) <= DELTA_FLOOR)[0]]
     if bad:
         raise AssumptionViolation(
@@ -854,7 +851,8 @@ def subsample_ci(
     """Subsampling confidence interval for the median-over-OCPs estimator.
 
     Draws ``n_subsamples`` row subsets of size ``b`` (default
-    ``floor(n^{4/5})``) without replacement, recomputes
+    ``floor(n^{4/5})``; above ``p_z + p_w + p_x + 1``, since every subsample
+    is a :class:`Dataset`) without replacement, recomputes
     :func:`estimate_invalid_tcp_ocp` on each, and returns the empirical
     ``alpha/2`` and ``1 - alpha/2`` quantiles of the subsample estimates,
     with ``alpha = config.alpha_level``.
@@ -870,8 +868,12 @@ def subsample_ci(
     if b is None:
         b = default_subsample_size(n)
     b = int(b)
-    if not 0 < b < n:
-        raise InvalidBound(f"need 0 < b < n = {n}, got b = {b}")
+    # At or below this every subsample fails Dataset's size check.
+    min_b = data.p_z + data.p_w + data.p_x + 1
+    if not min_b < b < n:
+        raise InvalidBound(
+            f"need p_z + p_w + p_x + 1 = {min_b} < b < n = {n}, got b = {b}"
+        )
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
 
@@ -891,7 +893,7 @@ def subsample_ci(
                 estimates[i] = estimate_invalid_tcp_ocp(
                     data.take_rows(idx), config
                 ).beta_hat
-            except (ProxselError, ValueError):
+            except ProxselError:
                 n_failed += 1
     if n_failed > 0.2 * n_subsamples:
         raise AggregateFailure(

@@ -91,11 +91,7 @@ class EmptyAfterFiltering(ProxselError):
 
 
 class ConfigError(ProxselError):
-    """A configuration document is malformed; carries the offending key path."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    """A configuration document or command-line input is malformed."""
 
 
 class IoError(ProxselError):

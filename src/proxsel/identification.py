@@ -9,7 +9,9 @@ the vector of direct TCP-on-outcome effects. If at most ``I - 1`` entries of
 large proxy subsets that admit a common ratio agree on that ratio. This
 module implements that combinatorial check, the simple majority-rule
 shortcut, and two diagnostics for the selection stage of the estimators: the
-irrepresentable condition and a restricted-isometry recovery margin.
+irrepresentable condition and a restricted-isometry recovery margin. The
+check and the restricted-isometry constants share one brute-force subset
+enumeration, which refuses more than ``MAX_COMBINATIONS`` subsets.
 
 All column/proxy indices in inputs and reports are 0-based.
 """
@@ -17,6 +19,7 @@ All column/proxy indices in inputs and reports are 0-based.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -34,9 +37,8 @@ from .linalg import as_matrix, as_vector, project
 #: Refuse brute-force enumerations beyond this many subsets.
 MAX_COMBINATIONS = 1_000_000
 
-#: Keep the full subset list in reports only up to this many proxies;
-#: beyond it, enumeration short-circuits on the second distinct ratio.
-FULL_LIST_MAX_PZ = 12
+#: Smallest eigenvalue of ``C[A, A]`` still treated as nonsingular.
+MIN_BLOCK_EIG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,20 @@ def check_majority_rule(p_z: int, invalid_bound: int) -> bool:
     return invalid_bound <= p_z / 2
 
 
-def _guard_combinations(p: int, k: int, max_combinations: float) -> None:
+def _subsets(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The ``k``-subsets of ``range(p)`` in lexicographic order.
+
+    Raises :class:`~proxsel.exceptions.CombinatorialBlowup` at the call,
+    before yielding anything, when there are more than ``MAX_COMBINATIONS``.
+    """
     total = math.comb(p, k)
-    if total > max_combinations:
+    if total > MAX_COMBINATIONS:
         raise CombinatorialBlowup(
             f"enumerating C({p}, {k}) = {total} subsets exceeds the guard "
-            f"({max_combinations:g}); lower the bound or use the majority rule",
+            f"({MAX_COMBINATIONS:g}); lower the bound or use the majority rule",
             n_combinations=total,
         )
+    return combinations(range(p), k)
 
 
 def check_identification(
@@ -102,7 +110,6 @@ def check_identification(
     gamma_tilde,
     invalid_bound: int,
     tol: float = 1e-6,
-    max_combinations: float = MAX_COMBINATIONS,
 ) -> IdentificationReport:
     """Enumerate proxy subsets and check whether they agree on a single ratio.
 
@@ -130,8 +137,8 @@ def check_identification(
     IdentificationReport
         ``identified`` is true iff at most one distinct ratio occurs among
         consistent subsets (zero consistent subsets counts as identified).
-        The full subset list is reported for ``p_z <= 12``; above that the
-        enumeration stops at the second distinct ratio.
+        Refuses with :class:`~proxsel.exceptions.CombinatorialBlowup` when
+        there are more than ``MAX_COMBINATIONS`` subsets.
     """
     delta = as_vector(delta_tilde, "delta_tilde")
     gamma = as_vector(gamma_tilde, "gamma_tilde")
@@ -154,13 +161,9 @@ def check_identification(
             indices=bad,
         )
 
-    k = p_z - invalid_bound + 1
-    _guard_combinations(p_z, k, max_combinations)
-    short_circuit = p_z > FULL_LIST_MAX_PZ
-
     consistent: list[tuple[tuple[int, ...], float]] = []
     reps: list[float] = []  # distinct ratio representatives, in first-seen order
-    for subset in combinations(range(p_z), k):
+    for subset in _subsets(p_z, p_z - invalid_bound + 1):
         idx = list(subset)
         d = delta[idx]
         g = gamma[idx]
@@ -172,8 +175,6 @@ def check_identification(
         consistent.append((subset, q))
         if not any(abs(q - r) <= tol * max(1.0, abs(q), abs(r)) for r in reps):
             reps.append(q)
-            if short_circuit and len(reps) >= 2:
-                break
 
     return IdentificationReport(
         identified=len(reps) <= 1,
@@ -187,7 +188,6 @@ def irrepresentable_diagnostic(
     projected_design,
     invalid_set,
     sign_vector=None,
-    min_block_eig: float = 1e-10,
 ) -> DiagnosticReport:
     """Evaluate the irrepresentable condition on a (projected) design.
 
@@ -224,10 +224,10 @@ def irrepresentable_diagnostic(
     comp = [j for j in range(p) if j not in set(a_idx)]
     c_aa = c[np.ix_(a_idx, a_idx)]
     eigs = np.linalg.eigvalsh(c_aa)
-    if eigs[0] <= min_block_eig:
+    if eigs[0] <= MIN_BLOCK_EIG:
         raise SingularBlock(
             f"C[A, A] is numerically singular (min eigenvalue {eigs[0]:.3e} "
-            f"<= {min_block_eig:g})"
+            f"<= {MIN_BLOCK_EIG:g})"
         )
     value = float(np.max(np.abs(c[np.ix_(comp, a_idx)] @ np.linalg.solve(c_aa, signs))))
     return DiagnosticReport(
@@ -236,11 +236,7 @@ def irrepresentable_diagnostic(
     )
 
 
-def rip_constants(
-    design,
-    sparsity_k: int,
-    max_combinations: float = MAX_COMBINATIONS,
-) -> tuple[float, float]:
+def rip_constants(design, sparsity_k: int) -> tuple[float, float]:
     """Restricted-isometry constants of ``design`` at order ``sparsity_k``.
 
     ``delta_minus`` is the smallest quadratic form ``||X v||^2`` over unit
@@ -248,7 +244,7 @@ def rip_constants(
     Computed by brute force over all ``C(p, k)`` supports (eigen extremes of
     each Gram submatrix); refuses with
     :class:`~proxsel.exceptions.CombinatorialBlowup` when the support count
-    exceeds ``max_combinations``. Certifying these constants without
+    exceeds ``MAX_COMBINATIONS``. Certifying these constants without
     enumeration is NP-hard in general, hence the guard rather than a fallback.
     """
     x = as_matrix(design, "design")
@@ -256,11 +252,10 @@ def rip_constants(
     k = int(sparsity_k)
     if not 1 <= k <= p:
         raise InvalidBound(f"sparsity_k must lie in [1, p={p}], got {k}")
-    _guard_combinations(p, k, max_combinations)
     gram = x.T @ x
     delta_minus = math.inf
     delta_plus = -math.inf
-    for support in combinations(range(p), k):
+    for support in _subsets(p, k):
         idx = list(support)
         eigs = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
         delta_minus = min(delta_minus, eigs[0])
@@ -268,13 +263,7 @@ def rip_constants(
     return float(max(delta_minus, 0.0)), float(max(delta_plus, 0.0))
 
 
-def rip_recovery_margin(
-    z,
-    what,
-    d_tilde,
-    s_z: int,
-    max_combinations: float = MAX_COMBINATIONS,
-) -> DiagnosticReport:
+def rip_recovery_margin(z, what, d_tilde, s_z: int) -> DiagnosticReport:
     """Margin of the sparse-recovery sufficient condition for the lasso stage.
 
     With ``s = s_z`` assumed invalid proxies, the condition compares
@@ -297,9 +286,9 @@ def rip_recovery_margin(
     z_on_what = project(what, zm)
     z_on_dtilde = project(d_tilde, zm)
     order = 2 * s
-    rip_z = rip_constants(zm, order, max_combinations)
-    rip_w = rip_constants(z_on_what, order, max_combinations)
-    rip_d = rip_constants(z_on_dtilde, order, max_combinations)
+    rip_z = rip_constants(zm, order)
+    rip_w = rip_constants(z_on_what, order)
+    rip_d = rip_constants(z_on_dtilde, order)
     margin = 2.0 * rip_z[0] - rip_z[1] - 2.0 * rip_w[1] - 2.0 * rip_d[1]
     return DiagnosticReport(
         rip={"tcp": rip_z, "ocp_fit": rip_w, "treatment_resid": rip_d},

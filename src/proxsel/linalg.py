@@ -1,14 +1,14 @@
-"""Dense linear-algebra primitives: projections, least squares, Gram extremes.
+"""Dense linear-algebra primitives: projections and least squares.
 
 Everything downstream (identification checks, the penalized estimators, the
-Monte Carlo harness) is built on the four operations in this module. All
+Monte Carlo harness) is built on the operations in this module. All
 projections go through an orthonormal basis obtained from a QR factorization
 of the design; the cross-product inverse ``(X'X)^{-1}`` is never formed
 explicitly, which keeps moderately collinear proxy designs well behaved.
 
 Matrices are plain ``numpy`` arrays (float64, C order). A design is accepted
 only if it has full column rank at a relative singular-value cutoff
-(``rank_tol``, default 1e-10); anything below the cutoff raises
+(``RANK_TOL``, 1e-10); anything below the cutoff raises
 :class:`~proxsel.exceptions.RankDeficient` rather than silently regularizing,
 because a rank-deficient moment matrix means the identification assumptions
 have failed on the sample at hand.
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptySupport, RankDeficient
+from .exceptions import RankDeficient
 
 #: Relative singular-value cutoff below which a design is declared
 #: rank-deficient. Chosen to separate genuine rank failure from rounding.
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -57,20 +57,20 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def orthonormal_basis(design, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_basis(design) -> np.ndarray:
     """Return an orthonormal basis Q for the column space of ``design``.
 
     The design must have full column rank: the smallest singular value must
-    exceed ``rank_tol`` times the largest. Raises
+    exceed ``RANK_TOL`` times the largest. Raises
     :class:`~proxsel.exceptions.RankDeficient` otherwise.
     """
     x = as_matrix(design, "design")
     if x.shape[1] == 0:
         return np.zeros((x.shape[0], 0))
-    return _full_rank_qr(x, rank_tol)[0]
+    return _full_rank_qr(x)[0]
 
 
-def _full_rank_qr(x: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _full_rank_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR of a design with at least one column, certified full rank."""
     n, p = x.shape
     if p > n:
@@ -79,15 +79,15 @@ def _full_rank_qr(x: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarra
     # Rank test on the small triangular factor; |diag(R)| alone is not a
     # reliable rank certificate, singular values of R are.
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= rank_tol * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(
             "design is rank deficient: smallest/largest singular value "
-            f"= {sv[-1]:.3e}/{sv[0]:.3e} at cutoff {rank_tol:g}"
+            f"= {sv[-1]:.3e}/{sv[0]:.3e} at cutoff {RANK_TOL:g}"
         )
     return q, r
 
 
-def project(design, target, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def project(design, target) -> np.ndarray:
     """Orthogonal projection of ``target`` onto the column space of ``design``.
 
     Equivalent to applying ``X (X'X)^{-1} X'`` but computed as ``Q (Q' target)``
@@ -97,7 +97,7 @@ def project(design, target, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     t = np.asarray(target, dtype=np.float64)
     squeeze = t.ndim == 1
     tm = as_matrix(t, "target")
-    q = orthonormal_basis(design, rank_tol)
+    q = orthonormal_basis(design)
     if tm.shape[0] != q.shape[0]:
         raise ValueError(
             f"target has {tm.shape[0]} rows but design has {q.shape[0]}"
@@ -106,10 +106,10 @@ def project(design, target, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def residual_project(design, target, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def residual_project(design, target) -> np.ndarray:
     """``target`` minus its projection onto ``design`` (the annihilator)."""
     t = np.asarray(target, dtype=np.float64)
-    return t - project(design, t, rank_tol)
+    return t - project(design, t)
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,13 @@ class OlsFit:
         response).
     residuals:
         Response minus fitted values, same shape as the response.
-    residual_variance:
-        Mean squared residual, ``sum(residuals**2) / n`` (per response column
-        for multi-column responses). This is the ``1/n`` convention used by
-        the downstream variance plug-ins, not an unbiased ``1/(n-p)`` scale.
     """
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    residual_variance: float | np.ndarray
 
 
-def ols(design, response, rank_tol: float = DEFAULT_RANK_TOL) -> OlsFit:
+def ols(design, response) -> OlsFit:
     """Least squares of ``response`` on ``design`` via QR.
 
     The design must satisfy the same full-rank precondition as
@@ -149,48 +144,14 @@ def ols(design, response, rank_tol: float = DEFAULT_RANK_TOL) -> OlsFit:
     ym = as_matrix(y, "response")
     if ym.shape[0] != x.shape[0]:
         raise ValueError(f"response has {ym.shape[0]} rows but design has {x.shape[0]}")
-    n, p = x.shape
-    if p == 0:
+    if x.shape[1] == 0:
         coef = np.zeros((0, ym.shape[1]))
         resid = ym.copy()
     else:
-        q, r = _full_rank_qr(x, rank_tol)
+        q, r = _full_rank_qr(x)
         coef = np.linalg.solve(r, q.T @ ym)
         resid = ym - x @ coef
-    rv = np.sum(resid**2, axis=0) / n
     if squeeze:
-        return OlsFit(coef[:, 0], resid[:, 0], float(rv[0]))
-    return OlsFit(coef, resid, rv)
+        return OlsFit(coef[:, 0], resid[:, 0])
+    return OlsFit(coef, resid)
 
-
-def gram_support_extremes(design, support) -> tuple[float, float]:
-    """Extreme eigenvalues of the Gram matrix of the selected columns.
-
-    Parameters
-    ----------
-    design:
-        n×p matrix.
-    support:
-        Nonempty iterable of 0-based column indices.
-
-    Returns
-    -------
-    (min_eig, max_eig):
-        Smallest and largest eigenvalues of ``X_S' X_S`` (unnormalized, so a
-        single column of squared norm c yields ``(c, c)``). Both are
-        nonnegative up to rounding; the minimum is clipped at zero.
-    """
-    x = as_matrix(design, "design")
-    idx = np.asarray(sorted(set(int(j) for j in support)), dtype=np.intp)
-    if idx.size == 0:
-        raise EmptySupport("support must contain at least one column index")
-    if idx.min() < 0 or idx.max() >= x.shape[1]:
-        raise IndexError(
-            f"support indices must lie in [0, {x.shape[1] - 1}], got {idx.tolist()}"
-        )
-    sub = x[:, idx]
-    gram = sub.T @ sub
-    eigs = np.linalg.eigvalsh(gram)
-    lo = float(max(eigs[0], 0.0))
-    hi = float(max(eigs[-1], 0.0))
-    return lo, hi

@@ -277,10 +277,6 @@ def _run_method(
         )
     elif name == "ols":
         est = ols_baseline(data, alpha_level=est_config.alpha_level)
-    else:
-        raise ValueError(
-            f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"
-        )
     return est.beta_hat, est.ci_lower, est.ci_upper
 
 

@@ -99,13 +99,12 @@ def population_reduced_form(
 def population_first_stage(
     config: SimConfig, ocp_index: int = 0
 ) -> FirstStage:
-    """First-stage container filled with exact population coefficients."""
+    """First-stage container filled with exact population TCP coefficients."""
     delta, gamma = population_reduced_form(config, ocp_index)
     return FirstStage(
         what=np.zeros(2),
-        gamma_hat_vec=gamma,
-        delta_hat_vec=delta,
-        n_tcps=config.p_z,
+        gamma_hat_vec=gamma[: config.p_z],
+        delta_hat_vec=delta[: config.p_z],
     )
 
 

@@ -412,6 +412,30 @@ class TestEstimateCommand:
         text = out.read_text(encoding="utf-8")
         assert "OCP" in text and "95% CI" in text
 
+    def test_subsample_size_at_the_dataset_minimum_is_refused(
+        self, multi_ocp_csv, tmp_path, capsys
+    ):
+        data_path, schema_path, data = multi_ocp_csv
+        out = tmp_path / "never.json"
+        code = main(
+            [
+                "estimate",
+                "--data",
+                str(data_path),
+                "--schema",
+                str(schema_path),
+                "--subsample-n",
+                "5",
+                "--subsample-b",
+                str(data.p_z + data.p_w + data.p_x + 1),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: InvalidBound:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_exits_nonzero(self, exact_csv, tmp_path, capsys):
         _, schema_path, _, _ = exact_csv
         out = tmp_path / "never.json"

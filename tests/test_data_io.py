@@ -120,6 +120,7 @@ class TestLoadCsv:
         with pytest.raises(MissingColumn) as err:
             load_csv(str(path), SCHEMA)
         assert "z2" in str(err.value) and "w1" in str(err.value)
+        assert err.value.columns == ["z2", "w1"]
 
     def test_missing_tokens_drop_the_row(self, tmp_path):
         rows = sample_rows()
@@ -154,6 +155,7 @@ class TestLoadCsv:
         assert "row 4" in message
         assert "'d'" in message
         assert "'forty'" in message
+        assert (err.value.row, err.value.column) == (4, "d")
 
     def test_lenient_mode_drops_unparseable_rows(self, tmp_path):
         rows = sample_rows()

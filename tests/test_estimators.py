@@ -54,9 +54,7 @@ from conftest import make_exact_dataset, population_first_stage
 def ratio_first_stage(gamma_block, delta_block) -> FirstStage:
     g = np.asarray(gamma_block, float)
     d = np.asarray(delta_block, float)
-    return FirstStage(
-        what=np.zeros(2), gamma_hat_vec=g, delta_hat_vec=d, n_tcps=g.size
-    )
+    return FirstStage(what=np.zeros(2), gamma_hat_vec=g, delta_hat_vec=d)
 
 
 class TestFirstStage:
@@ -77,10 +75,8 @@ class TestFirstStage:
         )
         delta = np.linalg.lstsq(m, data.W[:, 0], rcond=None)[0]
         gamma = np.linalg.lstsq(m, data.Y, rcond=None)[0]
-        k = fs.delta_hat_vec.size
-        np.testing.assert_allclose(fs.delta_hat_vec, delta[:k], atol=1e-8)
-        np.testing.assert_allclose(fs.gamma_hat_vec, gamma[:k], atol=1e-8)
-        assert fs.n_tcps == 5
+        np.testing.assert_allclose(fs.delta_hat_vec, delta[:5], atol=1e-8)
+        np.testing.assert_allclose(fs.gamma_hat_vec, gamma[:5], atol=1e-8)
 
     def test_ocp_index_out_of_range(self):
         data = generate_invalid_tcp_data(SimConfig(n=100, p_z=3, s_z=1), 0)
@@ -588,6 +584,14 @@ class TestSubsampleCi:
             subsample_ci(data, b=300, n_subsamples=5)
         with pytest.raises(InvalidBound):
             subsample_ci(data, n_subsamples=0)
+
+    def test_subsample_size_must_exceed_the_dataset_minimum(self):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=200, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        for b in (15, 21):
+            with pytest.raises(InvalidBound, match="= 21 < b"):
+                subsample_ci(data, b=b, n_subsamples=20)
 
 
 class TestBaselines:

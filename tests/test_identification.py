@@ -108,6 +108,21 @@ class TestCheckIdentification:
         with pytest.raises(ValueError):
             check_identification([1.0, 2.0], [1.0], invalid_bound=1)
 
+    def test_many_proxies_list_every_subset_and_ratio(self):
+        report = check_identification(
+            [1.0] * 15, [1.0] * 5 + [2.0] * 5 + [3.0] * 5, invalid_bound=11
+        )
+        assert report.identified is False
+        assert report.distinct_q_count == 3
+        assert [s for s, _ in report.subsets] == [
+            tuple(range(0, 5)), tuple(range(5, 10)), tuple(range(10, 15))
+        ]
+
+    def test_combinatorial_guard_refuses(self):
+        with pytest.raises(CombinatorialBlowup) as err:
+            check_identification([1.0] * 30, [1.0] * 30, invalid_bound=15)
+        assert err.value.n_combinations == math.comb(30, 16)
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -266,6 +281,43 @@ class TestRipConstants:
             rip_constants(np.eye(3), 0)
         with pytest.raises(InvalidBound):
             rip_constants(np.eye(3), 4)
+
+    # With k = p there is one support, so the constants are the extreme
+    # eigenvalues of the Gram matrix of ``design[:, S]``.
+
+    def test_full_support_of_orthonormal_columns_gives_unit_extremes(self):
+        q = orthonormal_basis(np.random.default_rng(9).standard_normal((9, 3)))
+        lo, hi = rip_constants(q[:, [0, 1, 2]], 3)
+        assert lo == pytest.approx(1.0, abs=1e-10)
+        assert hi == pytest.approx(1.0, abs=1e-10)
+
+    def test_single_column_returns_squared_norm(self):
+        col = np.array([1.0, 2.0, 2.0])
+        lo, hi = rip_constants(col[:, None], 1)
+        assert lo == pytest.approx(9.0, abs=1e-12)
+        assert hi == pytest.approx(9.0, abs=1e-12)
+
+    def test_pair_support_matches_angular_sweep(self):
+        rng = np.random.default_rng(10)
+        design = rng.standard_normal((6, 4))
+        support = [1, 3]
+        lo, hi = rip_constants(design[:, support], len(support))
+        gram = design[:, support].T @ design[:, support]
+        sweep_lo, sweep_hi = angular_sweep_extremes(gram)
+        assert lo == pytest.approx(sweep_lo, abs=1e-6 * max(1.0, hi))
+        assert hi == pytest.approx(sweep_hi, abs=1e-6 * max(1.0, hi))
+
+    def test_full_support_extremes_bound_arbitrary_unit_vectors(self):
+        rng = np.random.default_rng(11)
+        design = rng.standard_normal((8, 5))
+        support = [0, 2, 4]
+        lo, hi = rip_constants(design[:, support], len(support))
+        sub = design[:, support]
+        for _ in range(200):
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            q = float(np.sum((sub @ v) ** 2))
+            assert lo - 1e-9 <= q <= hi + 1e-9
 
 
 class TestRipRecoveryMargin:

@@ -1,4 +1,4 @@
-"""Projection, least-squares, and Gram-extreme primitives."""
+"""Projection and least-squares primitives."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from proxsel.exceptions import RankDeficient
 from proxsel.linalg import (
-    gram_support_extremes,
     ols,
     orthonormal_basis,
     project,
     residual_project,
 )
-
-from conftest import angular_sweep_extremes
 
 
 class TestProject:
@@ -143,9 +140,6 @@ class TestOls:
         np.testing.assert_allclose(
             design @ fit.coefficients + fit.residuals, y, atol=1e-10
         )
-        assert fit.residual_variance == pytest.approx(
-            float(fit.residuals @ fit.residuals) / 20, rel=1e-12
-        )
 
     def test_rank_deficient_raises(self):
         col = np.linspace(0.0, 1.0, 6)
@@ -180,38 +174,3 @@ class TestOls:
         assert scaled[1] * c == pytest.approx(base[1], rel=1e-8, abs=1e-12)
         assert scaled[0] == pytest.approx(base[0], rel=1e-8, abs=1e-12)
 
-
-class TestGramSupportExtremes:
-    def test_orthonormal_columns_give_unit_extremes(self):
-        q = orthonormal_basis(np.random.default_rng(9).standard_normal((9, 3)))
-        lo, hi = gram_support_extremes(q, [0, 1, 2])
-        assert lo == pytest.approx(1.0, abs=1e-10)
-        assert hi == pytest.approx(1.0, abs=1e-10)
-
-    def test_single_column_returns_squared_norm(self):
-        col = np.array([1.0, 2.0, 2.0])
-        lo, hi = gram_support_extremes(col[:, None], [0])
-        assert lo == pytest.approx(9.0, abs=1e-12)
-        assert hi == pytest.approx(9.0, abs=1e-12)
-
-    def test_pair_support_matches_angular_sweep(self):
-        rng = np.random.default_rng(10)
-        design = rng.standard_normal((6, 4))
-        support = [1, 3]
-        lo, hi = gram_support_extremes(design, support)
-        gram = design[:, support].T @ design[:, support]
-        sweep_lo, sweep_hi = angular_sweep_extremes(gram)
-        assert lo == pytest.approx(sweep_lo, abs=1e-6 * max(1.0, hi))
-        assert hi == pytest.approx(sweep_hi, abs=1e-6 * max(1.0, hi))
-
-    def test_extremes_bound_arbitrary_unit_vectors(self):
-        rng = np.random.default_rng(11)
-        design = rng.standard_normal((8, 5))
-        support = [0, 2, 4]
-        lo, hi = gram_support_extremes(design, support)
-        sub = design[:, support]
-        for _ in range(200):
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            q = float(np.sum((sub @ v) ** 2))
-            assert lo - 1e-9 <= q <= hi + 1e-9
