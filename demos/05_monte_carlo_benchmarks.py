@@ -28,7 +28,6 @@ print(f"true effect: {config.beta_true}\n")
 report = run_monte_carlo(
     config,
     methods=("adaptive", "oracle", "naive", "ols"),
-    n_jobs=2,
 )
 
 header = f"{'method':10s} {'bias':>9s} {'rmse':>9s} {'coverage':>9s}"

@@ -5,17 +5,17 @@ Five subcommands wire the library end to end:
 - ``simulate``   — Monte Carlo evaluation of the estimators on synthetic data.
 - ``reproduce``  — the prepackaged benchmark studies at desk or full scale.
 - ``estimate``   — run the selection-and-estimation pipeline on a data file
-  (single-OCP, median-over-OCPs, or the rotation design that treats each
-  candidate proxy as the OCP in turn).
+  (one OCP, or the median over all OCP columns).
 - ``identify``   — subset-agreement identifiability check on reduced-form
   coefficient vectors (given directly or computed from a data file).
 - ``diagnose``   — selection-stage diagnostics: irrepresentable condition
   value and restricted-isometry recovery margin.
 
 Every command echoes its fully resolved configuration and seed into the
-report it writes; reports are byte-identical across repeated runs and across
-``--jobs`` settings because all randomness is counter-keyed by (seed, index)
-and reductions are indexed, never order-dependent.
+report it writes. Commands run serially and all randomness is counter-keyed
+by (seed, index), so reports are byte-identical across repeated runs;
+``simulate --jobs`` and ``estimate --jobs`` are accepted for compatibility
+and have no effect.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .data_io import (
     write_report,
 )
 from .estimators import (
-    Dataset,
     EstimationConfig,
     ProxyEstimate,
     default_subsample_size,
@@ -54,7 +52,7 @@ from .estimators import (
     subsample_ci,
     _reduced_design,
 )
-from .exceptions import AggregateFailure, ConfigError, ProxselError
+from .exceptions import ConfigError, ProxselError
 from .identification import (
     check_identification,
     irrepresentable_diagnostic,
@@ -102,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--subsample-b", type=int, help="subsample size (default: floor(n^0.8))"
     )
-    sim.add_argument("--jobs", type=int, default=1, help="worker threads")
+    sim.add_argument(
+        "--jobs", type=int, default=1, help="accepted; has no effect"
+    )
     sim.add_argument(
         "--timing", action="store_true", help="record wall-clock seconds"
     )
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", default="desk", choices=("desk", "full"))
     rep.add_argument("--out", required=True, help="report path (JSON)")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--jobs", type=int, default=1, help="worker threads")
     rep.add_argument("--timing", action="store_true")
 
     est = sub.add_parser("estimate", help="run the pipeline on a data file")
@@ -124,11 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--mode",
         default="median",
-        choices=("single", "median", "rotation"),
-        help=(
-            "single: one OCP; median: aggregate over all OCP columns; "
-            "rotation: each OCP column in turn, the rest joining the TCPs"
-        ),
+        choices=("single", "median"),
+        help="single: one OCP; median: aggregate over all OCP columns",
     )
     est.add_argument(
         "--ocp",
@@ -156,10 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="structured", choices=("structured", "table")
     )
     est.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for --mode rotation (other modes run serially)",
+        "--jobs", type=int, default=1, help="accepted; has no effect"
     )
     est.add_argument("--timing", action="store_true")
 
@@ -294,16 +287,6 @@ def _ocp_row(
     )
 
 
-def _map_indexed(
-    worker: Callable[[int], Any], count: int, n_jobs: int
-) -> list[Any]:
-    """Order-preserving map; thread pool when ``n_jobs > 1``."""
-    if n_jobs <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(worker, range(count)))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -355,7 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    reports = run_study(args.study, args.scale, seed=args.seed, n_jobs=args.jobs)
+    reports = run_study(args.study, args.scale, seed=args.seed)
     elapsed = time.perf_counter() - start
     run = RunReport(
         command="reproduce",
@@ -405,7 +388,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         est = estimate_invalid_tcp(data, index, est_config)
         rows = [_ocp_row(ocp_names[index], est, tcp_names)]
         estimate = estimate_to_dict(est, tcp_names)
-    elif args.mode == "median":
+    else:
         agg = estimate_invalid_tcp_ocp(data, est_config)
         rows = [
             _ocp_row(label, fit, tcp_names)
@@ -429,8 +412,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 if args.subsample_b is not None
                 else default_subsample_size(data.n)
             )
-    else:  # rotation
-        rows, estimate = _rotation(data, est_config, schema, args.jobs)
 
     elapsed = time.perf_counter() - start
     run = RunReport(
@@ -462,53 +443,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     sys.stdout.write(render_table(run))
     print(f"report written to {args.out}")
     return 0
-
-
-def _rotation(
-    data: Dataset,
-    est_config: EstimationConfig,
-    schema: SchemaMap,
-    n_jobs: int,
-) -> tuple[list[OcpRow], dict[str, Any]]:
-    """Each OCP column in turn; the remaining OCP columns join the TCPs."""
-    pool = schema.ocp_columns
-    if len(pool) < 2:
-        raise ConfigError("rotation mode needs at least two OCP columns")
-
-    def one(i: int) -> OcpRow:
-        others = [k for k in range(len(pool)) if k != i]
-        z = np.concatenate([data.Z, data.W[:, others]], axis=1)
-        names = tuple(schema.tcp_columns) + tuple(pool[k] for k in others)
-        rotated = Dataset(
-            Y=data.Y, D=data.D, Z=z, W=data.W[:, [i]], X=data.X
-        )
-        try:
-            fit = estimate_invalid_tcp(rotated, 0, est_config)
-        except ProxselError as exc:
-            fit = exc
-        return _ocp_row(pool[i], fit, names)
-
-    rows = _map_indexed(one, len(pool), n_jobs)
-    betas = [row.beta_hat for row in rows if row.beta_hat is not None]
-    if not betas:
-        raise AggregateFailure(
-            "every rotation failed; no aggregate to report: "
-            + "; ".join(f"{row.label}: {row.error}" for row in rows),
-            n_failed=len(rows),
-            n_total=len(rows),
-        )
-    summary: dict[str, Any] = {
-        "method": "rotation_median",
-        "beta_hat": float(np.median(np.asarray(betas))),
-        "gamma_hat": None,
-        "alpha_hat": None,
-        "selected_invalid_tcps": None,
-        "variance": None,
-        "ci_lower": None,
-        "ci_upper": None,
-        "per_ocp_estimates": [row.beta_hat for row in rows],
-    }
-    return rows, summary
 
 
 def cmd_identify(args: argparse.Namespace) -> int:

@@ -482,9 +482,11 @@ def write_report(report: RunReport, path: str, format: str = "structured") -> No
 
     The structured document contains every field and round-trips through
     :func:`read_report`. The table format renders the per-OCP summary with
-    columns ``OCP | Invalid TCPs | Valid TCPs | beta_hat | 95% CI`` plus a
-    summary line for the aggregate estimate when one is present; it is a
-    human-facing view, not meant to be re-read.
+    columns ``OCP | Invalid TCPs | Valid TCPs | beta_hat | <level>% CI``
+    plus a summary line for the aggregate estimate when one is present. The
+    level is ``1 - alpha_level`` of the echoed estimation config (95 when
+    none is echoed). The table is a human-facing view, not meant to be
+    re-read.
     """
     if format not in _FORMATS:
         raise IoError(f"format must be one of {', '.join(_FORMATS)}, got {format!r}")
@@ -524,7 +526,9 @@ def _format_beta(beta: float | None) -> str:
 
 def render_table(report: RunReport) -> str:
     """Fixed-width per-OCP summary; one row per OCP plus a summary row."""
-    header = ["OCP", "Invalid TCPs", "Valid TCPs", "beta_hat", "95% CI"]
+    alpha = report.config.get("estimation", {}).get("alpha_level", 0.05)
+    ci_label = f"{100 * (1 - alpha):g}% CI"
+    header = ["OCP", "Invalid TCPs", "Valid TCPs", "beta_hat", ci_label]
     rows: list[list[str]] = []
     for row in report.per_ocp:
         if row.error is not None:

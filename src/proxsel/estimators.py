@@ -110,7 +110,7 @@ def _read_only(owned: np.ndarray) -> np.ndarray:
     return owned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """One sample: outcome, treatment, proxy blocks, optional covariates.
 
@@ -119,7 +119,8 @@ class Dataset:
     regression has positive degrees of freedom. The dataset stores read-only
     copies of its arrays, so neither ``data.Y[...] = ...`` nor a write to
     the caller's own array can make the first stage, computed once on first
-    use and kept on the dataset, go stale.
+    use and kept on the dataset, go stale. Datasets, first stages and fits
+    compare and hash by identity: their arrays have no single truth value.
     """
 
     Y: np.ndarray
@@ -128,7 +129,7 @@ class Dataset:
     W: np.ndarray
     X: np.ndarray | None = None
     _first_stage: "_FirstStageBundle | None" = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -185,7 +186,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstStage:
     """Reduced-form fits on the augmented design ``M = (Z, D, X, 1)``.
 
@@ -201,7 +202,7 @@ class FirstStage:
     delta_hat_vec: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProxyEstimate:
     """Point estimate, selection, and confidence interval of one method.
 

@@ -47,14 +47,14 @@ class IdentificationReport:
 
     ``subsets`` holds ``(indices, q)`` pairs for every subset that admits a
     single ratio ``q`` (``gamma_tilde[j] = q * delta_tilde[j]`` for all ``j``
-    in the subset, within tolerance), in lexicographic order. When the method
-    is ``majority_rule`` no enumeration was needed and the list is empty.
+    in the subset, within tolerance), in lexicographic order. ``method`` is
+    always ``"subset_enumeration"``.
     """
 
     identified: bool
     subsets: list[tuple[tuple[int, ...], float]]
     distinct_q_count: int
-    method: str  # "subset_enumeration" | "majority_rule"
+    method: str
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,12 @@ scale or the heavier "full" scale.
 Determinism: replication ``r`` draws from a dedicated RNG stream keyed by
 ``(seed, STREAM_DATASET, r)``, and subsampling inside replication ``r`` is
 keyed by a seed derived from ``(seed, STREAM_REP_SEED, r)``. Reports are
-therefore bit-reproducible from the config alone, regardless of execution
-order or worker count.
+therefore bit-reproducible from the config alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -296,9 +294,9 @@ def run_monte_carlo(
     than 10% of its replications. ``ci_config`` controls the subsampling
     interval of the ``median_adaptive`` method; without it that method
     reports NaN coverage and length (point metrics are unaffected).
-    ``n_jobs > 1`` runs replications on a thread pool; every replication owns
-    a counter-keyed RNG stream and results are reduced by replication index,
-    so the report is bit-identical for every worker count.
+    Replications run serially, each on its own counter-keyed RNG stream;
+    ``n_jobs`` is accepted for compatibility, must be at least 1 and has no
+    effect.
     """
     est_config = est_config or EstimationConfig()
     for name in methods:
@@ -313,28 +311,15 @@ def run_monte_carlo(
     lo = {m: np.full(reps, math.nan) for m in methods}
     hi = {m: np.full(reps, math.nan) for m in methods}
     failed = {m: 0 for m in methods}
-
-    def _one_rep(r: int) -> dict[str, tuple[float, float, float] | None]:
+    for r in range(reps):
         data = generate_invalid_tcp_ocp_data(config, r)
-        out: dict[str, tuple[float, float, float] | None] = {}
         for m in methods:
             try:
-                out[m] = _run_method(m, data, config, est_config, ci_config, r)
+                beta[m][r], lo[m][r], hi[m][r] = _run_method(
+                    m, data, config, est_config, ci_config, r
+                )
             except ProxselError:
-                out[m] = None
-        return out
-
-    if n_jobs == 1:
-        results = map(_one_rep, range(reps))
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_one_rep, range(reps)))
-    for r, out in enumerate(results):
-        for m in methods:
-            if out[m] is None:
                 failed[m] += 1
-            else:
-                beta[m][r], lo[m][r], hi[m][r] = out[m]
 
     rows: dict[str, MethodMetrics] = {}
     for m in methods:
@@ -402,7 +387,6 @@ def run_study(
     scale: str = "desk",
     seed: int = 0,
     est_config: EstimationConfig | None = None,
-    n_jobs: int = 1,
 ) -> dict[str, MonteCarloReport]:
     """Run one benchmark grid and return a report per grid cell.
 
@@ -429,8 +413,7 @@ def run_study(
         for n in (1500, 2500, 5000):
             cfg = SimConfig(n=n, p_z=10, s_z=3, p_w=1, s_w=0, reps=reps, seed=seed)
             reports[f"n={n}"] = run_monte_carlo(
-                cfg, ("adaptive", "oracle", "naive", "ols"), None, est_config,
-                n_jobs=n_jobs,
+                cfg, ("adaptive", "oracle", "naive", "ols"), None, est_config
             )
     elif study == "single_ocp_sz":
         for s_z in range(1, 9):
@@ -438,7 +421,7 @@ def run_study(
                 n=2500, p_z=10, s_z=s_z, p_w=1, s_w=0, reps=reps, seed=seed
             )
             reports[f"s_z={s_z}"] = run_monte_carlo(
-                cfg, ("adaptive", "naive"), None, est_config, n_jobs=n_jobs
+                cfg, ("adaptive", "naive"), None, est_config
             )
     elif study == "multi_ocp_n":
         for n in (1500, 2500, 5000):
@@ -450,7 +433,6 @@ def run_study(
                 ("median_adaptive", "oracle", "naive", "ols"),
                 SubsampleCiConfig(n_subsamples=n_sub),
                 est_config,
-                n_jobs=n_jobs,
             )
     else:  # multi_ocp_grid
         for s_z in (3, 4, 5, 6):
@@ -459,6 +441,6 @@ def run_study(
                     n=2500, p_z=10, s_z=s_z, p_w=10, s_w=s_w, reps=reps, seed=seed
                 )
                 reports[f"s_z={s_z},s_w={s_w}"] = run_monte_carlo(
-                    cfg, ("median_adaptive",), None, est_config, n_jobs=n_jobs
+                    cfg, ("median_adaptive",), None, est_config
                 )
     return reports

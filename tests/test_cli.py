@@ -92,6 +92,21 @@ class TestParserDefaults:
         assert args.subsample_n == 0
         assert args.jobs == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--data", "d.csv", "--schema", "s.json", "--out", "r",
+             "--mode", "rotation"],
+            ["reproduce", "--study", "single_ocp_n", "--out", "r.json",
+             "--jobs", "2"],
+        ],
+        ids=["estimate-mode-rotation", "reproduce-jobs"],
+    )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestSimulateCommand:
     def run(self, tmp_path, name, extra=()):
@@ -312,84 +327,6 @@ class TestEstimateCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_rotation_mode_rotates_every_ocp_column(
-        self, multi_ocp_csv, tmp_path
-    ):
-        data_path, schema_path, _ = multi_ocp_csv
-        out = tmp_path / "rotation.json"
-        code = main(
-            [
-                "estimate",
-                "--data",
-                str(data_path),
-                "--schema",
-                str(schema_path),
-                "--mode",
-                "rotation",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        report = read_report(str(out))
-        assert report.estimate["method"] == "rotation_median"
-        assert len(report.per_ocp) == 3
-        per = [row.beta_hat for row in report.per_ocp]
-        assert report.estimate["beta_hat"] == float(np.median(per))
-
-    def test_rotation_names_the_cause_when_every_rotation_fails(
-        self, multi_ocp_csv, tmp_path, capsys
-    ):
-        _, schema_path, data = multi_ocp_csv
-        w = data.W.copy()
-        w[:, 1] = data.D  # collinear with D in every TCP block it joins
-        broken = Dataset(Y=data.Y, D=data.D, Z=data.Z, W=w, X=data.X)
-        data_path = tmp_path / "broken.csv"
-        dataset_to_csv(
-            data_path, broken, [f"z{j}" for j in range(1, 6)],
-            [f"w{k}" for k in range(1, 4)],
-        )
-        out = tmp_path / "rotation.json"
-        code = main(
-            [
-                "estimate",
-                "--data",
-                str(data_path),
-                "--schema",
-                str(schema_path),
-                "--mode",
-                "rotation",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: AggregateFailure: every rotation failed")
-        assert "w1: RankDeficient" in err
-        assert "w2: AssumptionViolation" in err
-        assert "w3: RankDeficient" in err
-
-    def test_rotation_mode_needs_at_least_two_ocps(self, exact_csv, tmp_path, capsys):
-        data_path, schema_path, _, _ = exact_csv
-        out = tmp_path / "r.json"
-        code = main(
-            [
-                "estimate",
-                "--data",
-                str(data_path),
-                "--schema",
-                str(schema_path),
-                "--mode",
-                "rotation",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 1
-        assert not out.exists()
-
     def test_table_format_renders_the_summary(self, multi_ocp_csv, tmp_path):
         data_path, schema_path, _ = multi_ocp_csv
         out = tmp_path / "report.txt"
@@ -411,6 +348,36 @@ class TestEstimateCommand:
         assert code == 0
         text = out.read_text(encoding="utf-8")
         assert "OCP" in text and "95% CI" in text
+
+    def test_table_labels_the_interval_with_the_configured_level(
+        self, multi_ocp_csv, tmp_path
+    ):
+        data_path, schema_path, _ = multi_ocp_csv
+        config = tmp_path / "est.json"
+        config.write_text(json.dumps({"alpha_level": 0.1}), encoding="utf-8")
+        out = tmp_path / "report.txt"
+        code = main(
+            [
+                "estimate",
+                "--data",
+                str(data_path),
+                "--schema",
+                str(schema_path),
+                "--config",
+                str(config),
+                "--mode",
+                "single",
+                "--ocp",
+                "w2",
+                "--format",
+                "table",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0]
+        assert header.rstrip().endswith("| 90% CI")
 
     def test_subsample_size_at_the_dataset_minimum_is_refused(
         self, multi_ocp_csv, tmp_path, capsys

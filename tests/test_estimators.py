@@ -395,8 +395,8 @@ class TestVariancePlugin:
 
 
 def assert_same_fit(a, b):
-    """Field-for-field equality of two single-OCP fits (the dataclass
-    ``==`` raises on two distinct ``alpha_hat`` arrays)."""
+    """Field-for-field equality of two single-OCP fits (fits compare by
+    identity)."""
     assert a.beta_hat == b.beta_hat
     assert a.gamma_hat == b.gamma_hat
     np.testing.assert_array_equal(a.alpha_hat, b.alpha_hat)
@@ -433,6 +433,23 @@ class TestPipelineComposition:
             composed = post_adaptive_2sls(data, j, selected, cfg.alpha_level)
             assert_same_fit(estimate_invalid_tcp(data, j, cfg), composed)
             assert_same_fit(agg.per_ocp_fits[j], composed)
+
+
+class TestIdentityEquality:
+    def test_fits_datasets_and_first_stages_compare_by_identity(self):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=200, p_z=4, s_z=1, p_w=2, s_w=0, y_noise_sd=1.0), 0
+        )
+        fit, again = estimate_invalid_tcp(data, 0), estimate_invalid_tcp(data, 0)
+        assert_same_fit(fit, again)
+        assert fit != again  # distinct equal fits compare without raising
+        assert fit == fit
+        agg = estimate_invalid_tcp_ocp(data)
+        assert agg == agg and agg != estimate_invalid_tcp_ocp(data)
+        twin = Dataset(Y=data.Y, D=data.D, Z=data.Z, W=data.W)
+        assert first_stage(data) != first_stage(twin)
+        assert data != twin
+        assert {data, twin, data} == {data, twin}
 
 
 class TestMedianOverOcps:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from proxsel.exceptions import AggregateFailure, InvalidBound
+from proxsel.exceptions import AggregateFailure, InvalidBound, WeakProxyWarning
 from proxsel.simulation import (
     METHOD_NAMES,
     STUDY_NAMES,
@@ -142,6 +143,25 @@ class TestRunMonteCarlo:
         serial = run_monte_carlo(config, ("adaptive", "naive"))
         threaded = run_monte_carlo(config, ("adaptive", "naive"), n_jobs=4)
         assert_metrics_equal(serial, threaded)
+
+    def test_worker_count_does_not_change_the_warnings(self):
+        # subsample_ci silences the warnings of its subsample fits through
+        # the process-wide filter list, so replications must not overlap.
+        config = SimConfig(n=800, p_z=10, s_z=3, p_w=10, s_w=3, reps=6, seed=7)
+        ci_config = SubsampleCiConfig(n_subsamples=30)
+        counts = []
+        for n_jobs in (1, 4):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                filters = list(warnings.filters)
+                run_monte_carlo(
+                    config, ("median_adaptive",), ci_config, n_jobs=n_jobs
+                )
+                assert warnings.filters == filters
+            counts.append(
+                sum(issubclass(w.category, WeakProxyWarning) for w in caught)
+            )
+        assert counts[0] == counts[1]
 
     def test_single_replication_reports_absolute_bias_as_rmse(self):
         config = SimConfig(n=200, p_z=4, s_z=1, reps=1, y_noise_sd=1.0)
