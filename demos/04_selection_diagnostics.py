@@ -25,13 +25,13 @@ from proxsel import (
     irrepresentable_diagnostic,
     rip_recovery_margin,
 )
-from proxsel.estimators import _reduced_design
+from proxsel.estimators import _reduced_rows
 from proxsel.exceptions import CombinatorialBlowup
 
 config = SimConfig(n=2500, p_z=8, s_z=2, seed=3)
 data = generate_invalid_tcp_data(config, rep_index=0)
 fs = first_stage(data)
-design, d_tilde = _reduced_design(data, fs.what)
+design, d_tilde = _reduced_rows(data, 0)
 
 print("irrepresentable condition (invalid set = {0, 1}):")
 rep = irrepresentable_diagnostic(design, [0, 1])

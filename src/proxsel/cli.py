@@ -50,7 +50,7 @@ from .estimators import (
     estimate_invalid_tcp_ocp,
     first_stage,
     subsample_ci,
-    _reduced_design,
+    _reduced_rows,
 )
 from .exceptions import ConfigError, ProxselError
 from .identification import (
@@ -507,7 +507,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     data = loaded.dataset
     index = _resolve_column(args.ocp, schema.ocp_columns, 0, "--ocp")
     fs = first_stage(data, index)
-    design, d_tilde = _reduced_design(data, fs.what)
+    design, d_tilde = _reduced_rows(data, index)
     payload: dict[str, Any] = {
         "ocp": schema.ocp_columns[index],
         "n": data.n,

@@ -76,15 +76,47 @@ def _full_rank_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if p > n:
         raise RankDeficient(f"design has more columns ({p}) than rows ({n})")
     q, r = np.linalg.qr(x)
-    # Rank test on the small triangular factor; |diag(R)| alone is not a
-    # reliable rank certificate, singular values of R are.
-    sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise RankDeficient(
-            "design is rank deficient: smallest/largest singular value "
-            f"= {sv[-1]:.3e}/{sv[0]:.3e} at cutoff {RANK_TOL:g}"
-        )
+    error = rank_errors(r[None])[0]
+    if error is not None:
+        raise error
     return q, r
+
+
+# Stacked forms: one problem per slice of the leading axis, each slice
+# computed on its own, so a problem's numbers do not depend on its stack.
+
+
+def swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a_i @ v_i`` for every slice ``i``."""
+    return (a @ v[..., None])[..., 0]
+
+
+def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u_i' v_i`` for every slice ``i``."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
+    """Rank certificate of each triangular factor in a stack ``(N, rows, p)``.
+
+    ``|diag(R)|`` alone is not a reliable rank certificate; the singular
+    values of ``R``, which are those of the design it factors, are. Returns,
+    per factor, the error to raise or ``None`` when it is full rank.
+    """
+    sv = np.linalg.svd(r, compute_uv=False)
+    return [
+        RankDeficient(
+            "design is rank deficient: smallest/largest singular value "
+            f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
+        )
+        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
+        for s in sv
+    ]
 
 
 def project(design, target) -> np.ndarray:

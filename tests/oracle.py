@@ -1,0 +1,756 @@
+"""The n-row reference pipeline the R-factor core replaced, kept as an oracle.
+
+Every function below is the n-row implementation that ``proxsel.estimators``
+shipped before each dataset took one QR and every stage moved onto its
+R-factor: one first stage per dataset on the n-row augmented design, one
+n-row reduced design and refit per OCP, and a scalar coordinate-descent
+lasso iterated to its fixed point. The bodies are unchanged; only the first
+stage's cache lives here, keyed weakly by dataset, instead of on the
+dataset. Tests compare the library against these functions.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+import weakref
+from statistics import NormalDist
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from proxsel.estimators import (
+    STREAM_SUBSAMPLE,
+    Dataset,
+    EstimationConfig,
+    FirstStage,
+    ProxyEstimate,
+)
+from proxsel.exceptions import (
+    AggregateFailure,
+    AssumptionViolation,
+    DegenerateTreatment,
+    InvalidBound,
+    NoConvergence,
+    ProxselError,
+    RankDeficient,
+    WeakProxyWarning,
+)
+from proxsel.linalg import as_matrix, as_vector, ols, orthonormal_basis
+
+DELTA_FLOOR = 1e-10
+ADAPTIVE_FLOOR = 1e-8
+DEGENERATE_TREATMENT_RTOL = 1e-12
+KKT_TOL = 1e-6
+DUAL_GAP_TOL = 1e-8
+DEFAULT_MAX_SWEEPS = 100_000
+CV_FOLDS = 10
+CV_GRID_SIZE = 50
+CV_GRID_MIN_RATIO = 1e-3
+
+def _read_only(owned: np.ndarray) -> np.ndarray:
+    owned.flags.writeable = False
+    return owned
+
+
+_BUNDLES: "weakref.WeakKeyDictionary[Dataset, _FirstStageBundle]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+# ---------------------------------------------------------------------------
+# First stage
+# ---------------------------------------------------------------------------
+
+
+class _FirstStageBundle(NamedTuple):
+    """All per-dataset first-stage quantities, computed with one factorization."""
+
+    gamma_vec: np.ndarray  # outcome coefficients on Z
+    delta_mat: np.ndarray  # per-OCP coefficients on Z, one column each
+    what_mat: np.ndarray  # fitted OCP columns, n x p_w
+
+
+def _first_stage_bundle(data: Dataset) -> _FirstStageBundle:
+    m = np.concatenate(
+        [data.Z, data.D[:, None], data.X, np.ones((data.n, 1))], axis=1
+    )
+    fit = ols(m, np.column_stack([data.Y, data.W]))
+    tcp_coef = fit.coefficients[: data.p_z]
+    return _FirstStageBundle(
+        gamma_vec=_read_only(tcp_coef[:, 0].copy()),
+        delta_mat=_read_only(tcp_coef[:, 1:].copy()),
+        what_mat=_read_only(data.W - fit.residuals[:, 1:]),
+    )
+
+
+def _cached_first_stage(data: Dataset) -> _FirstStageBundle:
+    if data not in _BUNDLES:
+        _BUNDLES[data] = _first_stage_bundle(data)
+    return _BUNDLES[data]
+
+
+def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
+    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``.
+
+    All OCPs share one factorization, computed on the dataset's first call
+    into any estimator and reused by every later one.
+    """
+    _check_ocp_index(data, ocp_index)
+    bundle = _cached_first_stage(data)
+    return FirstStage(
+        what=bundle.what_mat[:, ocp_index].copy(),
+        gamma_hat_vec=bundle.gamma_vec,
+        delta_hat_vec=bundle.delta_mat[:, ocp_index].copy(),
+    )
+
+
+def _check_ocp_index(data: Dataset, ocp_index: int) -> None:
+    if not 0 <= int(ocp_index) < data.p_w:
+        raise IndexError(
+            f"ocp_index must lie in [0, {data.p_w - 1}], got {ocp_index}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Median-ratio pilot estimators
+# ---------------------------------------------------------------------------
+
+
+def _median_1d(values: np.ndarray) -> float:
+    # Sort-based median for the short vectors used here; agrees with
+    # np.median bit-for-bit (middle element, or the mean of the two middle
+    # elements) at a fraction of its dispatch overhead.
+    v = np.sort(values)
+    m = v.size
+    half = m // 2
+    if m % 2:
+        return float(v[half])
+    return float((v[half - 1] + v[half]) / 2.0)
+
+
+def _tcp_coefficients(fs: FirstStage) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome and OCP coefficient vectors, guarded for relevance.
+
+    Both pilots divide by, or scale, the OCP coefficients, so a numerically
+    zero one is a relevance failure for either.
+    """
+    gamma, delta = fs.gamma_hat_vec, fs.delta_hat_vec
+    bad = [int(j) for j in np.nonzero(np.abs(delta) <= DELTA_FLOOR)[0]]
+    if bad:
+        raise AssumptionViolation(
+            f"OCP reduced-form coefficient is numerically zero at TCP indices "
+            f"{bad}; the ratio pilot estimator is undefined there",
+            indices=bad,
+        )
+    return gamma, delta
+
+
+def median_gamma(fs: FirstStage) -> float:
+    """Median of the per-TCP reduced-form ratios; pilot for the OCP effect.
+
+    Valid TCPs all produce the same ratio (outcome coefficient over OCP
+    coefficient) in population, so as long as strictly more than half the
+    TCPs are valid the median is a consistent pilot. Even counts average the
+    two central order statistics.
+    """
+    gamma, delta = _tcp_coefficients(fs)
+    abs_delta = np.abs(delta)
+    weak = abs_delta < 0.05 * _median_1d(abs_delta)
+    if np.any(weak):
+        warnings.warn(
+            f"weak TCP relevance at indices "
+            f"{[int(j) for j in np.nonzero(weak)[0]]}: |coefficient| below "
+            f"5% of the median; pilot ratios may be unstable",
+            WeakProxyWarning,
+            stacklevel=2,
+        )
+    return _median_1d(gamma / delta)
+
+
+def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
+    """Pilot estimate of the direct TCP effects given the ratio pilot.
+
+    No division happens here, so only the zero-coefficient guard applies
+    (the relevance warning belongs to :func:`median_gamma`, which forms the
+    ratios).
+    """
+    gamma, delta = _tcp_coefficients(fs)
+    return gamma - float(gamma_m) * delta
+
+
+# ---------------------------------------------------------------------------
+# Weighted lasso solver
+# ---------------------------------------------------------------------------
+
+
+def kkt_violation(
+    design, response, coefficients, lam: float, weights=None
+) -> float:
+    """Worst-case stationarity violation of a weighted-lasso solution.
+
+    For the objective ``0.5 * ||y - X a||^2 + lam * sum_j w_j |a_j|`` the
+    subgradient conditions are, with ``g = X'(X a - y)``:
+    ``|g_j + lam * w_j * sign(a_j)| = 0`` on the support and
+    ``|g_j| <= lam * w_j`` off it. Returns the largest absolute excess.
+    """
+    x = as_matrix(design, "design")
+    y = as_vector(response, "response")
+    a = as_vector(coefficients, "coefficients")
+    w = _check_weights(weights, x.shape[1])
+    g = x.T @ (x @ a - y)
+    thresh = lam * w
+    on = a != 0
+    viol = np.where(on, np.abs(g + thresh * np.sign(a)), np.abs(g) - thresh)
+    return float(np.max(np.maximum(viol, 0.0), initial=0.0))
+
+
+def _check_weights(weights, p: int) -> np.ndarray:
+    if weights is None:
+        return np.ones(p)
+    w = as_vector(weights, "weights")
+    if w.size != p:
+        raise ValueError(f"weights has length {w.size}, expected {p}")
+    if np.any(w <= 0):
+        raise ValueError("weights must be strictly positive")
+    return w
+
+
+def _dual_gap(
+    x: np.ndarray,
+    y: np.ndarray,
+    alpha: np.ndarray,
+    lam: float,
+    w: np.ndarray,
+) -> float:
+    # Scale the residual onto the dual-feasible set {nu : |X_j' nu| <= lam w_j}
+    # and evaluate the Fenchel dual; the gap is zero exactly at the optimum.
+    r = y - x @ alpha
+    corr = np.abs(x.T @ r)
+    over = corr / (lam * w)
+    s = 1.0 / max(1.0, float(np.max(over, initial=0.0)))
+    nu = s * r
+    primal = 0.5 * float(r @ r) + lam * float(w @ np.abs(alpha))
+    dual = float(nu @ y) - 0.5 * float(nu @ nu)
+    return primal - dual
+
+
+def lasso_solve(
+    design,
+    response,
+    lam: float,
+    weights=None,
+    *,
+    start=None,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+) -> np.ndarray:
+    """Minimize ``0.5*||y - X a||^2 + lam * sum_j weights_j * |a_j|``.
+
+    Cyclic coordinate descent on the Gram system, iterated past the duality
+    -gap tolerance all the way to a coordinate-wise fixed point, so the
+    returned vector carries exact zeros off the support and passes the
+    stationarity check of :func:`kkt_violation` at the module constant
+    ``KKT_TOL``; the solver certifies both before returning. ``lam = 0``
+    falls back to least squares (minimum-norm when the design is singular).
+    ``start`` warm-starts the iteration; the solution of a convex problem
+    does not depend on it.
+
+    Raises
+    ------
+    NoConvergence
+        If ``max_sweeps`` sweeps do not reach the duality-gap tolerance
+        ``DUAL_GAP_TOL * ||response||^2`` (a module constant), or the
+        terminal iterate fails the stationarity certificate.
+    """
+    x = as_matrix(design, "design")
+    y = as_vector(response, "response")
+    if x.shape[0] != y.size:
+        raise ValueError(
+            f"design has {x.shape[0]} rows but response has {y.size}"
+        )
+    lam = float(lam)
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    p = x.shape[1]
+    w = _check_weights(weights, p)
+
+    if lam == 0.0:
+        alpha = np.linalg.lstsq(x, y, rcond=None)[0]
+        _certify(x, y, alpha, lam, w)
+        return alpha
+
+    if start is None:
+        alpha = np.zeros(p)
+    else:
+        alpha = as_vector(start, "start").copy()
+        if alpha.size != p:
+            raise ValueError(f"start has length {alpha.size}, expected {p}")
+
+    gram = x.T @ x
+    xty = x.T @ y
+    diag = np.diag(gram).copy()
+    active = [j for j in range(p) if diag[j] > 0.0]
+    thresh = lam * w
+    gap_target = DUAL_GAP_TOL * float(y @ y)
+
+    stalled = False
+    for _ in range(max_sweeps):
+        v = gram @ alpha  # refresh to avoid drift in the incremental updates
+        max_move = 0.0
+        for j in active:
+            a_j = alpha[j]
+            rho = xty[j] - v[j] + diag[j] * a_j
+            mag = abs(rho) - thresh[j]
+            new = 0.0 if mag <= 0.0 else math.copysign(mag, rho) / diag[j]
+            d = new - a_j
+            if d != 0.0:
+                alpha[j] = new
+                v += gram[:, j] * d
+                if abs(d) > max_move:
+                    max_move = abs(d)
+        scale = max(1.0, float(np.max(np.abs(alpha), initial=0.0)))
+        if max_move <= 1e-13 * scale:
+            stalled = True
+            break
+
+    gap = _dual_gap(x, y, alpha, lam, w)
+    if gap > gap_target and not stalled:
+        raise NoConvergence(
+            f"coordinate descent used {max_sweeps} sweeps but the duality gap "
+            f"{gap:.3e} still exceeds {gap_target:.3e}"
+        )
+    _certify(x, y, alpha, lam, w)
+    return alpha
+
+
+def _certify(x, y, alpha, lam, w) -> None:
+    viol = kkt_violation(x, y, alpha, lam, w)
+    if viol > KKT_TOL:
+        raise NoConvergence(
+            f"terminal iterate fails the stationarity certificate: "
+            f"violation {viol:.3e} > {KKT_TOL:g}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Two-step penalized estimator
+# ---------------------------------------------------------------------------
+
+
+def _reduced_design(data: Dataset, what: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TCP block and treatment, both residualized for the selection stage.
+
+    Returns ``(g, d_tilde)`` where ``d_tilde`` is the treatment residualized
+    on ``(what, X, 1)`` and ``g`` is the TCP block residualized on
+    ``(what, X, 1, d_tilde)``. Fitting the outcome on ``g`` with an L1
+    penalty reproduces the TCP coefficients of the joint penalized
+    regression of Y on (treatment, TCPs, fitted OCP, covariates) exactly.
+    """
+    base = np.concatenate(
+        [what[:, None], data.X, np.ones((data.n, 1))], axis=1
+    )
+    q = orthonormal_basis(base)
+    d_tilde = data.D - q @ (q.T @ data.D)
+    d_sq = float(d_tilde @ d_tilde)
+    d_raw = float(data.D @ data.D)
+    if d_sq <= DEGENERATE_TREATMENT_RTOL * d_raw:
+        raise DegenerateTreatment(
+            "treatment is numerically collinear with the fitted OCP and "
+            "covariates; no variation left to identify the effect"
+        )
+    u = d_tilde / math.sqrt(d_sq)
+    g = data.Z - q @ (q.T @ data.Z) - np.outer(u, u @ data.Z)
+    return g, d_tilde
+
+
+def lasso_proximal(
+    data: Dataset, ocp_index: int = 0, lam: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Two-step plain-lasso estimator of (direct TCP effects, treatment effect).
+
+    Step one fits the chosen OCP on the augmented design and residualizes
+    both the treatment and the TCP block on the fitted OCP (plus covariates
+    and intercept). Step two lasso-fits the outcome on the residualized TCP
+    block at penalty ``lam``, then recovers the treatment effect from the
+    residualized-treatment regression of the alpha-adjusted outcome:
+    ``beta = d_tilde'(Y - Z alpha) / ||d_tilde||^2``. The pair equals the
+    minimizer of the jointly penalized regression at the same penalty.
+    """
+    g, d_tilde = _reduced_design(data, first_stage(data, ocp_index).what)
+    alpha = lasso_solve(g, data.Y, lam)
+    beta = float(d_tilde @ (data.Y - data.Z @ alpha) / (d_tilde @ d_tilde))
+    return alpha, beta
+
+
+def adaptive_lasso_proximal(
+    data: Dataset,
+    ocp_index: int = 0,
+    lambda_n: float = 0.0,
+    *,
+    adaptive_floor: float = ADAPTIVE_FLOOR,
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Adaptively weighted lasso selection of invalid TCPs.
+
+    Weights are reciprocals of the median-ratio pilot magnitudes, so TCPs
+    the pilot already flags as valid are penalized heavily (pilot values
+    under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
+    Returns the penalized coefficient vector and its support.
+    """
+    fs = first_stage(data, ocp_index)
+    alpha_m = alpha_median(fs, median_gamma(fs))
+    weights = 1.0 / np.maximum(np.abs(alpha_m), adaptive_floor)
+    g, _ = _reduced_design(data, fs.what)
+    alpha_ad = lasso_solve(g, data.Y, lambda_n, weights)
+    selected = tuple(int(j) for j in np.nonzero(alpha_ad)[0])
+    return alpha_ad, selected
+
+
+# ---------------------------------------------------------------------------
+# Shared second stage (refit + closed-form confidence interval)
+# ---------------------------------------------------------------------------
+
+
+def _zscore(alpha_level: float) -> float:
+    if not 0.0 < alpha_level < 1.0:
+        raise InvalidBound(f"alpha_level must lie in (0, 1), got {alpha_level}")
+    return NormalDist().inv_cdf(1.0 - alpha_level / 2.0)
+
+
+def _second_stage(
+    data: Dataset,
+    ocps: Sequence[int],
+    selected: Sequence[int],
+    alpha_level: float,
+    method: str,
+) -> ProxyEstimate:
+    """Refit on (treatment, selected TCPs, fitted OCPs ``ocps``, X, 1).
+
+    One least-squares pass regresses ``Y`` and ``D`` on the non-treatment
+    regressors ``N``; with residuals ``r_Y`` and ``r_D`` the effect is the
+    ratio form ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the
+    other coefficients follow by Frisch-Waugh as ``c_Y - beta * c_D``, and
+    the plug-in variance of ``sqrt(n) * (beta_hat - beta)`` is
+    ``sigma2_eps / (r_D'r_D / n)``. All closed-form methods funnel through
+    here, so estimators that agree on the selected set agree on every output
+    bit-for-bit. ``sigma2_eps`` follows the standard two-stage convention:
+    the coefficients are applied to the *raw* OCP columns, not the fitted
+    ones — fitted-value residuals would cancel the OCP's own measurement
+    noise against the fit and understate the error variance (increasingly
+    so as the proxy count grows).
+    """
+    sel = sorted(set(int(j) for j in selected))
+    if sel and (sel[0] < 0 or sel[-1] >= data.p_z):
+        raise IndexError(
+            f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
+        )
+    ocps = list(ocps)
+    for k in ocps:
+        _check_ocp_index(data, k)
+    what = data.W[:, []]  # no OCP enters the OLS baseline
+    if ocps:
+        what = _cached_first_stage(data).what_mat[:, ocps]
+    others = np.concatenate(
+        [data.Z[:, sel], what, data.X, np.ones((data.n, 1))], axis=1
+    )
+    fit = ols(others, np.column_stack([data.Y, data.D]))
+    r_y, r_d = fit.residuals[:, 0], fit.residuals[:, 1]
+    d_sq = float(r_d @ r_d)
+    if d_sq <= DEGENERATE_TREATMENT_RTOL * float(data.D @ data.D):
+        raise RankDeficient(
+            "treatment is numerically collinear with the other refit "
+            "regressors; no variation left to identify the effect"
+        )
+    beta = float(r_d @ r_y) / d_sq
+    coef = fit.coefficients[:, 0] - beta * fit.coefficients[:, 1]
+    k = len(sel)
+    alpha_vec = np.zeros(data.p_z)
+    alpha_vec[sel] = coef[:k]
+    gamma = float(coef[k]) if ocps else math.nan
+
+    gamma_block = coef[k : k + len(ocps)]
+    resid = r_y - beta * r_d + (what - data.W[:, ocps]) @ gamma_block
+    sigma2_eps = float(resid @ resid) / data.n
+    sigma2 = sigma2_eps / (d_sq / data.n)
+    half = _zscore(alpha_level) * math.sqrt(sigma2 / data.n)
+    return ProxyEstimate(
+        beta_hat=beta,
+        gamma_hat=gamma,
+        alpha_hat=alpha_vec,
+        selected_invalid_tcps=tuple(int(j) for j in np.nonzero(alpha_vec)[0]),
+        variance=sigma2,
+        ci_lower=beta - half,
+        ci_upper=beta + half,
+        method=method,
+    )
+
+
+def post_adaptive_2sls(
+    data: Dataset,
+    ocp_index: int,
+    selected_set: Sequence[int],
+    alpha_level: float = 0.05,
+) -> ProxyEstimate:
+    """Post-selection refit: Y on (D, selected TCPs, fitted OCP, X, 1).
+
+    The treatment coefficient is the ratio form ``D' P_perp Y / D' P_perp D``
+    with ``P_perp`` projecting off the non-treatment regressors; its
+    closed-form interval uses the collapsed plug-in variance
+    ``sigma2_eps / mean(d_res^2)``, ``d_res = P_perp D``.
+    """
+    return _second_stage(
+        data, [ocp_index], selected_set, alpha_level, "post_adaptive_2sls"
+    )
+
+
+def oracle_p2sls(
+    data: Dataset,
+    true_invalid_set: Sequence[int],
+    alpha_level: float = 0.05,
+    ocp_index: int = 0,
+) -> ProxyEstimate:
+    """Benchmark estimator given the true invalid-TCP set.
+
+    The ratio-form refit of :func:`post_adaptive_2sls`, with its collapsed
+    plug-in variance, on the true set instead of a selected one (and so the
+    same code path exactly); reported separately because it anchors the
+    simulation studies.
+    """
+    return _second_stage(
+        data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls"
+    )
+
+
+def naive_p2sls(
+    data: Dataset,
+    ocp_index: int | None = 0,
+    alpha_level: float = 0.05,
+) -> ProxyEstimate:
+    """Two-stage estimator that presumes every TCP is valid.
+
+    Regresses the outcome on (treatment, fitted OCP, covariates, intercept)
+    with no TCP terms; biased whenever some TCP has a direct outcome effect.
+    ``ocp_index = None`` enters every fitted OCP column jointly (the multi-
+    OCP benchmark variant); ``gamma_hat`` then reports the first column's
+    coefficient.
+    """
+    ocps = range(data.p_w) if ocp_index is None else [ocp_index]
+    return _second_stage(data, ocps, (), alpha_level, "naive_p2sls")
+
+
+def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
+    """Confounded benchmark: OLS of the outcome on (treatment, covariates).
+
+    Ignores both proxy blocks, so its bias equals the full hidden-confounder
+    contribution; ``gamma_hat`` is NaN because no OCP enters the model.
+    """
+    return _second_stage(data, (), (), alpha_level, "ols_baseline")
+
+
+# ---------------------------------------------------------------------------
+# Full pipelines
+# ---------------------------------------------------------------------------
+
+
+def estimate_invalid_tcp(
+    data: Dataset,
+    ocp_index: int = 0,
+    config: EstimationConfig | None = None,
+) -> ProxyEstimate:
+    """Full adaptive pipeline against a single designated OCP column.
+
+    The public stages composed: the penalty ``config.lambda_n`` (or
+    :func:`select_lambda` in ``config.lambda_mode``), the pilots and weighted
+    lasso of :func:`adaptive_lasso_proximal`, then the closed-form interval
+    of the :func:`post_adaptive_2sls` refit.
+    """
+    config = config or EstimationConfig()
+    lam = config.lambda_n
+    if lam is None:
+        lam = select_lambda(data, ocp_index, config.lambda_mode)
+    _, selected = adaptive_lasso_proximal(
+        data, ocp_index, lam, adaptive_floor=config.adaptive_floor
+    )
+    return post_adaptive_2sls(data, ocp_index, selected, config.alpha_level)
+
+
+def estimate_invalid_tcp_ocp(
+    data: Dataset,
+    config: EstimationConfig | None = None,
+) -> ProxyEstimate:
+    """Median-over-OCPs aggregate of the adaptive pipeline.
+
+    Runs :func:`estimate_invalid_tcp` once per OCP column and reports the
+    median treatment effect, which tolerates a minority of invalid OCPs.
+    ``per_ocp_fits`` keeps each column's fit, or the error it raised, and
+    ``per_ocp_estimates`` its effect (NaN for a failed column); the
+    aggregate proceeds only when a strict majority of runs succeed. No
+    closed-form interval exists for the median — attach one with
+    :func:`subsample_ci` — so variance and CI fields are NaN here.
+    """
+    config = config or EstimationConfig()
+    per_ocp: list[ProxyEstimate | ProxselError] = []
+    for j in range(data.p_w):
+        try:
+            per_ocp.append(estimate_invalid_tcp(data, j, config))
+        except ProxselError as exc:
+            # Without the traceback the kept error holds no frame, and so no
+            # reference cycle back to this one.
+            per_ocp.append(exc.with_traceback(None))
+    fits = [f for f in per_ocp if isinstance(f, ProxyEstimate)]
+    required = data.p_w // 2 + 1
+    if len(fits) < required:
+        raise AggregateFailure(
+            f"only {len(fits)} of {data.p_w} per-OCP runs succeeded; "
+            f"need at least {required}",
+            n_failed=data.p_w - len(fits),
+            n_total=data.p_w,
+        )
+    beta = float(np.median([f.beta_hat for f in fits]))
+    gamma = float(np.median([f.gamma_hat for f in fits]))
+    alpha_vec = np.median(np.vstack([f.alpha_hat for f in fits]), axis=0)
+    return ProxyEstimate(
+        beta_hat=beta,
+        gamma_hat=gamma,
+        alpha_hat=alpha_vec,
+        selected_invalid_tcps=tuple(int(j) for j in np.nonzero(alpha_vec)[0]),
+        variance=math.nan,
+        ci_lower=math.nan,
+        ci_upper=math.nan,
+        method="median_over_ocps",
+        per_ocp_fits=tuple(per_ocp),
+    )
+
+
+def default_subsample_size(n: int) -> int:
+    """Default subsample size: ``floor(n ** (4/5))``."""
+    return int(math.floor(n ** 0.8))
+
+
+def subsample_ci(
+    data: Dataset,
+    config: EstimationConfig | None = None,
+    n_subsamples: int = 1000,
+    b: int | None = None,
+    seed: int = 0,
+    *,
+    recenter: bool = False,
+) -> tuple[float, float]:
+    """Subsampling confidence interval for the median-over-OCPs estimator.
+
+    Draws ``n_subsamples`` row subsets of size ``b`` (default
+    ``floor(n^{4/5})``; above ``p_z + p_w + p_x + 1``, since every subsample
+    is a :class:`Dataset`) without replacement, recomputes
+    :func:`estimate_invalid_tcp_ocp` on each, and returns the empirical
+    ``alpha/2`` and ``1 - alpha/2`` quantiles of the subsample estimates,
+    with ``alpha = config.alpha_level``.
+    ``recenter=True`` instead inverts the classical subsampling root
+    ``sqrt(b) * (estimate_b - estimate_n)`` (the orthodox construction; the
+    raw-quantile default matches the reference simulation design).
+    Deterministic given ``seed``: subsample ``i`` draws from an independent
+    stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``, so any parallel
+    execution order reproduces the same interval.
+    """
+    config = config or EstimationConfig()
+    n = data.n
+    if b is None:
+        b = default_subsample_size(n)
+    b = int(b)
+    # At or below this every subsample fails Dataset's size check.
+    min_b = data.p_z + data.p_w + data.p_x + 1
+    if not min_b < b < n:
+        raise InvalidBound(
+            f"need p_z + p_w + p_x + 1 = {min_b} < b < n = {n}, got b = {b}"
+        )
+    if n_subsamples < 1:
+        raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
+
+    estimates = np.full(n_subsamples, math.nan)
+    n_failed = 0
+    with warnings.catch_warnings():
+        # Weak-relevance warnings inside subsample replicas reflect the
+        # subsample's own noise, not the data; only the quantiles of the
+        # replicas' point estimates enter the interval.
+        warnings.simplefilter("ignore", WeakProxyWarning)
+        for i in range(n_subsamples):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((int(seed), STREAM_SUBSAMPLE, i))
+            )
+            idx = np.sort(rng.choice(n, size=b, replace=False))
+            try:
+                estimates[i] = estimate_invalid_tcp_ocp(
+                    data.take_rows(idx), config
+                ).beta_hat
+            except ProxselError:
+                n_failed += 1
+    if n_failed > 0.2 * n_subsamples:
+        raise AggregateFailure(
+            f"{n_failed} of {n_subsamples} subsample runs failed "
+            f"(more than 20%)",
+            n_failed=n_failed,
+            n_total=n_subsamples,
+        )
+    values = estimates[np.isfinite(estimates)]
+    lo_q, hi_q = config.alpha_level / 2.0, 1.0 - config.alpha_level / 2.0
+    if recenter:
+        center = estimate_invalid_tcp_ocp(data, config).beta_hat
+        roots = math.sqrt(b) * (values - center)
+        r_lo, r_hi = np.quantile(roots, [lo_q, hi_q])
+        scale = math.sqrt(n)
+        return (
+            float(center - r_hi / scale),
+            float(center - r_lo / scale),
+        )
+    lo, hi = np.quantile(values, [lo_q, hi_q])
+    return float(lo), float(hi)
+
+
+# ---------------------------------------------------------------------------
+# Penalty-level selection
+# ---------------------------------------------------------------------------
+
+
+def select_lambda(
+    data: Dataset,
+    ocp_index: int = 0,
+    mode: str = "cv",
+) -> float:
+    """Penalty level for the selection stage.
+
+    ``rate`` mode returns ``std(Y) * sqrt(n) / log(n)`` — a deterministic
+    schedule that diverges while remaining ``o(sqrt(n))``, the growth regime
+    under which the adaptive selection is consistent. ``cv`` mode runs
+    ``CV_FOLDS``-fold cross-validation of the plain lasso on the residualized
+    TCP design over ``CV_GRID_SIZE`` log-spaced penalties, from the smallest
+    with an all-zero solution down to ``CV_GRID_MIN_RATIO`` times it; folds
+    are contiguous row blocks (no RNG) and ties prefer the larger penalty.
+    """
+    if mode == "rate":
+        n = data.n
+        return float(np.std(data.Y, ddof=1) * math.sqrt(n) / math.log(n))
+    if mode != "cv":
+        raise InvalidBound(f"mode must be 'rate' or 'cv', got {mode!r}")
+    if data.n < 20:
+        raise InvalidBound(f"cv mode needs n >= 20, got n = {data.n}")
+
+    g, _ = _reduced_design(data, first_stage(data, ocp_index).what)
+    y = data.Y
+    lam_max = float(np.max(np.abs(g.T @ y)))
+    if lam_max <= 0.0:
+        return 0.0
+    grid = np.geomspace(CV_GRID_MIN_RATIO * lam_max, lam_max, CV_GRID_SIZE)[::-1]
+
+    n = data.n
+    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
+    mse = np.zeros(CV_GRID_SIZE)
+    for f in range(CV_FOLDS):
+        val = np.zeros(n, dtype=bool)
+        val[bounds[f] : bounds[f + 1]] = True
+        g_tr, y_tr = g[~val], y[~val]
+        g_va, y_va = g[val], y[val]
+        start = np.zeros(g.shape[1])
+        for gi, lam in enumerate(grid):
+            start = lasso_solve(g_tr, y_tr, lam, start=start)
+            resid = y_va - g_va @ start
+            mse[gi] += float(resid @ resid)
+    # The grid descends, so argmin's first minimum is the larger penalty.
+    return float(grid[int(np.argmin(mse))])

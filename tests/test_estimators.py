@@ -30,7 +30,7 @@ from proxsel.estimators import (
     post_adaptive_2sls,
     select_lambda,
     subsample_ci,
-    _median_1d,
+    _median_rows,
 )
 import proxsel.estimators as estimators_module
 from proxsel.exceptions import (
@@ -118,12 +118,14 @@ class TestFirstStage:
 
     def test_every_entry_point_shares_one_first_stage(self, monkeypatch):
         calls = []
+        factor = estimators_module._factor
 
-        def counting_ols(*args, **kwargs):
-            calls.append(np.shape(args[1]))
-            return ols(*args, **kwargs)
+        def counting_factor(data, stack, keep_rows=False):
+            stack = list(stack)
+            calls.append([a.shape for a in stack])
+            return factor(data, stack, keep_rows)
 
-        monkeypatch.setattr(estimators_module, "ols", counting_ols)
+        monkeypatch.setattr(estimators_module, "_factor", counting_factor)
         data = generate_invalid_tcp_ocp_data(
             SimConfig(n=300, p_z=5, s_z=2, p_w=2, s_w=0, y_noise_sd=1.0), 0
         )
@@ -132,8 +134,9 @@ class TestFirstStage:
         oracle_p2sls(data, (0, 1))
         naive_p2sls(data)
         first_stage(data, 1)
-        # one first stage (Y and both OCPs) plus one refit (Y and D) each
-        assert calls == [(300, 3)] + [(300, 2)] * 4
+        # one thin QR of A = [Z, D, X, 1, W, Y], 5 + 1 + 0 + 1 + 2 + 1
+        # columns, serves the first stage and every refit
+        assert calls == [[(300, 10)]]
 
     def test_threads_racing_on_a_fresh_dataset_agree(self):
         # The cache has no lock: racing threads may each compute the first
@@ -210,7 +213,7 @@ class TestMedianPilots:
     )
     def test_median_agrees_with_numpy(self, values):
         arr = np.asarray(values)
-        assert _median_1d(arr) == pytest.approx(
+        assert float(_median_rows(arr)) == pytest.approx(
             float(np.median(arr)), rel=1e-15, abs=1e-300
         )
 
@@ -229,7 +232,7 @@ class TestMedianPilots:
         clean = rng.normal(0.0, 1.0, 7)
         corrupted = clean.copy()
         corrupted[:n_corrupt] += shift
-        med = _median_1d(corrupted)
+        med = float(_median_rows(corrupted))
         assert clean.min() - 1e-12 <= med <= clean.max() + 1e-12
 
 
@@ -590,6 +593,60 @@ class TestSubsampleCi:
         else:
             expected = tuple(np.quantile(estimates, [0.25, 0.75]))
         assert interval == expected
+
+    @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
+    @pytest.mark.parametrize("n_subsamples", [1, 9, 10, 11, 23])
+    def test_blocks_give_the_interval_of_one_subsample_at_a_time(
+        self, n_subsamples
+    ):
+        # Subsamples are fitted in blocks; counts below, at and across the
+        # block size must give the quantiles of the one-by-one recomputation.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=400, p_z=6, s_z=2, p_w=5, s_w=1, y_noise_sd=1.0), 2
+        )
+        b = default_subsample_size(data.n)
+        estimates = []
+        for i in range(n_subsamples):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((8, STREAM_SUBSAMPLE, i))
+            )
+            idx = np.sort(rng.choice(data.n, size=b, replace=False))
+            estimates.append(estimate_invalid_tcp_ocp(data.take_rows(idx)).beta_hat)
+        expected = np.quantile(estimates, [0.025, 0.975])
+        interval = subsample_ci(data, n_subsamples=n_subsamples, seed=8)
+        np.testing.assert_allclose(interval, expected, rtol=1e-12, atol=0)
+
+    def test_one_unusable_ocp_leaves_every_subsample_a_majority(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        w = base.W.copy()
+        w[:, 5] = base.D
+        data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+        lo, hi = subsample_ci(data, n_subsamples=23, seed=1)
+        full = estimate_invalid_tcp_ocp(data)
+        assert isinstance(full.per_ocp_fits[5], AssumptionViolation)
+        assert lo <= full.beta_hat <= hi
+        b = default_subsample_size(data.n)
+        failed = [
+            [j for j in range(10) if fit.errors[s * 10 + j] is not None]
+            for block, fit in estimators_module._subsample_fits(
+                data, EstimationConfig(), 23, b, 1
+            )
+            for s in range(len(block))
+        ]
+        assert failed == [[5]] * 23  # only the copy of D, in every subsample
+
+    def test_a_majority_of_unusable_ocps_fails_every_subsample(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        w = base.W.copy()
+        w[:, 4:] = base.D[:, None]
+        data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+        with pytest.raises(AggregateFailure) as err:
+            subsample_ci(data, n_subsamples=23, seed=1)
+        assert err.value.n_failed == err.value.n_total == 23
 
     def test_subsample_size_bounds_are_enforced(self):
         data = generate_invalid_tcp_ocp_data(

@@ -7,19 +7,27 @@ import math
 import numpy as np
 import pytest
 
+import proxsel.estimators as estimators
 from proxsel.estimators import (
     Dataset,
     EstimationConfig,
     adaptive_lasso_proximal,
     estimate_invalid_tcp,
+    estimate_invalid_tcp_ocp,
     kkt_violation,
     lasso_proximal,
     lasso_solve,
     select_lambda,
 )
 from proxsel.exceptions import InvalidBound, NoConvergence
-from proxsel.simulation import SimConfig, generate_invalid_tcp_data
+from proxsel.lasso import KKT_TOL, lasso_batch
+from proxsel.simulation import (
+    SimConfig,
+    generate_invalid_tcp_data,
+    generate_invalid_tcp_ocp_data,
+)
 
+import oracle
 from conftest import make_exact_dataset
 
 
@@ -169,6 +177,30 @@ class TestLassoSolve:
         with pytest.raises(NoConvergence):
             lasso_solve(x, y, 1.0, max_sweeps=1)
 
+    def test_a_duplicated_column_problem_fails_or_passes_on_its_own(self):
+        # Problem 0 has two identical columns, so its polishing systems are
+        # singular whenever both are on the support; problem 1 is regular.
+        x, y, lam, w = random_instance(7, weighted=True)
+        dup = x.copy()
+        dup[:, 1] = dup[:, 0]
+        thresh = lam * np.stack([np.ones(12), w])
+        sols, errors = lasso_batch(np.stack([dup, x]), np.stack([y, y]), thresh)
+        for i, design in enumerate((dup, x)):
+            if errors[i] is None:
+                assert kkt_violation(design, y, sols[i], 1.0, thresh[i]) <= KKT_TOL
+            else:
+                assert isinstance(errors[i], NoConvergence)
+        assert errors[1] is None
+        np.testing.assert_array_equal(sols[1], lasso_solve(x, y, lam, w))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polished_solution_is_the_fixed_point(self, seed):
+        x, y, lam, w = random_instance(seed, weighted=seed % 2 == 1)
+        polished = lasso_solve(x, y, lam, w)
+        fixed_point = oracle.lasso_solve(x, y, lam, w)  # sweeps to a fixed point
+        np.testing.assert_array_equal(polished != 0, fixed_point != 0)
+        np.testing.assert_allclose(polished, fixed_point, rtol=0, atol=1e-10)
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             lasso_solve(np.eye(3), np.ones(3), -0.1)
@@ -283,6 +315,25 @@ class TestSelectLambda:
         )
         with pytest.raises(InvalidBound):
             select_lambda(tiny, mode="cv")
+
+    def test_cv_mode_builds_one_reduced_design_per_ocp(self, monkeypatch):
+        built = []
+        reduced_design = estimators._reduced_design
+
+        def counting(*args):
+            built.append(len(args[1]))  # the problems built in this call
+            return reduced_design(*args)
+
+        monkeypatch.setattr(estimators, "_reduced_design", counting)
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=200, p_z=5, s_z=1, p_w=3, s_w=0, y_noise_sd=1.0), 0
+        )
+        config = EstimationConfig(lambda_mode="cv")
+        estimate_invalid_tcp(data, 1, config)
+        assert sum(built) == 1
+        built.clear()
+        estimate_invalid_tcp_ocp(data, config)
+        assert sum(built) == data.p_w
 
     def test_cv_on_pure_noise_prefers_the_empty_model(self):
         rng = np.random.default_rng(9)
