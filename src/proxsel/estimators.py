@@ -278,12 +278,11 @@ def _solve(a: np.ndarray, b: np.ndarray, ok) -> np.ndarray:
     return np.linalg.solve(np.where(ok, a, np.eye(a.shape[-1])), b)
 
 
-def _augmented(data: Dataset, rows=slice(None)) -> np.ndarray:
-    """``A = [Z, D, X, 1, W, Y]`` on ``rows``: every stage depends on the data
-    only through it."""
-    d, y = data.D[rows], data.Y[rows]
-    ones = np.ones((d.size, 1))
-    return np.hstack([data.Z[rows], d[:, None], data.X[rows], ones, data.W[rows], y[:, None]])
+def _augmented(data: Dataset) -> np.ndarray:
+    """``A = [Z, D, X, 1, W, Y]``: every stage depends on the data only
+    through it, and a subsample through its rows of it."""
+    ones = np.ones((data.n, 1))
+    return np.hstack([data.Z, data.D[:, None], data.X, ones, data.W, data.Y[:, None]])
 
 
 class _Core(NamedTuple):
@@ -907,7 +906,7 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
     """Blocks of subsample indices, each with the refits of its (subsample,
     OCP) problems in that order; subsample ``i`` draws its ``b`` rows from
     the stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``."""
-    p_w = data.p_w
+    p_w, a = data.p_w, _augmented(data)
     for first in range(0, n_subsamples, _SUBSAMPLE_BLOCK):
         block = range(first, min(first + _SUBSAMPLE_BLOCK, n_subsamples))
         draws = [
@@ -916,7 +915,7 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
             ).choice(data.n, size=b, replace=False))
             for i in block
         ]
-        core = _factor(data, (_augmented(data, idx) for idx in draws), _is_cv(config))
+        core = _factor(data, (a[idx] for idx in draws), _is_cv(config))
         yield block, _pipeline(core, np.repeat(np.arange(len(block)), p_w),
                                np.tile(np.arange(p_w), len(block)), config, False)
 

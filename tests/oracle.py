@@ -1,16 +1,19 @@
-"""The n-row reference pipeline the R-factor core replaced, kept as an oracle.
+"""Reference implementations the library replaced, kept as oracles.
 
-Every function below is the n-row implementation that ``proxsel.estimators``
-shipped before each dataset took one QR and every stage moved onto its
-R-factor: one first stage per dataset on the n-row augmented design, one
-n-row reduced design and refit per OCP, and a scalar coordinate-descent
-lasso iterated to its fixed point. The bodies are unchanged; only the first
-stage's cache lives here, keyed weakly by dataset, instead of on the
-dataset. Tests compare the library against these functions.
+Every estimator function below is the n-row implementation that
+``proxsel.estimators`` shipped before each dataset took one QR and every
+stage moved onto its R-factor: one first stage per dataset on the n-row
+augmented design, one n-row reduced design and refit per OCP, and a scalar
+coordinate-descent lasso iterated to its fixed point. The bodies are
+unchanged; only the first stage's cache lives here, keyed weakly by dataset,
+instead of on the dataset. ``load_csv_rows`` is ``proxsel.data_io.load_csv``
+as it was before clean files went through numpy's C parser: every file row
+by row, with ``csv``. Tests compare the library against these functions.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 import weakref
@@ -19,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from proxsel.data_io import MISSING_TOKENS, LoadResult, SchemaMap
 from proxsel.estimators import (
     STREAM_SUBSAMPLE,
     Dataset,
@@ -30,8 +34,12 @@ from proxsel.exceptions import (
     AggregateFailure,
     AssumptionViolation,
     DegenerateTreatment,
+    EmptyAfterFiltering,
     InvalidBound,
+    IoError,
+    MissingColumn,
     NoConvergence,
+    ParseError,
     ProxselError,
     RankDeficient,
     WeakProxyWarning,
@@ -754,3 +762,101 @@ def select_lambda(
             mse[gi] += float(resid @ resid)
     # The grid descends, so argmin's first minimum is the larger penalty.
     return float(grid[int(np.argmin(mse))])
+
+
+def load_csv_rows(
+    path: str,
+    schema: SchemaMap,
+    *,
+    delimiter: str = ",",
+    strict: bool = True,
+) -> LoadResult:
+    """Read a delimited file with a header row into a Dataset.
+
+    Complete-case analysis: rows with a missing value (see
+    :data:`MISSING_TOKENS`) in any mapped column are dropped and counted.
+    Unmapped columns are ignored entirely. In strict mode a non-missing cell
+    that does not parse as a number raises :class:`ParseError` locating the
+    row and column; in lenient mode (``strict=False``) such cells are treated
+    as missing and the row is dropped. Short rows (fewer fields than the
+    header) follow the same rule.
+    """
+    try:
+        handle = open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot open {path!r}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path!r} is empty (no header row)") from None
+        header = [h.strip() for h in header]
+        positions: dict[str, int] = {}
+        missing_names = []
+        for name in schema.all_columns():
+            if name in positions:
+                continue
+            try:
+                positions[name] = header.index(name)
+            except ValueError:
+                missing_names.append(name)
+        if missing_names:
+            raise MissingColumn(
+                "column(s) not found in header: " + ", ".join(missing_names),
+                columns=missing_names,
+            )
+        names = schema.all_columns()
+        rows: list[list[float]] = []
+        n_read = 0
+        n_dropped = 0
+        for row_index, raw_row in enumerate(reader, start=1):
+            n_read += 1
+            values: list[float] = []
+            drop = False
+            for name in names:
+                pos = positions[name]
+                cell = raw_row[pos].strip() if pos < len(raw_row) else ""
+                if cell.lower() in MISSING_TOKENS:
+                    drop = True
+                    break
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if strict:
+                        raise ParseError(
+                            f"row {row_index}, column {name!r}: "
+                            f"cannot parse {cell!r} as a number",
+                            row=row_index,
+                            column=name,
+                        ) from None
+                    drop = True
+                    break
+            if drop:
+                n_dropped += 1
+            else:
+                rows.append(values)
+        if not rows:
+            raise EmptyAfterFiltering(
+                f"no complete rows remain after dropping {n_dropped} of {n_read}"
+            )
+    table = np.asarray(rows, dtype=float)
+    cols = {name: table[:, i] for i, name in enumerate(names)}
+    n_z = len(schema.tcp_columns)
+    n_w = len(schema.ocp_columns)
+    n_x = len(schema.covariate_columns)
+    z = np.column_stack([cols[c] for c in schema.tcp_columns])
+    w = np.column_stack([cols[c] for c in schema.ocp_columns])
+    x = (
+        np.column_stack([cols[c] for c in schema.covariate_columns])
+        if n_x
+        else None
+    )
+    dataset = Dataset(
+        Y=cols[schema.outcome_column],
+        D=cols[schema.treatment_column],
+        Z=z,
+        W=w,
+        X=x,
+    )
+    return LoadResult(dataset=dataset, n_rows_read=n_read, n_rows_dropped=n_dropped)

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxsel import data_io
 from proxsel.data_io import (
     MISSING_TOKENS,
     LoadResult,
@@ -35,6 +40,7 @@ from proxsel.exceptions import (
 from proxsel.simulation import SimConfig, run_monte_carlo
 
 from conftest import make_exact_dataset
+from oracle import load_csv_rows
 
 SCHEMA = SchemaMap(
     outcome_column="y",
@@ -202,6 +208,181 @@ class TestLoadCsv:
         b = load_csv(str(b_path), SCHEMA).dataset
         np.testing.assert_array_equal(b.Y, a.Y[perm])
         np.testing.assert_array_equal(b.Z, a.Z[perm])
+
+
+def load_outcome(load, path, schema, **kwargs):
+    """What a loader gives back, in a form that compares bit for bit: the row
+    counts and the bytes of every array, or the error with its fields."""
+    try:
+        result = load(str(path), schema, **kwargs)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "column", None), getattr(exc, "columns", None))
+    data = result.dataset
+    arrays = (data.Y, data.D, data.Z, data.W, data.X)
+    return (result.n_rows_read, result.n_rows_dropped,
+            *((a.dtype, a.shape, a.tobytes()) for a in arrays))
+
+
+def assert_matches_row_reader(path, schema, **kwargs):
+    assert load_outcome(load_csv, path, schema, **kwargs) == load_outcome(
+        load_csv_rows, path, schema, **kwargs
+    )
+
+
+DELIMITERS = (",", ";", "\t", "|", " ")
+
+# Cells the C parser reads differently from float(), or not at all.
+SPECIAL_CELLS = (
+    "nan", "+nan", "-NaN", "NAN", " nan ", "inf", "-inf", "+Infinity",
+    "1e400", "-1e-400", "1_0", "1__0", "\u0661\u0662", "\u0663.\u0665",
+    "\xa01.5\xa0", " 2.5\t", '"1.5"', '"2,5"', '"', "forty", "0x1p3",
+    "#1", "1.5.2", "1.5\x00", "\x00", "5e-324", "-0.0",
+    "2.2250738585072014e-308", "1.7976931348623157e+308",
+)
+
+# Unmapped junk: the delimiters, quotes, line breaks and characters that
+# only one of the two parsers treats as whitespace or a digit.
+JUNK = "ab7.#_-\"'" + "".join(DELIMITERS) + "\r\n\x00\x1c\x85\xa0\u0661\u3000"
+
+
+@st.composite
+def missing_tokens(draw):
+    token = draw(st.sampled_from(sorted(MISSING_TOKENS)))
+    token = "".join(c.upper() if draw(st.booleans()) else c for c in token)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + token + draw(pad)
+
+
+repr_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # down to subnormals
+).map(repr)
+numbers = st.one_of(repr_floats, st.integers(-10**6, 10**6).map(str))
+
+
+@st.composite
+def csv_files(draw):
+    """A delimited file, its schema and delimiter. A clean file holds only
+    numbers in mapped cells, plain junk elsewhere and full rows; any other
+    file mixes in missing tokens, special cells, junk, blank lines, short
+    and long rows."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    schema = SchemaMap(
+        "y", "d",
+        tuple(f"z{j}" for j in range(draw(st.integers(1, 2)))),
+        tuple(f"w{j}" for j in range(draw(st.integers(1, 2)))),
+        tuple(f"x{j}" for j in range(draw(st.integers(0, 1)))),
+    )
+    mapped = schema.all_columns()
+    header = draw(st.permutations(
+        list(mapped) + [f"note{j}" for j in range(draw(st.integers(0, 2)))]
+    ))
+    clean = draw(st.booleans())
+    if clean:
+        cell = numbers
+        junk = st.text("ab7.#_-", max_size=4)
+        shapes = st.just("full")
+        newlines = st.sampled_from(["\n", "\r\n"])
+    else:
+        cell = st.one_of(numbers, numbers, missing_tokens(), st.sampled_from(SPECIAL_CELLS))
+        junk = st.one_of(
+            st.text(JUNK, max_size=4), st.text(JUNK, max_size=3).map('"{}"'.format)
+        )
+        shapes = st.sampled_from(["full", "full", "full", "short", "long", "blank"])
+        newlines = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [delimiter.join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(cell if name in mapped else junk) for name in header]
+        shape = draw(shapes)
+        if shape == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(junk, min_size=1, max_size=2))
+        lines.append("" if shape == "blank" else delimiter.join(row))
+    newline = draw(newlines)
+    ending = draw(st.sampled_from(["", newline, 2 * newline]))
+    return newline.join(lines) + ending, schema, delimiter
+
+
+class TestLoadCsvMatchesRowReader:
+    """``load_csv`` gives what the row-by-row reader it replaced gave: the
+    same bits in every array, the same row counts, the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files(), st.booleans())
+    def test_generated_files(self, file, strict):
+        text, schema, delimiter = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            assert_matches_row_reader(path, schema, delimiter=delimiter, strict=strict)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("cell", SPECIAL_CELLS + ("NA", " Null ", "\tnone", ""))
+    def test_one_special_cell(self, tmp_path, cell, strict):
+        rows = sample_rows()
+        rows[3][1] = cell
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], rows)
+        assert_matches_row_reader(path, SCHEMA, strict=strict)
+
+    @pytest.mark.parametrize("delimiter", DELIMITERS)
+    @pytest.mark.parametrize(
+        "layout",
+        ["blank-middle", "blank-end", "crlf", "short", "long", "quoted",
+         "quoted-line-break", "junk"],
+    )
+    def test_line_layouts(self, tmp_path, layout, delimiter):
+        header = ["note", "y", "d", "z1", "z2", "w1"]
+        lines = [delimiter.join(header)] + [
+            delimiter.join(["n", *map(repr, row)]) for row in sample_rows()
+        ]
+        newline = "\r\n" if layout == "crlf" else "\n"
+        if layout == "blank-middle":
+            lines.insert(4, "")
+        elif layout == "blank-end":
+            lines += ["", ""]
+        elif layout == "short":
+            lines[4] = delimiter.join(lines[4].split(delimiter)[:3])
+        elif layout == "long":
+            lines[4] += delimiter + "1.0" + delimiter + "extra"
+        elif layout == "quoted":
+            lines[4] = '"' + lines[4].replace(delimiter, '"' + delimiter + '"') + '"'
+        elif layout == "quoted-line-break":
+            # csv reads rows 4 and 5 as one, a plain split as two full rows
+            lines[4] = '"' + lines[4]
+            lines[5] = 'n"' + lines[5][1:]
+        elif layout == "junk":
+            lines[4] = "#\u0661\x00\xa0'" + lines[4][1:]
+        path = tmp_path / "data.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        assert_matches_row_reader(path, SCHEMA, delimiter=delimiter)
+        assert_matches_row_reader(path, SCHEMA, delimiter=delimiter, strict=False)
+
+    def test_a_clean_repr_file_takes_the_c_parser(self, tmp_path, monkeypatch):
+        """Written as the benchmark writes its study CSV: ``repr`` floats,
+        ``\\n`` line ends, every column mapped."""
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((500, 22)) * np.logspace(-300, 300, 22)
+        schema = SchemaMap(
+            "y", "d", tuple(f"z{j + 1}" for j in range(10)),
+            tuple(f"w{k + 1}" for k in range(10)),
+        )
+        path = tmp_path / "study.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(schema.all_columns()) + "\n")
+            for row in table:
+                handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        expected = load_outcome(load_csv_rows, path, schema)
+
+        def row_reader(*args):
+            raise AssertionError("the row-by-row reader ran on a clean file")
+
+        monkeypatch.setattr(data_io, "_read_rows", row_reader)
+        assert load_outcome(load_csv, path, schema) == expected
+        assert expected[:2] == (500, 0)
 
 
 class TestConfigParsing:
