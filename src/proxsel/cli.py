@@ -79,6 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The data-file flags of estimate, identify and diagnose (see _load).
+    data_file = argparse.ArgumentParser(add_help=False)
+    data_file.add_argument(
+        "--ocp", help="OCP column, name or index (default: the first)"
+    )
+    data_file.add_argument("--delimiter", default=",")
+    data_file.add_argument(
+        "--lenient",
+        action="store_true",
+        help="drop rows with an unparseable or non-finite cell instead of failing",
+    )
 
     sim = sub.add_parser(
         "simulate", help="Monte Carlo evaluation on synthetic data"
@@ -116,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--timing", action="store_true")
 
-    est = sub.add_parser("estimate", help="run the pipeline on a data file")
+    est = sub.add_parser(
+        "estimate", parents=[data_file], help="run the pipeline on a data file"
+    )
     est.add_argument("--data", required=True, help="delimited data file")
     est.add_argument("--schema", required=True, help="JSON column-role map")
     est.add_argument("--config", help="JSON estimation config")
@@ -125,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="median",
         choices=("single", "median"),
         help="single: one OCP; median: aggregate over all OCP columns",
-    )
-    est.add_argument(
-        "--ocp",
-        default=None,
-        help="OCP column (name or index) for --mode single",
     )
     est.add_argument(
         "--subsample-n",
@@ -141,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--subsample-b", type=int, help="subsample size (default: floor(n^0.8))"
     )
     est.add_argument("--seed", type=int, default=0, help="subsampling seed")
-    est.add_argument("--delimiter", default=",")
-    est.add_argument(
-        "--lenient",
-        action="store_true",
-        help="drop unparseable rows instead of failing",
-    )
     est.add_argument("--out", required=True, help="report path")
     est.add_argument(
         "--format", default="structured", choices=("structured", "table")
@@ -157,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--timing", action="store_true")
 
     ide = sub.add_parser(
-        "identify", help="subset-agreement identifiability check"
+        "identify", parents=[data_file],
+        help="subset-agreement identifiability check",
     )
     ide.add_argument(
         "--delta-tilde", help="comma list: proxy-side reduced-form coefficients"
@@ -167,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ide.add_argument("--data", help="delimited data file (alternative input)")
     ide.add_argument("--schema", help="JSON column-role map (with --data)")
-    ide.add_argument("--ocp", default=None, help="OCP column for --data input")
     ide.add_argument(
         "--invalid-bound",
         type=int,
@@ -175,14 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="strict upper bound on the number of invalid proxies",
     )
     ide.add_argument("--tol", type=float, default=1e-6)
-    ide.add_argument("--delimiter", default=",")
-    ide.add_argument("--lenient", action="store_true")
     ide.add_argument("--out", help="optional report path (JSON)")
 
-    dia = sub.add_parser("diagnose", help="selection-stage diagnostics")
+    dia = sub.add_parser(
+        "diagnose", parents=[data_file], help="selection-stage diagnostics"
+    )
     dia.add_argument("--data", required=True, help="delimited data file")
     dia.add_argument("--schema", required=True, help="JSON column-role map")
-    dia.add_argument("--ocp", default=None, help="OCP column (name or index)")
     dia.add_argument(
         "--invalid-set",
         help="comma list of assumed-invalid TCPs (names or indices) "
@@ -193,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="assumed invalid count for the restricted-isometry margin",
     )
-    dia.add_argument("--delimiter", default=",")
-    dia.add_argument("--lenient", action="store_true")
     dia.add_argument("--out", help="optional report path (JSON)")
 
     return parser
@@ -363,20 +362,21 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load(args: argparse.Namespace, schema: SchemaMap) -> LoadResult:
-    return load_csv(
-        args.data,
-        schema,
-        delimiter=args.delimiter,
-        strict=not args.lenient,
+def _load(args: argparse.Namespace) -> tuple[SchemaMap, LoadResult, int]:
+    """Read ``--schema``, load ``--data`` with it and resolve ``--ocp``
+    (which ``estimate --mode median`` ignores)."""
+    schema = _read_schema(args.schema)
+    loaded = load_csv(
+        args.data, schema, delimiter=args.delimiter, strict=not args.lenient
     )
+    ocp = None if getattr(args, "mode", None) == "median" else args.ocp
+    return schema, loaded, _resolve_column(ocp, schema.ocp_columns, 0, "--ocp")
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    schema = _read_schema(args.schema)
     est_config = _estimation_config(args.config)
-    loaded = _load(args, schema)
+    schema, loaded, index = _load(args)
     data = loaded.dataset
     tcp_names = schema.tcp_columns
     ocp_names = schema.ocp_columns
@@ -384,7 +384,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rows: list[OcpRow]
     estimate: dict[str, Any] | None
     if args.mode == "single":
-        index = _resolve_column(args.ocp, ocp_names, 0, "--ocp")
         est = estimate_invalid_tcp(data, index, est_config)
         rows = [_ocp_row(ocp_names[index], est, tcp_names)]
         estimate = estimate_to_dict(est, tcp_names)
@@ -460,9 +459,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     elif args.data is not None:
         if args.schema is None:
             raise ConfigError("--data input needs --schema")
-        schema = _read_schema(args.schema)
-        loaded = _load(args, schema)
-        index = _resolve_column(args.ocp, schema.ocp_columns, 0, "--ocp")
+        schema, loaded, index = _load(args)
         fs = first_stage(loaded.dataset, index)
         delta, gamma = fs.delta_hat_vec, fs.gamma_hat_vec
         source = {
@@ -502,10 +499,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.invalid_set is None and args.sparsity is None:
         raise ConfigError("provide --invalid-set and/or --sparsity")
-    schema = _read_schema(args.schema)
-    loaded = _load(args, schema)
+    schema, loaded, index = _load(args)
     data = loaded.dataset
-    index = _resolve_column(args.ocp, schema.ocp_columns, 0, "--ocp")
     fs = first_stage(data, index)
     design, d_tilde = _reduced_rows(data, index)
     payload: dict[str, Any] = {

@@ -48,6 +48,37 @@ __all__ = [
 MISSING_TOKENS = frozenset({"", "na", "nan", "null", "none"})
 
 
+def _fields_to_dict(obj: Any) -> dict[str, Any]:
+    """A dataclass's fields in order, JSON-ready: a float NaN becomes
+    ``None``, a tuple a list, and a dataclass inside a tuple its own dict."""
+
+    def plain(value: Any) -> Any:
+        if isinstance(value, tuple):
+            return [_fields_to_dict(v) if dataclasses.is_dataclass(v) else plain(v)
+                    for v in value]
+        return None if isinstance(value, float) and math.isnan(value) else value
+
+    return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def _from_dict(cls, raw: Any, what: str):
+    """``cls`` from a JSON object whose keys are its field names; unknown
+    keys and missing required ones are a :class:`ConfigError`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object, got {type(raw).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = sorted(
+        f.name for f in fields if f.name not in raw
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    if missing:
+        raise ConfigError(f"{what} is missing required key(s): {', '.join(missing)}")
+    return cls(**raw)
+
+
 @dataclass(frozen=True)
 class SchemaMap:
     """Column-role assignment for delimited files.
@@ -92,42 +123,11 @@ class SchemaMap:
             + self.covariate_columns
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "outcome_column": self.outcome_column,
-            "treatment_column": self.treatment_column,
-            "tcp_columns": list(self.tcp_columns),
-            "ocp_columns": list(self.ocp_columns),
-            "covariate_columns": list(self.covariate_columns),
-        }
+    to_dict = _fields_to_dict
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SchemaMap":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"schema must be an object, got {type(raw).__name__}")
-        known = {
-            "outcome_column",
-            "treatment_column",
-            "tcp_columns",
-            "ocp_columns",
-            "covariate_columns",
-        }
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown schema key(s): {', '.join(unknown)}")
-        missing = sorted(
-            k for k in ("outcome_column", "treatment_column", "tcp_columns", "ocp_columns")
-            if k not in raw
-        )
-        if missing:
-            raise ConfigError(f"schema is missing required key(s): {', '.join(missing)}")
-        return cls(
-            outcome_column=raw["outcome_column"],
-            treatment_column=raw["treatment_column"],
-            tcp_columns=tuple(raw["tcp_columns"]),
-            ocp_columns=tuple(raw["ocp_columns"]),
-            covariate_columns=tuple(raw.get("covariate_columns", ())),
-        )
+        return _from_dict(cls, raw, "schema")
 
 
 class LoadResult(NamedTuple):
@@ -151,15 +151,19 @@ def load_csv(
     :data:`MISSING_TOKENS`) in any mapped column are dropped and counted.
     Unmapped columns are ignored entirely. In strict mode a non-missing cell
     that does not parse as a number raises :class:`ParseError` locating the
-    row and column; in lenient mode (``strict=False``) such cells are treated
-    as missing and the row is dropped. Short rows (fewer fields than the
-    header) follow the same rule.
+    row and column; once every cell has parsed, so does the first cell of a
+    complete row that parses to a non-finite float (``inf``, ``-nan``,
+    ``1e400``). In lenient mode (``strict=False``) such cells are treated as
+    missing and the row is dropped. Short rows (fewer fields than the
+    header) follow the same rule. Too few complete rows for a
+    :class:`Dataset` (at most ``p_z + p_w + p_x + 1``) raise
+    :class:`EmptyAfterFiltering`.
 
     A clean file takes one streaming pass of numpy's C parser over the
     mapped columns. A file with a blank or quoted line, a row too short for
-    a mapped column, or a mapped cell that is missing, NaN or not a plain
-    ASCII number is read again, row by row, from the start. The arrays, row
-    counts and errors are the same either way.
+    a mapped column, or a mapped cell that is missing, non-finite or not a
+    plain ASCII number is read again, row by row, from the start. The
+    arrays, row counts and errors are the same either way.
     """
     try:
         handle = open(path, "r", newline="", encoding="utf-8")
@@ -203,7 +207,7 @@ def load_csv(
                     lines(), delimiter=delimiter, comments=None, ndmin=2,
                     usecols=[positions[name] for name in names],
                 )
-            clean = len(table) == n_lines and not np.isnan(table).any()
+            clean = len(table) == n_lines and np.isfinite(table).all()
         except Exception:
             clean = False
         if clean:
@@ -213,6 +217,12 @@ def load_csv(
             reader = csv.reader(handle, delimiter=delimiter)
             next(reader)
             table, n_read, n_dropped = _read_rows(reader, names, positions, strict)
+    min_n = len(names) - 1  # p_z + p_w + p_x + 1
+    if len(table) <= min_n:
+        raise EmptyAfterFiltering(
+            f"{len(table)} complete rows remain after dropping {n_dropped} of "
+            f"{n_read}; the schema needs more than {min_n}"
+        )
     z_end = 2 + len(schema.tcp_columns)
     w_end = z_end + len(schema.ocp_columns)
     dataset = Dataset(
@@ -231,18 +241,18 @@ def _read_rows(reader, names, positions, strict: bool) -> tuple[np.ndarray, int,
     rows: list[list[float]] = []
     n_read = 0
     n_dropped = 0
+    non_finite = None  # strict mode: the first complete row's non-finite cell
     for row_index, raw_row in enumerate(reader, start=1):
         n_read += 1
         values: list[float] = []
-        drop = False
+        row_error = None
         for name in names:
             pos = positions[name]
             cell = raw_row[pos].strip() if pos < len(raw_row) else ""
             if cell.lower() in MISSING_TOKENS:
-                drop = True
                 break
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 if strict:
                     raise ParseError(
@@ -251,12 +261,24 @@ def _read_rows(reader, names, positions, strict: bool) -> tuple[np.ndarray, int,
                         row=row_index,
                         column=name,
                     ) from None
-                drop = True
                 break
-        if drop:
+            if not math.isfinite(value):
+                if not strict:
+                    break
+                row_error = row_error or ParseError(
+                    f"row {row_index}, column {name!r}: "
+                    f"{cell!r} is not a finite number",
+                    row=row_index,
+                    column=name,
+                )
+            values.append(value)
+        if len(values) < len(names):
             n_dropped += 1
         else:
             rows.append(values)
+            non_finite = non_finite or row_error
+    if non_finite is not None:
+        raise non_finite
     if not rows:
         raise EmptyAfterFiltering(
             f"no complete rows remain after dropping {n_dropped} of {n_read}"
@@ -398,18 +420,7 @@ def monte_carlo_to_dict(report: MonteCarloReport) -> dict[str, Any]:
         "config": config_to_dict(report.config),
         "reps": report.reps,
         "n_failed": report.n_failed,
-        "methods": {
-            name: {
-                "coverage": _float_or_none(m.coverage),
-                "ci_length": _float_or_none(m.ci_length),
-                "bias": _float_or_none(m.bias),
-                "se": _float_or_none(m.se),
-                "rmse": _float_or_none(m.rmse),
-                "n_used": m.n_used,
-                "n_failed": m.n_failed,
-            }
-            for name, m in report.methods.items()
-        },
+        "methods": {name: _fields_to_dict(m) for name, m in report.methods.items()},
     }
 
 
@@ -433,28 +444,11 @@ class OcpRow:
         object.__setattr__(self, "invalid_tcps", tuple(self.invalid_tcps))
         object.__setattr__(self, "valid_tcps", tuple(self.valid_tcps))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "invalid_tcps": list(self.invalid_tcps),
-            "valid_tcps": list(self.valid_tcps),
-            "beta_hat": _float_or_none(self.beta_hat),
-            "ci_lower": _float_or_none(self.ci_lower),
-            "ci_upper": _float_or_none(self.ci_upper),
-            "error": self.error,
-        }
+    to_dict = _fields_to_dict
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "OcpRow":
-        return cls(
-            label=raw["label"],
-            invalid_tcps=tuple(raw["invalid_tcps"]),
-            valid_tcps=tuple(raw["valid_tcps"]),
-            beta_hat=raw["beta_hat"],
-            ci_lower=raw["ci_lower"],
-            ci_upper=raw["ci_upper"],
-            error=raw.get("error"),
-        )
+        return _from_dict(cls, raw, "per-OCP row")
 
 
 @dataclass(frozen=True)
@@ -478,28 +472,13 @@ class RunReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_ocp", tuple(self.per_ocp))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "estimate": self.estimate,
-            "per_ocp": [row.to_dict() for row in self.per_ocp],
-            "diagnostics": self.diagnostics,
-            "timing": self.timing,
-            "seed": self.seed,
-        }
+    to_dict = _fields_to_dict
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "RunReport":
-        return cls(
-            command=raw["command"],
-            config=raw["config"],
-            estimate=raw.get("estimate"),
-            per_ocp=tuple(OcpRow.from_dict(r) for r in raw.get("per_ocp", [])),
-            diagnostics=raw.get("diagnostics", {}),
-            timing=raw.get("timing"),
-            seed=raw.get("seed"),
-        )
+        report = _from_dict(cls, raw, "report")
+        rows = tuple(OcpRow.from_dict(row) for row in report.per_ocp)
+        return dataclasses.replace(report, per_ocp=rows)
 
 
 _FORMATS = ("structured", "table")

@@ -118,8 +118,9 @@ class Dataset:
     regression has positive degrees of freedom. The dataset stores read-only
     copies of its arrays, so neither ``data.Y[...] = ...`` nor a write to
     the caller's own array can make its factor ``R`` and first stage,
-    computed once on first use and kept on the dataset, go stale. Datasets, first stages and fits
-    compare and hash by identity: their arrays have no single truth value.
+    computed once on first use and kept on the dataset, go stale. Datasets,
+    first stages and fits compare and hash by identity: their arrays have no
+    single truth value.
     """
 
     Y: np.ndarray
@@ -357,12 +358,15 @@ def _is_cv(config: EstimationConfig) -> bool:
     return config.lambda_n is None and config.lambda_mode == "cv"
 
 
-def _core_for(data: Dataset, config: EstimationConfig) -> _Core:
-    """The cached factor, or in cv mode one with the folds' n rows (the same
-    ``R``: both come from one LAPACK factorization)."""
-    if _is_cv(config):
-        return _factor(data, [_augmented(data)], keep_rows=True)
-    return _core_of(data)
+def _single(data: Dataset, ocps=(), keep_rows: bool = False) -> _Core:
+    """The factor of ``data`` alone once the OCP indices ``ocps`` are in
+    range: the cached one, or for ``keep_rows`` (cv folds) one that keeps the
+    n rows (the same ``R``: both come from one LAPACK factorization). A
+    failed first stage is left to each caller's error order."""
+    for k in ocps:
+        if not 0 <= int(k) < data.p_w:
+            raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
+    return _factor(data, [_augmented(data)], True) if keep_rows else _core_of(data)
 
 
 def _check(error: ProxselError | None) -> None:
@@ -384,8 +388,7 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     All OCPs share one factorization, computed on the dataset's first call
     into any estimator and reused by every later one.
     """
-    _check_ocp_index(data, ocp_index)
-    core = _core_of(data)
+    core = _single(data, [ocp_index])
     _check(_first_stage_error(core, _one(0))[0])
     coef = core.coef[0]
     return FirstStage(
@@ -395,34 +398,17 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     )
 
 
-def _check_ocp_index(data: Dataset, ocp_index: int) -> None:
-    if not 0 <= int(ocp_index) < data.p_w:
-        raise IndexError(
-            f"ocp_index must lie in [0, {data.p_w - 1}], got {ocp_index}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Median-ratio pilot estimators
 # ---------------------------------------------------------------------------
-
-
-def _median_rows(values: np.ndarray) -> np.ndarray:
-    # Sort-based median along the last axis; agrees with np.median
-    # bit-for-bit (middle element, or the mean of the two middle elements).
-    v = np.sort(values, axis=-1)
-    half = v.shape[-1] // 2
-    if v.shape[-1] % 2:
-        return v[..., half]
-    return (v[..., half - 1] + v[..., half]) / 2.0
 
 
 def _pilots(gamma: np.ndarray, delta: np.ndarray):
     """Relevance failures, weak-relevance flags and the pilots ``(gamma_m,
     alpha_m)`` for rows of TCP outcome and OCP coefficients."""
     bad = np.abs(delta) <= DELTA_FLOOR
-    weak = np.abs(delta) < 0.05 * _median_rows(np.abs(delta))[..., None]
-    gamma_m = _median_rows(gamma / np.where(bad, 1.0, delta))
+    weak = np.abs(delta) < 0.05 * np.median(np.abs(delta), axis=-1)[..., None]
+    gamma_m = np.median(gamma / np.where(bad, 1.0, delta), axis=-1)
     return bad, weak, gamma_m, gamma - gamma_m[..., None] * delta
 
 
@@ -496,11 +482,13 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray):
     and ``g`` is the TCP block residualized on ``(what, X, 1, d_tilde)``.
     Fitting the outcome on ``g`` with an L1 penalty reproduces the TCP
     coefficients of the joint penalized regression of Y on (treatment, TCPs,
-    fitted OCP, covariates) exactly.
+    fitted OCP, covariates) exactly. A problem's error is its failed first
+    stage, else a rank-deficient ``(what, X, 1)`` or a degenerate treatment.
     """
     base = core.cols(ds, np.column_stack([core.fitted(ocp), core.tail(ds.size)]))
     q, r = np.linalg.qr(base)
-    errors = rank_errors(r)
+    errors = _first_stage_error(core, ds)
+    _keep(errors, rank_errors(r))
     d = core.col(ds, core.p_z)
     d_tilde = d - matvec(q, matvec(swap(q), d))
     d_sq = inner(d_tilde, d_tilde)
@@ -589,8 +577,7 @@ def lasso_proximal(
     ``beta = d_tilde'(Y - Z alpha) / ||d_tilde||^2``. The pair equals the
     minimizer of the jointly penalized regression at the same penalty.
     """
-    first_stage(data, ocp_index)
-    core, ds = _core_of(data), _one(0)
+    core, ds = _single(data, [ocp_index]), _one(0)
     g, d_tilde, errors = _reduced_design(core, ds, _one(ocp_index))
     _check(errors[0])
     y = core.col(ds, core.m + core.p_w)
@@ -614,9 +601,8 @@ def adaptive_lasso_proximal(
     under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
     Returns the penalized coefficient vector and its support.
     """
-    _check_ocp_index(data, ocp_index)
     alpha, errors = _select(
-        _core_of(data), _one(0), _one(ocp_index),
+        _single(data, [ocp_index]), _one(0), _one(ocp_index),
         EstimationConfig(adaptive_floor=adaptive_floor), True,
         lam=np.array([float(lambda_n)]),
     )
@@ -733,9 +719,7 @@ def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
             f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
         )
     ocps = np.array([[int(k) for k in ocps]], dtype=int).reshape(1, -1)
-    for k in ocps[0]:
-        _check_ocp_index(data, k)
-    core = _core_of(data)
+    core = _single(data, ocps[0])
     _check(_first_stage_error(core, _one(0))[0])
     mask = np.zeros((1, data.p_z), dtype=bool)
     mask[0, sel] = True
@@ -834,8 +818,8 @@ def estimate_invalid_tcp(
     dataset's ``R``.
     """
     config = config or EstimationConfig()
-    _check_ocp_index(data, ocp_index)
-    fit = _pipeline(_core_for(data, config), _one(0), _one(ocp_index), config, True)
+    core = _single(data, [ocp_index], _is_cv(config))
+    fit = _pipeline(core, _one(0), _one(ocp_index), config, True)
     return _fit_or_raise(
         _estimate(fit, 0, data.n, config.alpha_level, "post_adaptive_2sls")
     )
@@ -858,7 +842,7 @@ def estimate_invalid_tcp_ocp(
     """
     config = config or EstimationConfig()
     p_w = data.p_w
-    fit = _pipeline(_core_for(data, config), np.zeros(p_w, dtype=int),
+    fit = _pipeline(_single(data, (), _is_cv(config)), np.zeros(p_w, dtype=int),
                     np.arange(p_w), config, True)
     per_ocp = tuple(
         _estimate(fit, j, data.n, config.alpha_level, "post_adaptive_2sls")
@@ -1000,8 +984,7 @@ def subsample_ci(
 
 def _reduced_rows(data: Dataset, ocp_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-row reduced design ``(g, d_tilde)`` of one OCP, as ``Q @ g_R``."""
-    first_stage(data, ocp_index)
-    core = _factor(data, [_augmented(data)], keep_rows=True)
+    core = _single(data, [ocp_index], keep_rows=True)
     g, d_tilde, errors = _reduced_design(core, _one(0), _one(ocp_index))
     _check(errors[0])
     return core.q[0] @ g[0], core.q[0] @ d_tilde[0]
@@ -1030,8 +1013,7 @@ def select_lambda(
         raise InvalidBound(f"mode must be 'rate' or 'cv', got {mode!r}")
     if data.n < 20:
         raise InvalidBound(f"cv mode needs n >= 20, got n = {data.n}")
-    first_stage(data, ocp_index)
-    core = _factor(data, [_augmented(data)], keep_rows=True)
+    core = _single(data, [ocp_index], keep_rows=True)
     g, _, errors = _reduced_design(core, _one(0), _one(ocp_index))
     _check(errors[0])
     lam, errors = _cv_lambda(core, _one(0), g, errors)

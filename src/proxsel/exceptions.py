@@ -7,6 +7,13 @@ errors propagate.
 
 from __future__ import annotations
 
+__all__ = [
+    "ProxselError", "RankDeficient", "EmptySupport", "CombinatorialBlowup",
+    "InvalidBound", "AssumptionViolation", "SingularBlock", "NoConvergence",
+    "DegenerateTreatment", "AggregateFailure", "MissingColumn", "ParseError",
+    "EmptyAfterFiltering", "ConfigError", "IoError", "WeakProxyWarning",
+]
+
 
 class ProxselError(Exception):
     """Base class for all errors raised by proxsel."""
@@ -87,7 +94,8 @@ class ParseError(ProxselError):
 
 
 class EmptyAfterFiltering(ProxselError):
-    """Complete-case filtering removed every row."""
+    """Complete-case filtering left too few rows: none, or no more than the
+    ``p_z + p_w + p_x + 1`` a dataset needs."""
 
 
 class ConfigError(ProxselError):

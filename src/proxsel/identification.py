@@ -34,6 +34,12 @@ from .exceptions import (
 )
 from .linalg import as_matrix, as_vector, project
 
+__all__ = [
+    "IdentificationReport", "DiagnosticReport", "check_majority_rule",
+    "check_identification", "irrepresentable_diagnostic", "rip_constants",
+    "rip_recovery_margin",
+]
+
 #: Refuse brute-force enumerations beyond this many subsets.
 MAX_COMBINATIONS = 1_000_000
 

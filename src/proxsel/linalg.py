@@ -22,6 +22,8 @@ import numpy as np
 
 from .exceptions import RankDeficient
 
+__all__ = ["OlsFit", "project", "residual_project", "ols", "orthonormal_basis"]
+
 #: Relative singular-value cutoff below which a design is declared
 #: rank-deficient. Chosen to separate genuine rank failure from rounding.
 RANK_TOL = 1e-10

@@ -21,15 +21,14 @@ therefore bit-reproducible from the config alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .estimators import (
     Dataset,
     EstimationConfig,
-    ProxyEstimate,
     estimate_invalid_tcp,
     estimate_invalid_tcp_ocp,
     naive_p2sls,

@@ -421,6 +421,22 @@ class TestEstimateCommand:
         assert "IoError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_cell_exits_with_a_parse_error(self, tmp_path, capsys):
+        data_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+        rows = np.random.default_rng(2).uniform(-2, 2, (6, 4)).round(3)
+        lines = ["y,d,z1,z2,w1"] + [
+            ",".join(["-nan" if i == 0 else "1.5", *map(str, row)])
+            for i, row in enumerate(rows)
+        ]
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_schema(schema_path, ["z1", "z2"], ["w1"])
+        out = tmp_path / "never.json"
+        code = main(["estimate", "--data", str(data_path), "--schema",
+                     str(schema_path), "--out", str(out)])
+        assert code == 1
+        assert "error: ParseError: row 1, column 'y'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIdentifyCommand:
     def test_agreeing_vectors_identify(self, capsys):

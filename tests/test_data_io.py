@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -180,6 +181,40 @@ class TestLoadCsv:
         with pytest.raises(EmptyAfterFiltering):
             load_csv(str(path), SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["inf", "-NaN", "1e400"])
+    def test_strict_mode_locates_non_finite_cells(self, tmp_path, cell):
+        rows = sample_rows()
+        rows[3][1] = cell
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], rows)
+        with pytest.raises(ParseError) as err:
+            load_csv(str(path), SCHEMA)
+        assert (err.value.row, err.value.column) == (4, "d")
+        assert f"{cell!r} is not a finite number" in str(err.value)
+
+    def test_lenient_mode_drops_non_finite_rows(self, tmp_path):
+        rows = sample_rows()
+        rows[3][1] = "+inf"
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], rows)
+        result = load_csv(str(path), SCHEMA, strict=False)
+        assert (result.n_rows_read, result.n_rows_dropped) == (8, 1)
+        assert result.dataset.n == 7
+
+    def test_too_few_rows_for_the_schema_raise(self, tmp_path):
+        # p_z + p_w + p_x + 1 = 4 rows are too few; a clean file takes the
+        # C parser, a file with a dropped row the row reader.
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], sample_rows(n=4))
+        with pytest.raises(EmptyAfterFiltering, match="needs more than 4"):
+            load_csv(str(path), SCHEMA)
+        rows = sample_rows(n=4) + [["na"] * 5]
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], rows)
+        with pytest.raises(EmptyAfterFiltering, match="after dropping 1 of 5"):
+            load_csv(str(path), SCHEMA)
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], sample_rows(n=5))
+        assert load_csv(str(path), SCHEMA).dataset.n == 5
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("", encoding="utf-8")
@@ -225,9 +260,29 @@ def load_outcome(load, path, schema, **kwargs):
 
 
 def assert_matches_row_reader(path, schema, **kwargs):
-    assert load_outcome(load_csv, path, schema, **kwargs) == load_outcome(
-        load_csv_rows, path, schema, **kwargs
-    )
+    new = load_outcome(load_csv, path, schema, **kwargs)
+    old = load_outcome(load_csv_rows, path, schema, **kwargs)
+    if old[0] is not ValueError:
+        assert new == old
+        return
+    # The row reader hands a non-finite cell, or too few complete rows, on to
+    # Dataset's bare ValueError; load_csv names them.
+    min_n = len(schema.all_columns()) - 1
+    if "non-finite" in old[1] and kwargs.get("strict", True):
+        assert new[0] is ParseError and "is not a finite number" in new[1]
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = list(csv.reader(handle, delimiter=kwargs.get("delimiter", ",")))
+        header = [h.strip() for h in lines[0]]
+        assert not math.isfinite(float(lines[new[2]][header.index(new[3])]))
+    elif "non-finite" in old[1]:
+        # Lenient: the rows with a non-finite cell are dropped and counted.
+        assert new[0] is EmptyAfterFiltering or (isinstance(new[0], int) and new[1] >= 1)
+    else:
+        assert old[1].startswith("need n > p_z + p_w + p_x + 1")
+        assert new[0] is EmptyAfterFiltering
+        assert new[1].endswith(f"the schema needs more than {min_n}")
+    if new[0] is EmptyAfterFiltering and not new[1].startswith("no complete rows"):
+        assert int(new[1].split()[0]) <= min_n
 
 
 DELIMITERS = (",", ";", "\t", "|", " ")
@@ -531,6 +586,35 @@ class TestReports:
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(IoError):
             write_report(self.make_report(), str(tmp_path / "no" / "dir.json"))
+
+    def test_fields_serialize_in_order_with_nan_as_null(self):
+        row = OcpRow("w1", ("z1",), ("z2", "z3"), math.nan, 0.4, 0.6)
+        assert list(row.to_dict().items()) == [
+            ("label", "w1"), ("invalid_tcps", ["z1"]), ("valid_tcps", ["z2", "z3"]),
+            ("beta_hat", None), ("ci_lower", 0.4), ("ci_upper", 0.6), ("error", None),
+        ]
+        payload = self.make_report().to_dict()
+        assert list(payload) == [
+            "command", "config", "estimate", "per_ocp", "diagnostics", "timing", "seed"
+        ]
+        assert payload["per_ocp"][1]["error"] == "degenerate"
+        report = run_monte_carlo(SimConfig(n=200, p_z=4, s_z=1, reps=2), ("ols",))
+        methods = monte_carlo_to_dict(report)["methods"]
+        assert list(methods["ols"]) == [
+            "coverage", "ci_length", "bias", "se", "rmse", "n_used", "n_failed"
+        ]
+
+    def test_report_keys_are_checked(self, tmp_path):
+        path = tmp_path / "report.json"
+        payload = self.make_report().to_dict()
+        for broken, key in (
+            ({**payload, "extra": 1}, "extra"),
+            ({k: v for k, v in payload.items() if k != "command"}, "command"),
+            ({**payload, "per_ocp": [{"label": "w1"}]}, "invalid_tcps"),
+        ):
+            path.write_text(json.dumps(broken), encoding="utf-8")
+            with pytest.raises(ConfigError, match=key):
+                read_report(str(path))
 
     def test_invalid_json_raises_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -23,6 +23,7 @@ from proxsel.estimators import (
     estimate_invalid_tcp,
     estimate_invalid_tcp_ocp,
     first_stage,
+    lasso_proximal,
     median_gamma,
     naive_p2sls,
     ols_baseline,
@@ -30,7 +31,6 @@ from proxsel.estimators import (
     post_adaptive_2sls,
     select_lambda,
     subsample_ci,
-    _median_rows,
 )
 import proxsel.estimators as estimators_module
 from proxsel.exceptions import (
@@ -207,18 +207,6 @@ class TestMedianPilots:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        values=st.lists(
-            st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=15
-        )
-    )
-    def test_median_agrees_with_numpy(self, values):
-        arr = np.asarray(values)
-        assert float(_median_rows(arr)) == pytest.approx(
-            float(np.median(arr)), rel=1e-15, abs=1e-300
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
         seed=st.integers(0, 10_000),
         n_corrupt=st.integers(0, 3),
         shift=st.floats(-1e9, 1e9, allow_nan=False),
@@ -232,7 +220,7 @@ class TestMedianPilots:
         clean = rng.normal(0.0, 1.0, 7)
         corrupted = clean.copy()
         corrupted[:n_corrupt] += shift
-        med = float(_median_rows(corrupted))
+        med = float(np.median(corrupted, axis=-1))
         assert clean.min() - 1e-12 <= med <= clean.max() + 1e-12
 
 
@@ -315,6 +303,44 @@ class TestOracleReduction:
             est = ols_baseline(data)
             assert math.isfinite(est.beta_hat)
             assert math.isfinite(est.variance) and est.variance > 0
+
+
+def collinear_tcp_dataset(n):
+    """A dataset whose augmented design (Z, D, X, 1) is rank deficient."""
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((n, 3))
+    z[:, 2] = 2.0 * z[:, 1]
+    d = z @ [0.5, 0.4, 0.3] + rng.standard_normal(n)
+    w = rng.standard_normal((n, 2))
+    return Dataset(Y=0.5 * d + rng.standard_normal(n), D=d, Z=z, W=w)
+
+
+class TestFirstStageFailure:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data: first_stage(data, 1),
+            lambda data: lasso_proximal(data, 1, 0.3),
+            lambda data: adaptive_lasso_proximal(data, 1, 0.3),
+            lambda data: select_lambda(data, 1, mode="cv"),
+            lambda data: estimators_module._reduced_rows(data, 1),
+            lambda data: post_adaptive_2sls(data, 1, (0,)),
+            lambda data: estimate_invalid_tcp(data, 1),
+            lambda data: estimate_invalid_tcp(data, 1, EstimationConfig(lambda_mode="cv")),
+        ],
+        ids=["first_stage", "lasso", "adaptive", "select_lambda", "reduced_rows",
+             "refit", "rate", "cv"],
+    )
+    def test_every_single_ocp_entry_point_raises_rank_deficient(self, call):
+        with pytest.raises(RankDeficient):
+            call(collinear_tcp_dataset(60))
+
+    def test_cv_mode_refuses_a_small_sample_before_the_first_stage(self):
+        data = collinear_tcp_dataset(12)
+        with pytest.raises(InvalidBound, match="n >= 20"):
+            estimate_invalid_tcp(data, 1, EstimationConfig(lambda_mode="cv"))
+        with pytest.raises(RankDeficient):
+            estimate_invalid_tcp(data, 1)
 
 
 class TestInvariances:

@@ -1,0 +1,108 @@
+"""The package's source and its public namespace.
+
+No lint tool runs with the tests, so an import that nothing uses is caught
+here: every name a module imports is used in it, listed in its ``__all__``,
+or imported on a line marked ``# noqa: F401``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import proxsel
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "proxsel").glob("*.py"))
+
+MODULES = ("exceptions", "linalg", "identification", "estimators", "simulation", "data_io")
+
+#: The names the package exported before ``__all__`` was built from its
+#: modules' own lists; each must stay exported.
+EXPORTED = (
+    "__version__",
+    "ProxselError", "RankDeficient", "EmptySupport", "CombinatorialBlowup",
+    "InvalidBound", "AssumptionViolation", "SingularBlock", "NoConvergence",
+    "DegenerateTreatment", "AggregateFailure", "MissingColumn", "ParseError",
+    "EmptyAfterFiltering", "ConfigError", "IoError", "WeakProxyWarning",
+    "OlsFit", "project", "residual_project", "ols", "orthonormal_basis",
+    "IdentificationReport", "DiagnosticReport", "check_majority_rule",
+    "check_identification", "irrepresentable_diagnostic", "rip_constants",
+    "rip_recovery_margin",
+    "Dataset", "EstimationConfig", "FirstStage", "ProxyEstimate", "first_stage",
+    "median_gamma", "alpha_median", "lasso_solve", "kkt_violation",
+    "lasso_proximal", "adaptive_lasso_proximal", "post_adaptive_2sls",
+    "estimate_invalid_tcp", "estimate_invalid_tcp_ocp", "subsample_ci",
+    "oracle_p2sls", "naive_p2sls", "ols_baseline", "select_lambda",
+    "default_subsample_size",
+    "SimConfig", "SubsampleCiConfig", "MethodMetrics", "MonteCarloReport",
+    "generate_invalid_tcp_data", "generate_invalid_tcp_ocp_data",
+    "run_monte_carlo", "run_study",
+    "SchemaMap", "LoadResult", "OcpRow", "RunReport", "load_csv",
+    "parse_config", "estimate_to_dict", "monte_carlo_to_dict", "write_report",
+    "read_report",
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that ``source`` neither uses nor lists in ``__all__``,
+    skipping ``__future__`` imports, star imports and ``# noqa: F401`` lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from typing import Any, Sequence\n"
+        "from .linalg import ols  # noqa: F401\n"
+        "__all__ = ['Any']\n"
+        "x: Sequence = ()\n"
+    )
+    assert unused_imports(source) == ["line 2: math"]
+
+
+def test_public_names_are_listed_once():
+    assert len(proxsel.__all__) == len(set(proxsel.__all__))
+
+
+def test_every_previously_exported_name_is_still_exported():
+    assert len(set(EXPORTED)) == 67
+    assert sorted(set(EXPORTED) - set(proxsel.__all__)) == []
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    assert set(proxsel.__all__) == {"__version__"} | {
+        name for m in MODULES for name in importlib.import_module(f"proxsel.{m}").__all__
+    }
+    for m in MODULES:
+        module = importlib.import_module(f"proxsel.{m}")
+        for name in module.__all__:
+            obj = getattr(proxsel, name)
+            assert obj is getattr(module, name), (m, name)
+            home = getattr(obj, "__module__", None)
+            if home is not None and home.startswith("proxsel."):
+                assert getattr(importlib.import_module(home), name) is obj, (home, name)
