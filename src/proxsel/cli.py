@@ -43,7 +43,6 @@ from .data_io import (
     write_report,
 )
 from .estimators import (
-    EstimationConfig,
     ProxyEstimate,
     default_subsample_size,
     estimate_invalid_tcp,
@@ -61,7 +60,7 @@ from .identification import (
 from .simulation import (
     METHOD_NAMES,
     STUDY_NAMES,
-    SimConfig,
+    MethodMetrics,
     SubsampleCiConfig,
     run_monte_carlo,
     run_study,
@@ -204,25 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _read_schema(path: str) -> SchemaMap:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot open schema {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid schema JSON ({exc})") from None
-    return SchemaMap.from_dict(raw)
-
-
-def _estimation_config(path: str | None) -> EstimationConfig:
-    if path is None:
-        return EstimationConfig()
-    cfg = parse_config(path, kind="estimation")
-    assert isinstance(cfg, EstimationConfig)
-    return cfg
-
-
 def _resolve_column(
     token: str | None, columns: Sequence[str], default: int, what: str
 ) -> int:
@@ -253,6 +233,13 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
     if not values:
         raise ConfigError(f"{flag} must contain at least one number")
     return np.asarray(values)
+
+
+def _metrics(m: MethodMetrics) -> str:
+    return (
+        f"coverage={m.coverage:.3f} length={m.ci_length:.4f} bias={m.bias:+.4f} "
+        f"se={m.se:.4f} rmse={m.rmse:.4f}"
+    )
 
 
 def _ocp_row(
@@ -293,10 +280,7 @@ def _ocp_row(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    config = (
-        parse_config(args.config, kind="sim") if args.config else SimConfig()
-    )
-    assert isinstance(config, SimConfig)
+    config = parse_config(args.config, kind="sim")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
@@ -324,13 +308,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=config.seed,
     )
     write_report(run, args.out)
-    for name, metrics in report.methods.items():
-        print(
-            f"{name}: coverage={metrics.coverage:.3f} "
-            f"length={metrics.ci_length:.4f} bias={metrics.bias:+.4f} "
-            f"se={metrics.se:.4f} rmse={metrics.rmse:.4f} "
-            f"({metrics.n_used} used, {metrics.n_failed} failed)"
-        )
+    for name, m in report.methods.items():
+        print(f"{name}: {_metrics(m)} ({m.n_used} used, {m.n_failed} failed)")
     print(f"report written to {args.out}")
     return 0
 
@@ -352,12 +331,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     )
     write_report(run, args.out)
     for cell, rep in reports.items():
-        for name, metrics in rep.methods.items():
-            print(
-                f"{cell} {name}: coverage={metrics.coverage:.3f} "
-                f"length={metrics.ci_length:.4f} bias={metrics.bias:+.4f} "
-                f"se={metrics.se:.4f} rmse={metrics.rmse:.4f}"
-            )
+        for name, m in rep.methods.items():
+            print(f"{cell} {name}: {_metrics(m)}")
     print(f"report written to {args.out}")
     return 0
 
@@ -365,7 +340,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def _load(args: argparse.Namespace) -> tuple[SchemaMap, LoadResult, int]:
     """Read ``--schema``, load ``--data`` with it and resolve ``--ocp``
     (which ``estimate --mode median`` ignores)."""
-    schema = _read_schema(args.schema)
+    schema = parse_config(args.schema, kind="schema")
     loaded = load_csv(
         args.data, schema, delimiter=args.delimiter, strict=not args.lenient
     )
@@ -375,7 +350,7 @@ def _load(args: argparse.Namespace) -> tuple[SchemaMap, LoadResult, int]:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    est_config = _estimation_config(args.config)
+    est_config = parse_config(args.config, kind="estimation")
     schema, loaded, index = _load(args)
     data = loaded.dataset
     tcp_names = schema.tcp_columns

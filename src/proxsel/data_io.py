@@ -26,6 +26,7 @@ from .exceptions import (
     IoError,
     MissingColumn,
     ParseError,
+    ProxselError,
 )
 from .simulation import MonteCarloReport, SimConfig
 
@@ -61,22 +62,58 @@ def _fields_to_dict(obj: Any) -> dict[str, Any]:
     return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
+#: The JSON types a field accepts, by the first word of its annotation.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (list, tuple),
+               "dict": dict}
+
+
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document at ``path`` (a blank file reads as ``{}``). An
+    unreadable file is an :class:`IoError`; malformed JSON a
+    :class:`ConfigError`, or for a report a :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise IoError(f"cannot open {path!r}: {exc}") from exc
+    try:
+        return json.loads(text) if text.strip() else {}
+    except json.JSONDecodeError as exc:
+        error = ParseError if what == "report" else ConfigError
+        raise error(f"{path}: invalid {what} JSON ({exc})") from None
+
+
 def _from_dict(cls, raw: Any, what: str):
-    """``cls`` from a JSON object whose keys are its field names; unknown
-    keys and missing required ones are a :class:`ConfigError`."""
+    """``cls`` from a JSON object whose keys are its field names. Unknown
+    keys, missing required ones, a value of the wrong JSON type and a broken
+    invariant are a :class:`ConfigError` naming ``what``."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be an object, got {type(raw).__name__}")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(raw) - {f.name for f in fields})
+        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+        raise ConfigError(f"{what}: unknown key(s): {', '.join(unknown)}")
     missing = sorted(
-        f.name for f in fields if f.name not in raw
+        name for name, f in fields.items() if name not in raw
         and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     )
     if missing:
-        raise ConfigError(f"{what} is missing required key(s): {', '.join(missing)}")
-    return cls(**raw)
+        raise ConfigError(f"{what}: missing required key(s): {', '.join(missing)}")
+    kwargs = {}
+    for key, value in raw.items():
+        ann = str(fields[key].type)  # a string: the modules defer annotations
+        want = _JSON_TYPES.get(ann.split("[")[0].split()[0], object)
+        if isinstance(value, bool) or not (
+            isinstance(value, want) or value is None and "None" in ann
+        ):
+            raise ConfigError(
+                f"{what}: key {key!r} must be {ann}, got {type(value).__name__}"
+            )
+        kwargs[key] = float(value) if value is not None and ann.startswith("float") else value
+    try:
+        return cls(**kwargs)
+    except ProxselError as exc:  # invariant violations from __post_init__
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -290,83 +327,27 @@ def _read_rows(reader, names, positions, strict: bool) -> tuple[np.ndarray, int,
 # Configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KINDS = ("sim", "estimation")
+_CONFIG_KINDS = {"sim": SimConfig, "estimation": EstimationConfig, "schema": SchemaMap}
 
 
-def parse_config(path: str, kind: str = "sim") -> SimConfig | EstimationConfig:
-    """Parse a JSON config file into a fully resolved config object.
+def parse_config(
+    path: str | None, kind: str = "sim"
+) -> SimConfig | EstimationConfig | SchemaMap:
+    """Parse a JSON file into a fully resolved config object.
 
-    ``kind`` selects the target type (``"sim"`` or ``"estimation"``).
-    An empty (or whitespace-only) file resolves to all defaults. Unknown
-    keys are rejected; invariant violations surface as :class:`ConfigError`
-    naming the offending key or constraint.
+    ``kind`` selects the target type: ``"sim"``, ``"estimation"`` or
+    ``"schema"`` (a :class:`SchemaMap`). No ``path``, an empty file or a
+    whitespace-only one resolves to all defaults. Unknown keys are rejected;
+    type and invariant violations surface as :class:`ConfigError` naming
+    the offending key or constraint.
     """
     if kind not in _CONFIG_KINDS:
         raise ConfigError(
             f"kind must be one of {', '.join(_CONFIG_KINDS)}, got {kind!r}"
         )
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot open {path!r}: {exc}") from exc
-    return config_from_text(text, kind, source=path)
-
-
-def config_from_text(
-    text: str, kind: str = "sim", source: str = "<config>"
-) -> SimConfig | EstimationConfig:
-    """Parse config JSON from a string; see :func:`parse_config`."""
-    stripped = text.strip()
-    if not stripped:
-        raw: dict[str, Any] = {}
-    else:
-        try:
-            raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(
-            f"{source}: config must be a JSON object, got {type(raw).__name__}"
-        )
-    cls = SimConfig if kind == "sim" else EstimationConfig
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        raise ConfigError(
-            f"{source}: unknown key(s) for {kind} config: {', '.join(unknown)}"
-        )
-    coerced: dict[str, Any] = {}
-    for key, value in raw.items():
-        coerced[key] = _coerce_field(key, value, fields[key].type, source)
-    try:
-        return cls(**coerced)
-    except Exception as exc:  # invariant violations from __post_init__
-        raise ConfigError(f"{source}: {exc}") from None
-
-
-def _coerce_field(key: str, value: Any, annotation: str, source: str) -> Any:
-    """Check the JSON value loosely against the dataclass annotation."""
-    ann = str(annotation)
-    if isinstance(value, bool):
-        raise ConfigError(f"{source}: key {key!r} must be a number or string")
-    if value is None:
-        if "None" in ann:
-            return None
-        raise ConfigError(f"{source}: key {key!r} must not be null")
-    if ann.startswith("int"):
-        if not isinstance(value, int):
-            raise ConfigError(f"{source}: key {key!r} must be an integer")
-        return value
-    if ann.startswith("float"):
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{source}: key {key!r} must be a number")
-        return float(value)
-    if ann.startswith("str"):
-        if not isinstance(value, str):
-            raise ConfigError(f"{source}: key {key!r} must be a string")
-        return value
-    return value
+    what = kind if kind == "schema" else f"{kind} config"
+    raw = {} if path is None else _read_json(path, what)
+    return _from_dict(_CONFIG_KINDS[kind], raw, what if path is None else path)
 
 
 def config_to_dict(config: SimConfig | EstimationConfig) -> dict[str, Any]:
@@ -512,14 +493,7 @@ def write_report(report: RunReport, path: str, format: str = "structured") -> No
 
 def read_report(path: str) -> RunReport:
     """Read back a structured report written by :func:`write_report`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise IoError(f"cannot open {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path!r}: invalid report JSON ({exc})") from None
-    return RunReport.from_dict(raw)
+    return RunReport.from_dict(_read_json(path, "report"))
 
 
 def _format_ci(lo: float | None, hi: float | None) -> str:

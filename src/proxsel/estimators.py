@@ -255,7 +255,7 @@ class EstimationConfig:
     adaptive_floor: float = ADAPTIVE_FLOOR
 
     def __post_init__(self) -> None:
-        if self.lambda_n is not None and self.lambda_n < 0:
+        if self.lambda_n is not None and not self.lambda_n >= 0:
             raise InvalidBound(f"lambda_n must be >= 0, got {self.lambda_n}")
         if self.lambda_mode not in ("rate", "cv"):
             raise InvalidBound(
@@ -507,52 +507,45 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray):
     return g, d_tilde, errors
 
 
-def _rate_lambda(core: _Core, ds: np.ndarray) -> np.ndarray:
-    return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n)
-
-
-def _cv_lambda(core: _Core, ds: np.ndarray, g: np.ndarray, errors: list):
-    """:func:`cv_penalty` on the n-row designs ``Q @ g`` of the problems
-    without an error yet; returns the penalties and the new errors."""
-    lam, new = np.zeros(ds.size), [None] * ds.size
+def _penalty(core: _Core, ds: np.ndarray, ocp: np.ndarray, config: EstimationConfig):
+    """Each problem's penalty, its errors so far and, in cv mode only, the
+    reduced design ``g``: ``config.lambda_n``, else the rate rule ``std(Y) *
+    sqrt(n) / log(n)``, else :func:`cv_penalty` on the n-row designs ``Q @
+    g`` (cv needs ``n >= 20``; its design and folds precede relevance)."""
+    errors = _first_stage_error(core, ds)
+    if config.lambda_n is not None:
+        return np.full(ds.size, float(config.lambda_n)), errors, None
+    if config.lambda_mode == "rate":
+        return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n), errors, None
+    if core.n < 20:
+        errors = [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
+    g, _, design_errors = _reduced_design(core, ds, ocp)
+    _keep(errors, design_errors)
+    lam = np.zeros(ds.size)
     on = np.flatnonzero([e is None for e in errors])
     if on.size:
         y = core.col(ds[on], core.m + core.p_w)
         lam_max = np.max(np.abs(matvec(swap(g[on]), y)), axis=1)
         lam[on], cv_errors = cv_penalty(core.q[ds[on]] @ g[on], core.y[ds[on]], lam_max)
         for i, e in zip(on, cv_errors):
-            new[i] = e
-    return lam, new
+            errors[i] = e
+    return lam, errors, g
 
 
-def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool,
-            lam=None):
-    """The selection stage for a stack of (dataset, OCP) problems.
-
-    The penalty (``lam``, else ``config``'s rule), the pilots and their
-    weights, the reduced design and the weighted lasso. Returns the lasso
-    coefficients with each problem's error, or None; errors take the order
-    the stages have in :func:`estimate_invalid_tcp`, where cv mode builds
-    the reduced design and runs the folds before the pilots.
-    """
-    errors = _first_stage_error(core, ds)
-    cv = lam is None and _is_cv(config)
-    if lam is None and not cv:
-        lam = (_rate_lambda(core, ds) if config.lambda_n is None
-               else np.full(ds.size, float(config.lambda_n)))
-    if cv and core.n < 20:
-        errors = [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
+def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool):
+    """The selection stage for a stack of (dataset, OCP) problems: the
+    penalty, the pilots and their weights, the reduced design and the
+    weighted lasso. Returns the lasso coefficients with each problem's
+    error, or None: :func:`_penalty`'s, else relevance, design or lasso."""
+    lam, errors, g = _penalty(core, ds, ocp, config)
     bad, weak, _, alpha_m = _pilots(core.coef[ds, : core.p_z, -1],
                                     core.coef[ds, : core.p_z, ocp])
-    g, _, design_errors = _reduced_design(core, ds, ocp)
-    if cv:
-        _keep(errors, design_errors)
-        lam, cv_errors = _cv_lambda(core, ds, g, errors)
-        _keep(errors, cv_errors)
     _keep(errors, [_relevance_error(b) for b in bad])
     for i in np.flatnonzero([warn and e is None for e in errors]):
         _warn_weak(weak[i])
-    _keep(errors, design_errors)
+    if g is None:
+        g, _, design_errors = _reduced_design(core, ds, ocp)
+        _keep(errors, design_errors)
     on = np.flatnonzero([e is None for e in errors])
     weights = 1.0 / np.maximum(np.abs(alpha_m[on]), config.adaptive_floor)
     alpha = np.zeros((ds.size, core.p_z))
@@ -575,13 +568,15 @@ def lasso_proximal(
     block at penalty ``lam``, then recovers the treatment effect from the
     residualized-treatment regression of the alpha-adjusted outcome:
     ``beta = d_tilde'(Y - Z alpha) / ||d_tilde||^2``. The pair equals the
-    minimizer of the jointly penalized regression at the same penalty.
+    minimizer of the jointly penalized regression at the same penalty, which
+    must not be negative or NaN (:class:`InvalidBound`).
     """
     core, ds = _single(data, [ocp_index]), _one(0)
+    lam = EstimationConfig(lambda_n=float(lam)).lambda_n  # InvalidBound unless >= 0
     g, d_tilde, errors = _reduced_design(core, ds, _one(ocp_index))
     _check(errors[0])
     y = core.col(ds, core.m + core.p_w)
-    alpha, errors = lasso_batch(g, y, np.full((1, data.p_z), float(lam)))
+    alpha, errors = lasso_batch(g, y, np.full((1, data.p_z), lam))
     _check(errors[0])
     resid = y - matvec(core.r[ds, :, : data.p_z], alpha)
     return alpha[0], float(inner(d_tilde, resid)[0] / inner(d_tilde, d_tilde)[0])
@@ -599,12 +594,13 @@ def adaptive_lasso_proximal(
     Weights are reciprocals of the median-ratio pilot magnitudes, so TCPs
     the pilot already flags as valid are penalized heavily (pilot values
     under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
-    Returns the penalized coefficient vector and its support.
+    A negative or NaN ``lambda_n`` is an :class:`InvalidBound`. Returns the
+    penalized coefficient vector and its support.
     """
     alpha, errors = _select(
         _single(data, [ocp_index]), _one(0), _one(ocp_index),
-        EstimationConfig(adaptive_floor=adaptive_floor), True,
-        lam=np.array([float(lambda_n)]),
+        EstimationConfig(lambda_n=float(lambda_n), adaptive_floor=adaptive_floor),
+        True,
     )
     _check(errors[0])
     return alpha[0], tuple(int(j) for j in np.nonzero(alpha[0])[0])
@@ -1005,17 +1001,11 @@ def select_lambda(
     log-spaced penalties, from the smallest with an all-zero solution down
     to ``CV_GRID_MIN_RATIO`` times it; folds are contiguous row blocks (no
     RNG) and ties prefer the larger penalty. The folds take the reduced
-    design of the selection stage back to n rows through ``Q``.
+    design of the selection stage back to n rows through ``Q``. A failed
+    first stage raises in either mode.
     """
-    if mode == "rate":
-        return float(_rate_lambda(_core_of(data), _one(0))[0])
-    if mode != "cv":
-        raise InvalidBound(f"mode must be 'rate' or 'cv', got {mode!r}")
-    if data.n < 20:
-        raise InvalidBound(f"cv mode needs n >= 20, got n = {data.n}")
-    core = _single(data, [ocp_index], keep_rows=True)
-    g, _, errors = _reduced_design(core, _one(0), _one(ocp_index))
-    _check(errors[0])
-    lam, errors = _cv_lambda(core, _one(0), g, errors)
+    config = EstimationConfig(lambda_mode=mode)
+    lam, errors, _ = _penalty(_single(data, [ocp_index], _is_cv(config)), _one(0),
+                              _one(ocp_index), config)
     _check(errors[0])
     return float(lam[0])

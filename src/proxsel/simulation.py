@@ -59,12 +59,22 @@ STREAM_REP_SEED = 3
 
 METHOD_NAMES = ("adaptive", "median_adaptive", "oracle", "naive", "ols")
 
-STUDY_NAMES = (
-    "single_ocp_n",
-    "single_ocp_sz",
-    "multi_ocp_n",
-    "multi_ocp_grid",
-)
+#: Each study's cells (a label and the ``SimConfig`` fields that differ from
+#: the defaults), its methods, and whether the median gets a subsampling
+#: interval; see :func:`run_study`.
+_STUDIES = {
+    "single_ocp_n": ([(f"n={n}", {"n": n}) for n in (1500, 2500, 5000)],
+                     ("adaptive", "oracle", "naive", "ols"), False),
+    "single_ocp_sz": ([(f"s_z={s_z}", {"s_z": s_z}) for s_z in range(1, 9)],
+                      ("adaptive", "naive"), False),
+    "multi_ocp_n": ([(f"n={n}", {"n": n, "p_w": 10, "s_w": 3}) for n in (1500, 2500, 5000)],
+                    ("median_adaptive", "oracle", "naive", "ols"), True),
+    "multi_ocp_grid": ([(f"s_z={s_z},s_w={s_w}", {"s_z": s_z, "p_w": 10, "s_w": s_w})
+                        for s_z in (3, 4, 5, 6) for s_w in (3, 4, 5, 6)],
+                       ("median_adaptive",), False),
+}
+
+STUDY_NAMES = tuple(_STUDIES)
 
 
 @dataclass(frozen=True)
@@ -405,41 +415,10 @@ def run_study(
     if scale not in ("desk", "full"):
         raise ValueError(f"scale must be 'desk' or 'full', got {scale!r}")
     reps = 200 if scale == "desk" else 500
-    n_sub = 200 if scale == "desk" else 1000
-
-    reports: dict[str, MonteCarloReport] = {}
-    if study == "single_ocp_n":
-        for n in (1500, 2500, 5000):
-            cfg = SimConfig(n=n, p_z=10, s_z=3, p_w=1, s_w=0, reps=reps, seed=seed)
-            reports[f"n={n}"] = run_monte_carlo(
-                cfg, ("adaptive", "oracle", "naive", "ols"), None, est_config
-            )
-    elif study == "single_ocp_sz":
-        for s_z in range(1, 9):
-            cfg = SimConfig(
-                n=2500, p_z=10, s_z=s_z, p_w=1, s_w=0, reps=reps, seed=seed
-            )
-            reports[f"s_z={s_z}"] = run_monte_carlo(
-                cfg, ("adaptive", "naive"), None, est_config
-            )
-    elif study == "multi_ocp_n":
-        for n in (1500, 2500, 5000):
-            cfg = SimConfig(
-                n=n, p_z=10, s_z=3, p_w=10, s_w=3, reps=reps, seed=seed
-            )
-            reports[f"n={n}"] = run_monte_carlo(
-                cfg,
-                ("median_adaptive", "oracle", "naive", "ols"),
-                SubsampleCiConfig(n_subsamples=n_sub),
-                est_config,
-            )
-    else:  # multi_ocp_grid
-        for s_z in (3, 4, 5, 6):
-            for s_w in (3, 4, 5, 6):
-                cfg = SimConfig(
-                    n=2500, p_z=10, s_z=s_z, p_w=10, s_w=s_w, reps=reps, seed=seed
-                )
-                reports[f"s_z={s_z},s_w={s_w}"] = run_monte_carlo(
-                    cfg, ("median_adaptive",), None, est_config
-                )
-    return reports
+    cells, methods, with_ci = _STUDIES[study]
+    ci_config = SubsampleCiConfig(n_subsamples=200 if scale == "desk" else 1000)
+    return {
+        label: run_monte_carlo(SimConfig(**fields, reps=reps, seed=seed), methods,
+                               ci_config if with_ci else None, est_config)
+        for label, fields in cells
+    }

@@ -421,6 +421,26 @@ class TestEstimateCommand:
         assert "IoError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_schema_exits_with_an_io_error(self, exact_csv, tmp_path, capsys):
+        data_path, _, _, _ = exact_csv
+        out = tmp_path / "never.json"
+        code = main(["estimate", "--data", str(data_path), "--schema",
+                     str(tmp_path / "absent.json"), "--out", str(out)])
+        assert code == 1
+        assert "error: IoError: cannot open" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_penalty_exits_with_a_config_error(self, exact_csv, tmp_path, capsys):
+        data_path, schema_path, _, _ = exact_csv
+        config, out = tmp_path / "nan.json", tmp_path / "never.json"
+        config.write_text('{"lambda_n": NaN}', encoding="utf-8")
+        code = main(["estimate", "--data", str(data_path), "--schema", str(schema_path),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "lambda_n" in err
+        assert not out.exists()
+
     def test_non_finite_cell_exits_with_a_parse_error(self, tmp_path, capsys):
         data_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
         rows = np.random.default_rng(2).uniform(-2, 2, (6, 4)).round(3)

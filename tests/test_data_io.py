@@ -20,7 +20,6 @@ from proxsel.data_io import (
     OcpRow,
     RunReport,
     SchemaMap,
-    config_from_text,
     config_to_dict,
     estimate_to_dict,
     load_csv,
@@ -90,6 +89,14 @@ class TestSchemaMap:
                 }
             )
         assert "id_column" in str(err.value)
+
+    def test_value_types_are_checked(self):
+        raw = {"outcome_column": "y", "treatment_column": "d",
+               "tcp_columns": "z1", "ocp_columns": ["w1"]}
+        with pytest.raises(ConfigError, match="tcp_columns"):
+            SchemaMap.from_dict(raw)
+        with pytest.raises(ConfigError, match="outcome_column"):
+            SchemaMap.from_dict({**raw, "tcp_columns": ["z1"], "outcome_column": 3})
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -440,56 +447,65 @@ class TestLoadCsvMatchesRowReader:
         assert expected[:2] == (500, 0)
 
 
-class TestConfigParsing:
-    def test_empty_text_gives_defaults(self):
-        assert config_from_text("", "sim") == SimConfig()
-        assert config_from_text("  \n ", "estimation") == EstimationConfig()
+def config_file(tmp_path, text, name="config.json"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
-    def test_simulation_fields_are_applied(self):
-        cfg = config_from_text(
-            json.dumps({"n": 2500, "p_z": 10, "s_z": 3, "seed": 7}), "sim"
-        )
+
+class TestConfigParsing:
+    def test_empty_text_gives_defaults(self, tmp_path):
+        assert parse_config(config_file(tmp_path, ""), "sim") == SimConfig()
+        blank = config_file(tmp_path, "  \n ")
+        assert parse_config(blank, "estimation") == EstimationConfig()
+
+    def test_no_path_gives_defaults(self):
+        assert parse_config(None, "sim") == SimConfig()
+        assert parse_config(None, "estimation") == EstimationConfig()
+        with pytest.raises(ConfigError, match="outcome_column"):
+            parse_config(None, "schema")
+
+    def test_simulation_fields_are_applied(self, tmp_path):
+        text = json.dumps({"n": 2500, "p_z": 10, "s_z": 3, "seed": 7})
+        cfg = parse_config(config_file(tmp_path, text), "sim")
         assert cfg == SimConfig(n=2500, p_z=10, s_z=3, seed=7)
         # generating-process defaults stay pinned unless overridden
         assert cfg.xi_z_invalid == 0.6
         assert cfg.xi_z_valid == 0.2
         assert cfg.alpha_invalid == 0.8
 
-    def test_estimation_fields_are_applied(self):
-        cfg = config_from_text(
-            json.dumps({"lambda_n": None, "lambda_mode": "cv"}), "estimation"
-        )
+    def test_estimation_fields_are_applied(self, tmp_path):
+        text = json.dumps({"lambda_n": None, "lambda_mode": "cv"})
+        cfg = parse_config(config_file(tmp_path, text), "estimation")
         assert cfg == EstimationConfig(lambda_n=None, lambda_mode="cv")
 
-    def test_unknown_key_names_the_source(self):
+    def test_unknown_key_names_the_source(self, tmp_path):
+        path = config_file(tmp_path, '{"reps_per_cell": 3}', name="run.json")
         with pytest.raises(ConfigError) as err:
-            config_from_text('{"reps_per_cell": 3}', "sim", source="run.json")
+            parse_config(path, "sim")
         assert "reps_per_cell" in str(err.value)
         assert "run.json" in str(err.value)
 
-    def test_type_errors_are_reported(self):
-        with pytest.raises(ConfigError):
-            config_from_text('{"n": "many"}', "sim")
-        with pytest.raises(ConfigError):
-            config_from_text('{"n": true}', "sim")
-        with pytest.raises(ConfigError):
-            config_from_text('{"beta_true": [1]}', "sim")
+    def test_type_errors_are_reported(self, tmp_path):
+        for text in ('{"n": "many"}', '{"n": true}', '{"beta_true": [1]}'):
+            with pytest.raises(ConfigError):
+                parse_config(config_file(tmp_path, text), "sim")
 
-    def test_integer_accepted_for_float_fields(self):
-        cfg = config_from_text('{"beta_true": 1}', "sim")
+    def test_integer_accepted_for_float_fields(self, tmp_path):
+        cfg = parse_config(config_file(tmp_path, '{"beta_true": 1}'), "sim")
         assert cfg.beta_true == 1.0
 
-    def test_invariant_violations_become_config_errors(self):
+    def test_invariant_violations_become_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
-            config_from_text('{"p_z": 4, "s_z": 9}', "sim")
+            parse_config(config_file(tmp_path, '{"p_z": 4, "s_z": 9}'), "sim")
         with pytest.raises(ConfigError):
-            config_from_text('{"lambda_mode": "oracle"}', "estimation")
+            parse_config(config_file(tmp_path, '{"lambda_mode": "oracle"}'), "estimation")
 
-    def test_non_object_document_rejected(self):
+    def test_non_object_document_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            config_from_text("[1, 2]", "sim")
+            parse_config(config_file(tmp_path, "[1, 2]"), "sim")
         with pytest.raises(ConfigError):
-            config_from_text("{invalid", "sim")
+            parse_config(config_file(tmp_path, "{invalid"), "sim")
 
     def test_parse_config_reads_files(self, tmp_path):
         path = tmp_path / "sim.json"
@@ -498,14 +514,14 @@ class TestConfigParsing:
         with pytest.raises(IoError):
             parse_config(str(tmp_path / "none.json"), "sim")
 
-    def test_round_trip_through_dict(self):
+    def test_round_trip_through_dict(self, tmp_path):
         for cfg in (
             SimConfig(n=400, p_z=6, s_z=2, y_noise_sd=1.0, seed=3),
             EstimationConfig(lambda_n=12.5, alpha_level=0.1),
         ):
             kind = "sim" if isinstance(cfg, SimConfig) else "estimation"
             text = json.dumps(config_to_dict(cfg))
-            assert config_from_text(text, kind) == cfg
+            assert parse_config(config_file(tmp_path, text), kind) == cfg
 
 
 class TestEstimateSerialization:

@@ -323,12 +323,13 @@ class TestFirstStageFailure:
             lambda data: lasso_proximal(data, 1, 0.3),
             lambda data: adaptive_lasso_proximal(data, 1, 0.3),
             lambda data: select_lambda(data, 1, mode="cv"),
+            lambda data: select_lambda(data, 1, mode="rate"),
             lambda data: estimators_module._reduced_rows(data, 1),
             lambda data: post_adaptive_2sls(data, 1, (0,)),
             lambda data: estimate_invalid_tcp(data, 1),
             lambda data: estimate_invalid_tcp(data, 1, EstimationConfig(lambda_mode="cv")),
         ],
-        ids=["first_stage", "lasso", "adaptive", "select_lambda", "reduced_rows",
+        ids=["first_stage", "lasso", "adaptive", "select_lambda", "select_rate", "reduced_rows",
              "refit", "rate", "cv"],
     )
     def test_every_single_ocp_entry_point_raises_rank_deficient(self, call):

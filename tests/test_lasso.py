@@ -269,6 +269,16 @@ class TestAdaptiveLasso:
         )
         assert selected == (0,)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_penalty_is_an_invalid_bound(self, lam):
+        data, _ = make_exact_dataset()
+        with pytest.raises(InvalidBound, match="lambda_n"):
+            lasso_proximal(data, 0, lam)
+        with pytest.raises(InvalidBound, match="lambda_n"):
+            adaptive_lasso_proximal(data, 0, lam)
+        with pytest.raises(InvalidBound, match="lambda_n"):
+            EstimationConfig(lambda_n=lam)
+
     def test_zero_penalty_ignores_weights(self):
         data, _ = make_exact_dataset()
         alpha, _ = adaptive_lasso_proximal(data, 0, 0.0)
@@ -304,6 +314,17 @@ class TestSelectLambda:
         data, _ = make_exact_dataset()
         with pytest.raises(InvalidBound):
             select_lambda(data, mode="oracle")
+
+    @pytest.mark.parametrize("mode", ["rate", "cv"])
+    def test_ocp_index_is_checked_in_both_modes(self, mode):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=200, p_z=4, s_z=1, p_w=2, y_noise_sd=1.0), 0
+        )
+        with pytest.raises(IndexError, match="ocp_index"):
+            select_lambda(data, 99, mode)
+        with pytest.raises(IndexError, match="ocp_index"):
+            select_lambda(data, -1, mode)
+        assert select_lambda(data, 1, mode) > 0
 
     def test_cv_needs_enough_rows(self):
         rng = np.random.default_rng(8)

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from proxsel import simulation
+from proxsel.estimators import EstimationConfig
 from proxsel.exceptions import AggregateFailure, InvalidBound, WeakProxyWarning
 from proxsel.simulation import (
     METHOD_NAMES,
@@ -233,3 +235,49 @@ class TestRunStudy:
             "multi_ocp_n",
             "multi_ocp_grid",
         }
+
+    def test_each_study_runs_its_cells_methods_and_interval(self, monkeypatch):
+        calls = []
+
+        def record(config, methods, ci_config=None, est_config=None, n_jobs=1):
+            calls.append((config, tuple(methods), ci_config, est_config))
+            return len(calls)
+
+        monkeypatch.setattr(simulation, "run_monte_carlo", record)
+        grid = [(f"s_z={a},s_w={b}", 2500, a, 10, b) for a in (3, 4, 5, 6) for b in (3, 4, 5, 6)]
+        assert [label for label, *_ in grid] == (
+            "s_z=3,s_w=3 s_z=3,s_w=4 s_z=3,s_w=5 s_z=3,s_w=6 "
+            "s_z=4,s_w=3 s_z=4,s_w=4 s_z=4,s_w=5 s_z=4,s_w=6 "
+            "s_z=5,s_w=3 s_z=5,s_w=4 s_z=5,s_w=5 s_z=5,s_w=6 "
+            "s_z=6,s_w=3 s_z=6,s_w=4 s_z=6,s_w=5 s_z=6,s_w=6"
+        ).split()
+        studies = {  # cells as (label, n, s_z, p_w, s_w), methods, interval
+            "single_ocp_n": (
+                [("n=1500", 1500, 3, 1, 0), ("n=2500", 2500, 3, 1, 0),
+                 ("n=5000", 5000, 3, 1, 0)],
+                ("adaptive", "oracle", "naive", "ols"), False,
+            ),
+            "single_ocp_sz": (
+                [(f"s_z={k}", 2500, k, 1, 0) for k in (1, 2, 3, 4, 5, 6, 7, 8)],
+                ("adaptive", "naive"), False,
+            ),
+            "multi_ocp_n": (
+                [("n=1500", 1500, 3, 10, 3), ("n=2500", 2500, 3, 10, 3),
+                 ("n=5000", 5000, 3, 10, 3)],
+                ("median_adaptive", "oracle", "naive", "ols"), True,
+            ),
+            "multi_ocp_grid": (grid, ("median_adaptive",), False),
+        }
+        est_config = EstimationConfig(lambda_n=3.0)
+        for scale, reps, n_sub in (("desk", 200, 200), ("full", 500, 1000)):
+            for study, (cells, methods, with_ci) in studies.items():
+                calls.clear()
+                reports = run_study(study, scale, seed=5, est_config=est_config)
+                assert list(reports) == [label for label, *_ in cells]
+                assert list(reports.values()) == list(range(1, len(cells) + 1))
+                ci = SubsampleCiConfig(n_subsamples=n_sub) if with_ci else None
+                assert calls == [
+                    (SimConfig(n=n, p_z=10, s_z=s_z, p_w=p_w, s_w=s_w, reps=reps, seed=5),
+                     methods, ci, est_config)
+                    for _, n, s_z, p_w, s_w in cells
+                ]
