@@ -1,12 +1,13 @@
 """Weighted-lasso solver: batched coordinate descent with a support polish.
 
 Every selection problem in the package is a weighted lasso
-``0.5 * ||y - X a||^2 + sum_j thresh_j |a_j|``. :func:`lasso_batch` solves a
+``0.5 * ||y - X a||^2 + sum_j thresh_j |a_j|``. :func:`lasso_gram` solves a
 stack of them at once, in covariance form (Friedman, Hastie and Tibshirani,
-2010): cyclic coordinate descent on each Gram system, vectorized over the
-stack. After every sweep each problem is polished: the stationarity system
-is solved exactly on its current support and signs, which usually ends the
-iteration after the first sweep. Every returned solution is certified on its
+2010), from ``X'X``, ``X'y`` and ``y'y`` alone: cyclic coordinate descent on
+each Gram system, vectorized over the stack; :func:`lasso_batch` forms those
+cross products from the designs. After every sweep each problem is
+polished: the stationarity system is solved exactly on its current support
+and signs, which usually ends the iteration after the first sweep. Every returned solution is certified on its
 own (stationarity excess at most ``KKT_TOL`` and, when the iteration did not
 settle, duality gap at most ``DUAL_GAP_TOL * y'y``), or that problem alone
 fails with :class:`~proxsel.exceptions.NoConvergence`.
@@ -25,6 +26,7 @@ __all__ = [
     "lasso_solve",
     "kkt_violation",
     "lasso_batch",
+    "lasso_gram",
     "cv_penalty",
 ]
 
@@ -135,20 +137,28 @@ def lasso_solve(
 
 def lasso_batch(x, y, thresh, start=None, max_sweeps=DEFAULT_MAX_SWEEPS):
     """Weighted lassos ``0.5*||y_i - X_i a||^2 + sum_j thresh_ij |a_j|``, one
-    per slice of ``x``; all-zero rows of ``thresh`` are least squares.
-    Returns the solutions and each problem's error, or None."""
-    gram, xty = swap(x) @ x, matvec(swap(x), y)
+    per slice of ``x``: :func:`lasso_gram` on their cross products."""
+    return lasso_gram(swap(x) @ x, matvec(swap(x), y), inner(y, y), thresh,
+                      lambda i: (x[i], y[i]), start, max_sweeps)
+
+
+def lasso_gram(gram, xty, yy, thresh, rows, start=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """The lassos of :func:`lasso_batch` in covariance form (``gram = X'X``,
+    ``xty = X'y``, ``yy = y'y``). All-zero rows of ``thresh`` are least
+    squares, solved on the designs ``rows(i) -> (X_i, y_i)`` of those
+    problems ``i``. Returns the solutions and each problem's error, or None."""
     alpha = np.zeros(xty.shape) if start is None else np.array(start, dtype=float)
     errors: list = [None] * len(alpha)
     lasso = np.any(thresh > 0, axis=1)
     ls, cd = np.flatnonzero(~lasso), np.flatnonzero(lasso)
-    for i in ls:
-        alpha[i] = np.linalg.lstsq(x[i], y[i], rcond=None)[0]
+    for i, x, y in zip(ls, *rows(ls)):
+        alpha[i] = np.linalg.lstsq(x, y, rcond=None)[0]
     for i, e in zip(ls, _certify(gram[ls], xty[ls], None, thresh[ls], alpha[ls])):
         errors[i] = e
     if cd.size:
-        alpha[cd], cd_errors = _coordinate_descent(
-            gram[cd], xty[cd], inner(y[cd], y[cd]), thresh[cd], alpha[cd], max_sweeps
+        pick = cd if ls.size else slice(None)  # no copy when every problem is a lasso
+        alpha[pick], cd_errors = _coordinate_descent(
+            gram[pick], xty[pick], yy[pick], thresh[pick], alpha[pick], max_sweeps
         )
         for i, e in zip(cd, cd_errors):
             errors[i] = e

@@ -266,6 +266,7 @@ def _run_method(
                 b=ci_config.b,
                 seed=sub_seed,
                 recenter=ci_config.recenter,
+                center=est.beta_hat,
             )
             return est.beta_hat, lo, hi
         return est.beta_hat, math.nan, math.nan

@@ -7,15 +7,19 @@ fail with the same exception type where the reference fails.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from proxsel import estimators as est
 from proxsel.estimators import Dataset, EstimationConfig, ProxyEstimate
 from proxsel.exceptions import AssumptionViolation, ProxselError
+from proxsel.linalg import residual_project
 from proxsel.simulation import SimConfig, generate_invalid_tcp_ocp_data
 
 RTOL = 1e-10
@@ -204,3 +208,43 @@ def test_every_subsample_problem_of_the_benchmark_design_matches():
         assert_same_outcome(new, old)
         count += 1
     assert count == 2000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_x=st.integers(0, 2),
+    near_x=st.sampled_from([1e-13, 1e-4, 1.0]),
+    near_d=st.sampled_from([1e-9, 1e-3]),
+    tiny=st.sampled_from([1e-9, 1.0]),
+)
+def test_covariance_form_is_the_n_row_reduced_design(seed, p_x, near_x, near_d, tiny):
+    # OCP 0 is generic, OCP 1's fit lies within near_x of (X, 1), and OCP 2's
+    # within near_d of the treatment; one TCP coefficient is scaled by tiny.
+    rng = np.random.default_rng(seed)
+    n, p_z = 80, 4
+    z, x = rng.standard_normal((n, p_z)), rng.standard_normal((n, p_x))
+    d = z @ rng.uniform(0.5, 1.0, p_z) + rng.standard_normal(n)
+    delta = rng.uniform(0.5, 1.5, p_z) * rng.choice([-1.0, 1.0], p_z)
+    delta[rng.integers(p_z)] *= tiny
+    w = np.column_stack([
+        z @ delta + 0.5 * d + rng.standard_normal(n),
+        x @ rng.standard_normal(p_x) + 2.0 + near_x * (z @ delta),
+        d + near_d * (z @ delta),
+    ])
+    data = Dataset(Y=d + z[:, 0] + rng.standard_normal(n), D=d, Z=z, W=w, X=x)
+    red = est._reduced_design(est._core_of(data), np.zeros(3, dtype=int), np.arange(3))
+    zp = residual_project(np.column_stack([d, x, np.ones(n)]), z)
+    s_norm = np.linalg.norm(zp.T @ zp, 2)
+    for j in range(3):
+        try:
+            g, _ = oracle._reduced_design(data, oracle.first_stage(data, j).what)
+        except ProxselError as exc:
+            assert type(red.errors[j]) is type(exc), (j, red.errors[j], exc)
+            continue
+        assert red.errors[j] is None, (j, red.errors[j])
+        np.testing.assert_allclose(red.gram[j], g.T @ g, rtol=0, atol=1e-10 * s_norm)
+        np.testing.assert_allclose(
+            red.xty[j], g.T @ data.Y, rtol=0,
+            atol=1e-10 * math.sqrt(s_norm) * np.linalg.norm(data.Y),
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,6 +50,8 @@ from proxsel.simulation import (
 )
 
 from conftest import make_exact_dataset, population_first_stage
+
+BLOCK = estimators_module._SUBSAMPLE_BLOCK
 
 
 def ratio_first_stage(gamma_block, delta_block) -> FirstStage:
@@ -465,6 +468,32 @@ class TestPipelineComposition:
             assert_same_fit(agg.per_ocp_fits[j], composed)
 
 
+class TestSelectionStage:
+    def test_qr_factorizations_do_not_grow_with_the_ocp_count(self, monkeypatch):
+        # The reduced design is factored once per dataset, not per OCP.
+        factored = {}
+        qr = np.linalg.qr
+        for p_w in (1, 3, 9):
+            data = generate_invalid_tcp_ocp_data(
+                SimConfig(n=300, p_z=5, s_z=1, p_w=p_w, s_w=0, y_noise_sd=1.0), 0
+            )
+            core = estimators_module._core_of(data)
+            matrices = []
+
+            def counting(a, *args, **kwargs):
+                matrices.append(int(np.prod(np.shape(a)[:-2])))  # the stack's size
+                return qr(a, *args, **kwargs)
+
+            monkeypatch.setattr(estimators_module.np.linalg, "qr", counting)
+            _, errors = estimators_module._select(
+                core, np.zeros(p_w, dtype=int), np.arange(p_w), EstimationConfig(), False
+            )
+            monkeypatch.undo()
+            assert errors == [None] * p_w
+            factored[p_w] = sum(matrices)
+        assert factored[1] == factored[3] == factored[9] == 1
+
+
 class TestIdentityEquality:
     def test_fits_datasets_and_first_stages_compare_by_identity(self):
         data = generate_invalid_tcp_ocp_data(
@@ -622,7 +651,7 @@ class TestSubsampleCi:
         assert interval == expected
 
     @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
-    @pytest.mark.parametrize("n_subsamples", [1, 9, 10, 11, 23])
+    @pytest.mark.parametrize("n_subsamples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_blocks_give_the_interval_of_one_subsample_at_a_time(
         self, n_subsamples
     ):
@@ -642,6 +671,19 @@ class TestSubsampleCi:
         expected = np.quantile(estimates, [0.025, 0.975])
         interval = subsample_ci(data, n_subsamples=n_subsamples, seed=8)
         np.testing.assert_allclose(interval, expected, rtol=1e-12, atol=0)
+
+    def test_blocks_keep_a_small_working_set(self):
+        # The median-ci design: 200 subsamples of 2500 rows, 10 TCPs, 10 OCPs.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        tracemalloc.start()
+        try:
+            subsample_ci(data, n_subsamples=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
 
     def test_one_unusable_ocp_leaves_every_subsample_a_majority(self):
         base = generate_invalid_tcp_ocp_data(

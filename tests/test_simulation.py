@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxsel import simulation
+from proxsel import estimators, simulation
 from proxsel.estimators import EstimationConfig
 from proxsel.exceptions import AggregateFailure, InvalidBound, WeakProxyWarning
 from proxsel.simulation import (
@@ -201,6 +201,24 @@ class TestRunMonteCarlo:
         m = report.methods["median_adaptive"]
         assert math.isfinite(m.coverage)
         assert m.ci_length > 0.0
+
+    def test_recentred_interval_fits_the_full_sample_once(self, monkeypatch):
+        # The point estimate is the recentring centre, so one full-sample
+        # fit per replication serves both.
+        config = SimConfig(n=300, p_z=4, s_z=1, p_w=3, reps=1)
+        full_sample = []
+        fit = estimators.estimate_invalid_tcp_ocp
+
+        def counting(data, *args, **kwargs):
+            full_sample.append(data.n == config.n)
+            return fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "estimate_invalid_tcp_ocp", counting)
+        monkeypatch.setattr(estimators, "estimate_invalid_tcp_ocp", counting)
+        ci_config = SubsampleCiConfig(n_subsamples=5, recenter=True)
+        report = run_monte_carlo(config, ("median_adaptive",), ci_config)
+        assert sum(full_sample) == 1
+        assert math.isfinite(report.methods["median_adaptive"].ci_length)
 
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ValueError):
