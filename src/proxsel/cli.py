@@ -11,11 +11,14 @@ Five subcommands wire the library end to end:
 - ``diagnose``   — selection-stage diagnostics: irrepresentable condition
   value and restricted-isometry recovery margin.
 
-Every command echoes its fully resolved configuration and seed into the
-report it writes. Commands run serially and all randomness is counter-keyed
-by (seed, index), so reports are byte-identical across repeated runs;
-``simulate --jobs`` and ``estimate --jobs`` are accepted for compatibility
-and have no effect.
+Each ``cmd_*`` function prints its own output and returns a
+:class:`~proxsel.data_io.RunReport` that echoes its fully resolved
+configuration and seed; :func:`main` alone finishes a command: it records
+the wall-clock seconds under ``--timing``, writes the report to ``--out``
+and announces the path. Commands run serially and all randomness is
+counter-keyed by (seed, index), so reports are byte-identical across
+repeated runs; ``simulate --jobs`` and ``estimate --jobs`` are accepted for
+compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .data_io import (
     OcpRow,
     RunReport,
     SchemaMap,
-    config_to_dict,
     estimate_to_dict,
     load_csv,
     monte_carlo_to_dict,
@@ -278,8 +280,7 @@ def _ocp_row(
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_simulate(args: argparse.Namespace) -> RunReport:
     config = parse_config(args.config, kind="sim")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -295,30 +296,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             n_subsamples=args.subsample_n, b=args.subsample_b
         )
     report = run_monte_carlo(config, methods, ci_config, n_jobs=args.jobs)
-    elapsed = time.perf_counter() - start
-    run = RunReport(
+    for name, m in report.methods.items():
+        print(f"{name}: {_metrics(m)} ({m.n_used} used, {m.n_failed} failed)")
+    return RunReport(
         command="simulate",
         config={
-            "sim": config_to_dict(config),
+            "sim": dataclasses.asdict(config),
             "methods": list(methods),
             "subsample": dataclasses.asdict(ci_config) if ci_config else None,
         },
         diagnostics={"monte_carlo": monte_carlo_to_dict(report)},
-        timing=elapsed if args.timing else None,
         seed=config.seed,
     )
-    write_report(run, args.out)
-    for name, m in report.methods.items():
-        print(f"{name}: {_metrics(m)} ({m.n_used} used, {m.n_failed} failed)")
-    print(f"report written to {args.out}")
-    return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_reproduce(args: argparse.Namespace) -> RunReport:
     reports = run_study(args.study, args.scale, seed=args.seed)
-    elapsed = time.perf_counter() - start
-    run = RunReport(
+    for cell, rep in reports.items():
+        for name, m in rep.methods.items():
+            print(f"{cell} {name}: {_metrics(m)}")
+    return RunReport(
         command="reproduce",
         config={"study": args.study, "scale": args.scale},
         diagnostics={
@@ -326,15 +323,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 cell: monte_carlo_to_dict(rep) for cell, rep in reports.items()
             }
         },
-        timing=elapsed if args.timing else None,
         seed=args.seed,
     )
-    write_report(run, args.out)
-    for cell, rep in reports.items():
-        for name, m in rep.methods.items():
-            print(f"{cell} {name}: {_metrics(m)}")
-    print(f"report written to {args.out}")
-    return 0
 
 
 def _load(args: argparse.Namespace) -> tuple[SchemaMap, LoadResult, int]:
@@ -348,8 +338,7 @@ def _load(args: argparse.Namespace) -> tuple[SchemaMap, LoadResult, int]:
     return schema, loaded, _resolve_column(ocp, schema.ocp_columns, 0, "--ocp")
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_estimate(args: argparse.Namespace) -> RunReport:
     est_config = parse_config(args.config, kind="estimation")
     schema, loaded, index = _load(args)
     data = loaded.dataset
@@ -387,13 +376,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 else default_subsample_size(data.n)
             )
 
-    elapsed = time.perf_counter() - start
     run = RunReport(
         command="estimate",
         config={
             "data": args.data,
             "schema": schema.to_dict(),
-            "estimation": config_to_dict(est_config),
+            "estimation": dataclasses.asdict(est_config),
             "mode": args.mode,
             "subsample_n": args.subsample_n if args.mode == "median" else None,
             "subsample_b": args.subsample_b if args.mode == "median" else None,
@@ -410,16 +398,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "n_rows_read": loaded.n_rows_read,
             "n_rows_dropped": loaded.n_rows_dropped,
         },
-        timing=elapsed if args.timing else None,
         seed=args.seed,
     )
-    write_report(run, args.out, format=args.format)
     sys.stdout.write(render_table(run))
-    print(f"report written to {args.out}")
-    return 0
+    return run
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
+def cmd_identify(args: argparse.Namespace) -> RunReport:
     if (args.delta_tilde is None) != (args.gamma_tilde is None):
         raise ConfigError(
             "--delta-tilde and --gamma-tilde must be given together"
@@ -427,26 +412,20 @@ def cmd_identify(args: argparse.Namespace) -> int:
     if args.delta_tilde is not None:
         delta = _parse_vector(args.delta_tilde, "--delta-tilde")
         gamma = _parse_vector(args.gamma_tilde, "--gamma-tilde")
-        source: dict[str, Any] = {
-            "delta_tilde": [float(v) for v in delta],
-            "gamma_tilde": [float(v) for v in gamma],
-        }
+        source: dict[str, Any] = {}
     elif args.data is not None:
         if args.schema is None:
             raise ConfigError("--data input needs --schema")
         schema, loaded, index = _load(args)
         fs = first_stage(loaded.dataset, index)
         delta, gamma = fs.delta_hat_vec, fs.gamma_hat_vec
-        source = {
-            "data": args.data,
-            "ocp": schema.ocp_columns[index],
-            "delta_tilde": [float(v) for v in delta],
-            "gamma_tilde": [float(v) for v in gamma],
-        }
+        source = {"data": args.data, "ocp": schema.ocp_columns[index]}
     else:
         raise ConfigError(
             "provide either --delta-tilde/--gamma-tilde or --data/--schema"
         )
+    source["delta_tilde"] = [float(v) for v in delta]
+    source["gamma_tilde"] = [float(v) for v in gamma]
     report = check_identification(
         delta, gamma, args.invalid_bound, tol=args.tol
     )
@@ -459,19 +438,22 @@ def cmd_identify(args: argparse.Namespace) -> int:
         ],
     }
     print(json.dumps(payload, indent=2))
-    if args.out:
-        run = RunReport(
-            command="identify",
-            config={"invalid_bound": args.invalid_bound, "tol": args.tol,
-                    "input": source},
-            diagnostics={"identification": payload},
+    if not report.subsets:
+        print(
+            f'warning: no subset agrees on one ratio at --tol {args.tol:g}, so '
+            f'"identified": true holds vacuously; estimated coefficients need '
+            f"a statistical tolerance",
+            file=sys.stderr,
         )
-        write_report(run, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return RunReport(
+        command="identify",
+        config={"invalid_bound": args.invalid_bound, "tol": args.tol,
+                "input": source},
+        diagnostics={"identification": payload},
+    )
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> RunReport:
     if args.invalid_set is None and args.sparsity is None:
         raise ConfigError("provide --invalid-set and/or --sparsity")
     schema, loaded, index = _load(args)
@@ -503,20 +485,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         }
         payload["recovery_margin"] = rip.recovery_margin
     print(json.dumps(payload, indent=2))
-    if args.out:
-        run = RunReport(
-            command="diagnose",
-            config={
-                "data": args.data,
-                "schema": schema.to_dict(),
-                "invalid_set": args.invalid_set,
-                "sparsity": args.sparsity,
-            },
-            diagnostics=payload,
-        )
-        write_report(run, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return RunReport(
+        command="diagnose",
+        config={
+            "data": args.data,
+            "schema": schema.to_dict(),
+            "invalid_set": args.invalid_set,
+            "sparsity": args.sparsity,
+        },
+        diagnostics=payload,
+    )
 
 
 _COMMANDS = {
@@ -529,16 +507,21 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, then finish it: record ``--timing``, write the
+    report to ``--out`` and announce it."""
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
-    except ProxselError as exc:
+        run = _COMMANDS[args.command](args)
+        if getattr(args, "timing", False):
+            run = dataclasses.replace(run, timing=time.perf_counter() - start)
+        if args.out:
+            write_report(run, args.out, format=getattr(args, "format", "structured"))
+            print(f"report written to {args.out}")
+    except (ProxselError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ __all__ = [
     "RunReport",
     "load_csv",
     "parse_config",
-    "config_to_dict",
     "estimate_to_dict",
     "monte_carlo_to_dict",
     "write_report",
@@ -350,11 +349,6 @@ def parse_config(
     return _from_dict(_CONFIG_KINDS[kind], raw, what if path is None else path)
 
 
-def config_to_dict(config: SimConfig | EstimationConfig) -> dict[str, Any]:
-    """Fully resolved, JSON-ready echo of a config object."""
-    return dataclasses.asdict(config)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ def estimate_to_dict(
 def monte_carlo_to_dict(report: MonteCarloReport) -> dict[str, Any]:
     """JSON-ready view of a Monte Carlo report (config echo included)."""
     return {
-        "config": config_to_dict(report.config),
+        "config": dataclasses.asdict(report.config),
         "reps": report.reps,
         "n_failed": report.n_failed,
         "methods": {name: _fields_to_dict(m) for name, m in report.methods.items()},

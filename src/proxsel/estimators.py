@@ -173,17 +173,6 @@ class Dataset:
     def p_x(self) -> int:
         return self.X.shape[1]
 
-    def take_rows(self, indices: np.ndarray) -> "Dataset":
-        """Row-subset copy (used by subsampling)."""
-        idx = np.asarray(indices)
-        return Dataset(
-            Y=self.Y[idx],
-            D=self.D[idx],
-            Z=self.Z[idx],
-            W=self.W[idx],
-            X=self.X[idx],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FirstStage:

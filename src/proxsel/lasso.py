@@ -4,13 +4,13 @@ Every selection problem in the package is a weighted lasso
 ``0.5 * ||y - X a||^2 + sum_j thresh_j |a_j|``. :func:`lasso_gram` solves a
 stack of them at once, in covariance form (Friedman, Hastie and Tibshirani,
 2010), from ``X'X``, ``X'y`` and ``y'y`` alone: cyclic coordinate descent on
-each Gram system, vectorized over the stack; :func:`lasso_batch` forms those
-cross products from the designs. After every sweep each problem is
-polished: the stationarity system is solved exactly on its current support
-and signs, which usually ends the iteration after the first sweep. Every returned solution is certified on its
-own (stationarity excess at most ``KKT_TOL`` and, when the iteration did not
-settle, duality gap at most ``DUAL_GAP_TOL * y'y``), or that problem alone
-fails with :class:`~proxsel.exceptions.NoConvergence`.
+each Gram system, vectorized over the stack. After every sweep each
+problem is polished: the stationarity system is solved exactly on its
+current support and signs, which usually ends the iteration after the first
+sweep. Every returned solution is certified on its own (stationarity
+excess at most ``KKT_TOL`` and, when the iteration did not settle, duality
+gap at most ``DUAL_GAP_TOL * y'y``), or that problem alone fails with
+:class:`~proxsel.exceptions.NoConvergence`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .linalg import as_matrix, as_vector, inner, matvec, swap
 __all__ = [
     "lasso_solve",
     "kkt_violation",
-    "lasso_batch",
     "lasso_gram",
     "cv_penalty",
 ]
@@ -91,7 +90,7 @@ def lasso_solve(
 ) -> np.ndarray:
     """Minimize ``0.5*||y - X a||^2 + lam * sum_j weights_j * |a_j|``.
 
-    A stack of one problem for :func:`lasso_batch`: cyclic coordinate
+    A stack of one problem for :func:`lasso_gram`: cyclic coordinate
     descent on the Gram system, polished after every sweep by solving the
     stationarity system exactly on the current support and signs (a
     singular system is skipped, and the problem keeps sweeping). The polish
@@ -127,26 +126,22 @@ def lasso_solve(
         start = as_vector(start, "start")[None]
         if start.size != p:
             raise ValueError(f"start has length {start.size}, expected {p}")
-    alpha, errors = lasso_batch(
-        x[None], y[None], (lam * w)[None], start, max_sweeps
+    x, y = x[None], y[None]
+    alpha, errors = lasso_gram(
+        swap(x) @ x, matvec(swap(x), y), inner(y, y), (lam * w)[None],
+        lambda i: (x[i], y[i]), start, max_sweeps,
     )
     if errors[0] is not None:
         raise errors[0]
     return alpha[0]
 
 
-def lasso_batch(x, y, thresh, start=None, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """Weighted lassos ``0.5*||y_i - X_i a||^2 + sum_j thresh_ij |a_j|``, one
-    per slice of ``x``: :func:`lasso_gram` on their cross products."""
-    return lasso_gram(swap(x) @ x, matvec(swap(x), y), inner(y, y), thresh,
-                      lambda i: (x[i], y[i]), start, max_sweeps)
-
-
 def lasso_gram(gram, xty, yy, thresh, rows, start=None, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """The lassos of :func:`lasso_batch` in covariance form (``gram = X'X``,
-    ``xty = X'y``, ``yy = y'y``). All-zero rows of ``thresh`` are least
-    squares, solved on the designs ``rows(i) -> (X_i, y_i)`` of those
-    problems ``i``. Returns the solutions and each problem's error, or None."""
+    """Weighted lassos ``0.5*||y_i - X_i a||^2 + sum_j thresh_ij |a_j|``, one
+    per problem ``i``, in covariance form (``gram = X'X``, ``xty = X'y``,
+    ``yy = y'y``). All-zero rows of ``thresh`` are least squares, solved on
+    the designs ``rows(i) -> (X_i, y_i)`` of those problems ``i``. Returns
+    the solutions and each problem's error, or None."""
     alpha = np.zeros(xty.shape) if start is None else np.array(start, dtype=float)
     errors: list = [None] * len(alpha)
     lasso = np.any(thresh > 0, axis=1)

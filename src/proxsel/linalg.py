@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import RankDeficient
 
-__all__ = ["OlsFit", "project", "residual_project", "ols", "orthonormal_basis"]
+__all__ = ["OlsFit", "project", "ols", "orthonormal_basis"]
 
 #: Relative singular-value cutoff below which a design is declared
 #: rank-deficient. Chosen to separate genuine rank failure from rounding.
@@ -138,12 +138,6 @@ def project(design, target) -> np.ndarray:
         )
     out = q @ (q.T @ tm)
     return out[:, 0] if squeeze else out
-
-
-def residual_project(design, target) -> np.ndarray:
-    """``target`` minus its projection onto ``design`` (the annihilator)."""
-    t = np.asarray(target, dtype=np.float64)
-    return t - project(design, t)
 
 
 @dataclass(frozen=True)

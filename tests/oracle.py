@@ -8,7 +8,9 @@ coordinate-descent lasso iterated to its fixed point. The bodies are
 unchanged; only the first stage's cache lives here, keyed weakly by dataset,
 instead of on the dataset. ``load_csv_rows`` is ``proxsel.data_io.load_csv``
 as it was before clean files went through numpy's C parser: every file row
-by row, with ``csv``. Tests compare the library against these functions.
+by row, with ``csv``. ``take_rows`` and ``residual_project`` are the row
+subset and annihilator the library no longer needs. Tests compare the
+library against these functions.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from proxsel.exceptions import (
     RankDeficient,
     WeakProxyWarning,
 )
-from proxsel.linalg import as_matrix, as_vector, ols, orthonormal_basis
+from proxsel.linalg import as_matrix, as_vector, ols, orthonormal_basis, project
 
 DELTA_FLOOR = 1e-10
 ADAPTIVE_FLOOR = 1e-8
@@ -55,6 +57,18 @@ DEFAULT_MAX_SWEEPS = 100_000
 CV_FOLDS = 10
 CV_GRID_SIZE = 50
 CV_GRID_MIN_RATIO = 1e-3
+
+def take_rows(data: Dataset, idx: np.ndarray) -> Dataset:
+    """The rows ``idx`` of ``data`` as a new dataset."""
+    return Dataset(Y=data.Y[idx], D=data.D[idx], Z=data.Z[idx], W=data.W[idx],
+                   X=data.X[idx])
+
+
+def residual_project(design, target) -> np.ndarray:
+    """``target`` minus its projection onto ``design`` (the annihilator)."""
+    t = np.asarray(target, dtype=np.float64)
+    return t - project(design, t)
+
 
 def _read_only(owned: np.ndarray) -> np.ndarray:
     owned.flags.writeable = False
@@ -686,7 +700,7 @@ def subsample_ci(
             idx = np.sort(rng.choice(n, size=b, replace=False))
             try:
                 estimates[i] = estimate_invalid_tcp_ocp(
-                    data.take_rows(idx), config
+                    take_rows(data, idx), config
                 ).beta_hat
             except ProxselError:
                 n_failed += 1

@@ -20,9 +20,7 @@ import pytest
 from proxsel.cli import main
 from proxsel.estimators import (
     estimate_invalid_tcp,
-    kkt_violation,
     lasso_proximal,
-    lasso_solve,
     oracle_p2sls,
     post_adaptive_2sls,
 )
@@ -31,6 +29,7 @@ from proxsel.identification import (
     check_majority_rule,
     rip_constants,
 )
+from proxsel.lasso import kkt_violation, lasso_solve
 from proxsel.simulation import (
     SimConfig,
     SubsampleCiConfig,
@@ -125,12 +124,19 @@ def test_criterion_4_breakdown_cell_bias():
     """Breakdown regime: invalid OCPs outnumber valid ones (s_w=6 of 10).
 
     The gate demands a large negative bias (<= -1.0) for the median-over-
-    OCPs estimator in this cell.  The implementation measures roughly
-    -0.15 here: with 5 of 10 TCPs invalid the selection stage still
-    recovers most of the invalid set on typical draws, and the median over
-    per-OCP fits is dragged down but nowhere near -1.0.  The threshold is
-    kept as stated rather than loosened to match the implementation, so
-    this test FAILS by design and documents the gap.
+    OCPs estimator in this cell; the implementation measures about -0.15.
+    The cause is the data-generating process, not selection. With
+    ``W_k = c + U + xi_w D + e`` and ``Y`` loading on ``U`` with
+    ``confounder_loading_y``, ``E[Y | Z, D] = (beta - confounder_loading_y
+    xi_w) D + confounder_loading_y E[W_k | Z, D] + Z alpha + const``, so
+    an invalid OCP's refit converges to ``beta - confounder_loading_y
+    xi_w_invalid`` (bias -0.16 here) even on the true invalid TCP set
+    (``test_simulation.py::TestPopulationRefit`` checks this on the
+    population moments). With 6 of 10 OCPs invalid both middle order
+    statistics are invalid, so the median tends to -0.16 as well. The gate
+    is reachable only when ``confounder_loading_y * xi_w_invalid >= 1``.
+    It is kept as stated rather than loosened to match the implementation,
+    so this test FAILS and documents the gap.
     """
     config = SimConfig(
         n=2500, p_z=10, s_z=5, p_w=10, s_w=6, reps=100, seed=0

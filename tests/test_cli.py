@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from proxsel import cli
 from proxsel.cli import build_parser, main
 from proxsel.data_io import SchemaMap, load_csv, read_report
 from proxsel.estimators import (
@@ -17,9 +18,9 @@ from proxsel.estimators import (
     estimate_invalid_tcp_ocp,
     subsample_ci,
 )
-from proxsel.simulation import SimConfig, generate_invalid_tcp_ocp_data
+from proxsel.simulation import SimConfig, generate_invalid_tcp_ocp_data, run_monte_carlo
 
-from conftest import make_exact_dataset
+from conftest import make_exact_dataset, population_reduced_form
 
 
 def dataset_to_csv(path, data, tcp_names, ocp_names):
@@ -458,6 +459,74 @@ class TestEstimateCommand:
         assert not out.exists()
 
 
+@pytest.fixture
+def command_argv(multi_ocp_csv, tmp_path, monkeypatch):
+    """Each subcommand's arguments, without ``--out`` and ``--timing``, on
+    small inputs; ``reproduce`` runs one small Monte Carlo for its study."""
+    data_path, schema_path, _ = multi_ocp_csv
+    data = ["--data", str(data_path), "--schema", str(schema_path)]
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"n": 200, "p_z": 4, "s_z": 1, "reps": 3}), encoding="utf-8")
+    tiny = SimConfig(n=200, p_z=4, s_z=1, reps=3, y_noise_sd=1.0)
+    monkeypatch.setattr(cli, "run_study", lambda study, scale, seed: {
+        "cell": run_monte_carlo(tiny, ("ols",))
+    })
+    return {
+        "simulate": ["simulate", "--config", str(sim), "--methods", "ols"],
+        "reproduce": ["reproduce", "--study", "single_ocp_sz"],
+        "estimate": ["estimate", *data, "--mode", "single"],
+        "identify": ["identify", "--delta-tilde", "1,2,3,4", "--gamma-tilde", "1,2,3,8",
+                     "--invalid-bound", "3"],
+        "diagnose": ["diagnose", *data, "--invalid-set", "z1"],
+    }
+
+
+class TestFinishingACommand:
+    """``main`` times, writes and announces the report of every command."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_out_writes_the_report_and_announces_it_last(
+        self, command, command_argv, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        assert main([*command_argv[command], "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[-1] == f"report written to {out}"
+        assert stdout.count("report written to") == 1
+        report = read_report(str(out))
+        assert report.command == command
+        assert report.timing is None
+
+    @pytest.mark.parametrize("command", ["identify", "diagnose"])
+    def test_without_out_nothing_is_written_or_announced(
+        self, command, command_argv, tmp_path, capsys
+    ):
+        before = sorted(tmp_path.iterdir())
+        assert main(command_argv[command]) == 0
+        assert "report written" not in capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce", "estimate"])
+    def test_timing_flag_records_seconds(self, command, command_argv, tmp_path):
+        timed, untimed = tmp_path / "timed.json", tmp_path / "untimed.json"
+        assert main([*command_argv[command], "--out", str(timed), "--timing"]) == 0
+        assert main([*command_argv[command], "--out", str(untimed)]) == 0
+        assert isinstance(read_report(str(timed)).timing, float)
+        assert json.loads(untimed.read_text(encoding="utf-8"))["timing"] is None
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_out_into_a_missing_directory_fails_after_the_output(
+        self, command, command_argv, tmp_path, capsys
+    ):
+        out = tmp_path / "absent" / "report.json"
+        assert main([*command_argv[command], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: IoError: cannot write" in captured.err
+        assert captured.out.strip()
+        assert "report written" not in captured.out
+        assert not out.exists()
+
+
 class TestIdentifyCommand:
     def test_agreeing_vectors_identify(self, capsys):
         code = main(
@@ -500,6 +569,40 @@ class TestIdentifyCommand:
         assert subsets[(2, 3)] == pytest.approx(2.0)
         report = read_report(str(out))
         assert report.diagnostics["identification"]["identified"] is False
+
+    def test_no_consistent_subset_warns_of_a_vacuous_verdict(self, tmp_path, capsys):
+        # The benchmark's identify call on its median-ci CSV: no subset of
+        # estimated ratios agrees to the default 1e-6.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        tcp_names = [f"z{j}" for j in range(1, 11)]
+        ocp_names = [f"w{k}" for k in range(1, 11)]
+        data_path, schema_path = tmp_path / "study.csv", tmp_path / "schema.json"
+        dataset_to_csv(data_path, data, tcp_names, ocp_names)
+        write_schema(schema_path, tcp_names, ocp_names)
+        code = main(["identify", "--data", str(data_path), "--schema", str(schema_path),
+                     "--ocp", "w4", "--invalid-bound", "4"])
+        assert code == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["identified"] is True and payload["subsets"] == []
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+        assert '"identified": true holds vacuously' in warnings[0]
+        assert "statistical tolerance" in warnings[0]
+
+    def test_agreeing_population_vectors_do_not_warn(self, capsys):
+        delta, gamma = population_reduced_form(SimConfig(p_z=10, s_z=3))
+        code = main([
+            "identify", "--delta-tilde", ",".join(repr(float(v)) for v in delta[:10]),
+            "--gamma-tilde", ",".join(repr(float(v)) for v in gamma[:10]),
+            "--invalid-bound", "4",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["distinct_q_count"] == 1
+        assert captured.err == ""
 
     def test_vector_length_mismatch_exits_nonzero(self, capsys):
         code = main(

@@ -19,7 +19,6 @@ import oracle
 from proxsel import estimators as est
 from proxsel.estimators import Dataset, EstimationConfig, ProxyEstimate
 from proxsel.exceptions import AssumptionViolation, ProxselError
-from proxsel.linalg import residual_project
 from proxsel.simulation import SimConfig, generate_invalid_tcp_ocp_data
 
 RTOL = 1e-10
@@ -194,7 +193,7 @@ def subsample_problems(data, n_subsamples, seed, config=None):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, est.STREAM_SUBSAMPLE, i))
             )
-            sub = data.take_rows(np.sort(rng.choice(data.n, size=b, replace=False)))
+            sub = oracle.take_rows(data, np.sort(rng.choice(data.n, size=b, replace=False)))
             for j in range(data.p_w):
                 new = est._estimate(fit, s * data.p_w + j, b, config.alpha_level,
                                     "post_adaptive_2sls")
@@ -234,7 +233,7 @@ def test_covariance_form_is_the_n_row_reduced_design(seed, p_x, near_x, near_d, 
     ])
     data = Dataset(Y=d + z[:, 0] + rng.standard_normal(n), D=d, Z=z, W=w, X=x)
     red = est._reduced_design(est._core_of(data), np.zeros(3, dtype=int), np.arange(3))
-    zp = residual_project(np.column_stack([d, x, np.ones(n)]), z)
+    zp = oracle.residual_project(np.column_stack([d, x, np.ones(n)]), z)
     s_norm = np.linalg.norm(zp.T @ zp, 2)
     for j in range(3):
         try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from proxsel.data_io import (
     OcpRow,
     RunReport,
     SchemaMap,
-    config_to_dict,
     estimate_to_dict,
     load_csv,
     monte_carlo_to_dict,
@@ -520,7 +520,7 @@ class TestConfigParsing:
             EstimationConfig(lambda_n=12.5, alpha_level=0.1),
         ):
             kind = "sim" if isinstance(cfg, SimConfig) else "estimation"
-            text = json.dumps(config_to_dict(cfg))
+            text = json.dumps(dataclasses.asdict(cfg))
             assert parse_config(config_file(tmp_path, text), kind) == cfg
 
 

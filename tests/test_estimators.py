@@ -42,7 +42,7 @@ from proxsel.exceptions import (
     RankDeficient,
     WeakProxyWarning,
 )
-from proxsel.linalg import ols, residual_project
+from proxsel.linalg import ols
 from proxsel.simulation import (
     SimConfig,
     generate_invalid_tcp_data,
@@ -50,6 +50,7 @@ from proxsel.simulation import (
 )
 
 from conftest import make_exact_dataset, population_first_stage
+from oracle import residual_project, take_rows
 
 BLOCK = estimators_module._SUBSAMPLE_BLOCK
 
@@ -634,7 +635,7 @@ class TestSubsampleCi:
                 np.random.SeedSequence((3, STREAM_SUBSAMPLE, i))
             )
             idx = np.sort(rng.choice(data.n, size=b, replace=False))
-            sub = estimate_invalid_tcp_ocp(data.take_rows(idx), config)
+            sub = estimate_invalid_tcp_ocp(take_rows(data, idx), config)
             estimates.append(sub.beta_hat)
         estimates = np.array(estimates)
         interval = subsample_ci(
@@ -667,7 +668,7 @@ class TestSubsampleCi:
                 np.random.SeedSequence((8, STREAM_SUBSAMPLE, i))
             )
             idx = np.sort(rng.choice(data.n, size=b, replace=False))
-            estimates.append(estimate_invalid_tcp_ocp(data.take_rows(idx)).beta_hat)
+            estimates.append(estimate_invalid_tcp_ocp(take_rows(data, idx)).beta_hat)
         expected = np.quantile(estimates, [0.025, 0.975])
         interval = subsample_ci(data, n_subsamples=n_subsamples, seed=8)
         np.testing.assert_allclose(interval, expected, rtol=1e-12, atol=0)

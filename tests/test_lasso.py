@@ -20,7 +20,8 @@ from proxsel.estimators import (
     select_lambda,
 )
 from proxsel.exceptions import InvalidBound, NoConvergence
-from proxsel.lasso import KKT_TOL, lasso_batch
+from proxsel.lasso import KKT_TOL, lasso_gram
+from proxsel.linalg import inner, matvec, swap
 from proxsel.simulation import (
     SimConfig,
     generate_invalid_tcp_data,
@@ -184,7 +185,9 @@ class TestLassoSolve:
         dup = x.copy()
         dup[:, 1] = dup[:, 0]
         thresh = lam * np.stack([np.ones(12), w])
-        sols, errors = lasso_batch(np.stack([dup, x]), np.stack([y, y]), thresh)
+        xs, ys = np.stack([dup, x]), np.stack([y, y])
+        sols, errors = lasso_gram(swap(xs) @ xs, matvec(swap(xs), ys), inner(ys, ys),
+                                  thresh, lambda i: (xs[i], ys[i]))
         for i, design in enumerate((dup, x)):
             if errors[i] is None:
                 assert kkt_violation(design, y, sols[i], 1.0, thresh[i]) <= KKT_TOL

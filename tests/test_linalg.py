@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsel.exceptions import RankDeficient
-from proxsel.linalg import (
-    ols,
-    orthonormal_basis,
-    project,
-    residual_project,
-)
+from proxsel.linalg import ols, orthonormal_basis, project
 
 
 class TestProject:
@@ -65,39 +60,6 @@ class TestProject:
         assert project(design, u) @ v == pytest.approx(
             u @ project(design, v), abs=1e-10
         )
-
-
-class TestResidualProject:
-    def test_removes_span_component(self):
-        design = np.array([[1.0], [0.0]])
-        target = np.array([3.0, 4.0])
-        np.testing.assert_allclose(
-            residual_project(design, target), [0.0, 4.0]
-        )
-
-    def test_orthogonal_target_unchanged(self):
-        design = np.array([[1.0], [0.0], [0.0]])
-        target = np.array([0.0, 2.0, -1.0])
-        np.testing.assert_allclose(
-            residual_project(design, target), target, atol=1e-12
-        )
-
-    def test_additive_decomposition(self):
-        rng = np.random.default_rng(3)
-        design = rng.standard_normal((9, 4))
-        target = rng.standard_normal(9)
-        recon = project(design, target) + residual_project(design, target)
-        np.testing.assert_allclose(recon, target, atol=1e-10)
-
-    def test_pythagorean_split(self):
-        rng = np.random.default_rng(4)
-        design = rng.standard_normal((30, 5))
-        target = rng.standard_normal(30)
-        fit = project(design, target)
-        resid = residual_project(design, target)
-        lhs = float(target @ target)
-        rhs = float(fit @ fit) + float(resid @ resid)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 class TestOrthonormalBasis:

@@ -131,6 +131,36 @@ class TestGenerator:
         assert data.p_x == 0
 
 
+class TestPopulationRefit:
+    """Why criterion 4's median sits near ``beta - 0.16``, not below -1.
+
+    ``W_k = c + U + xi_w D + e_k`` and ``Y`` loads on ``U`` with
+    ``confounder_loading_y``, so ``E[W_k | Z, D] = c + E[U | Z, D] + xi_w
+    D`` and ``E[Y | Z, D] = (beta - confounder_loading_y xi_w) D +
+    confounder_loading_y E[W_k | Z, D] + Z alpha + const`` exactly. The
+    population refit of Y on (D, the invalid TCPs, fitted ``W_k``) therefore
+    converges to ``beta - confounder_loading_y xi_w_invalid`` for an invalid
+    OCP, even with the true invalid TCP set, and to ``beta`` for a valid one.
+    """
+
+    @pytest.mark.parametrize("xi_w, loading", [(0.8, 0.2), (3.0, 0.4)])
+    def test_an_invalid_ocp_shifts_the_refit_by_its_confounding(self, xi_w, loading):
+        config = SimConfig(n=2500, p_z=10, s_z=5, p_w=10, s_w=6,
+                           xi_w_invalid=xi_w, confounder_loading_y=loading)
+        pm = PopulationMoments(config)
+        m = np.vstack([pm.loadings["Z"], pm.loadings["D"]])
+        for k in range(config.p_w):
+            delta = np.linalg.solve(pm.cov(m, m), pm.cov(m, pm.loadings["W"][k]))
+            regressors = np.vstack(
+                [pm.loadings["D"], pm.loadings["Z"][: config.s_z], delta.T @ m]
+            )
+            coef = np.linalg.solve(
+                pm.cov(regressors, regressors), pm.cov(regressors, pm.loadings["Y"])
+            )
+            shift = loading * xi_w if k < config.s_w else 0.0
+            assert abs(coef[0, 0] - (config.beta_true - shift)) <= 1e-10, k
+
+
 class TestRunMonteCarlo:
     def test_report_structure_and_determinism(self):
         config = SimConfig(n=200, p_z=4, s_z=1, reps=5, y_noise_sd=1.0)

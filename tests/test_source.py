@@ -2,7 +2,9 @@
 
 No lint tool runs with the tests, so an import that nothing uses is caught
 here: every name a module imports is used in it, listed in its ``__all__``,
-or imported on a line marked ``# noqa: F401``.
+or imported on a line marked ``# noqa: F401``. So is dead code: every
+method, and every ``_private`` module-level function, is referred to
+somewhere in the package outside its own body.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -27,7 +30,7 @@ EXPORTED = (
     "InvalidBound", "AssumptionViolation", "SingularBlock", "NoConvergence",
     "DegenerateTreatment", "AggregateFailure", "MissingColumn", "ParseError",
     "EmptyAfterFiltering", "ConfigError", "IoError", "WeakProxyWarning",
-    "OlsFit", "project", "residual_project", "ols", "orthonormal_basis",
+    "OlsFit", "project", "ols", "orthonormal_basis",
     "IdentificationReport", "DiagnosticReport", "check_majority_rule",
     "check_identification", "irrepresentable_diagnostic", "rip_constants",
     "rip_recovery_margin",
@@ -68,6 +71,50 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_functions(sources: Sequence[str]) -> list[str]:
+    """Methods (dunders aside) and ``_private`` module-level functions of
+    ``sources`` whose name no code in ``sources`` uses outside their own
+    body, as a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    uses = [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    defs = [node for tree in trees for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    defs += [node for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    dead = []
+    for fn in defs:
+        if fn.name.startswith("__"):
+            continue
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(
+            getattr(node, "id", getattr(node, "attr", None)) == fn.name
+            and id(node) not in own
+            for node in uses
+        ):
+            dead.append(f"line {fn.lineno}: {fn.name}")
+    return dead
+
+
+def test_every_private_function_and_method_is_used():
+    assert unreferenced_functions([p.read_text(encoding="utf-8") for p in SOURCES]) == []
+
+
+def test_the_guard_finds_an_unreferenced_function():
+    source = (
+        "def _used(): return 1\n"
+        "def _unused(): return _unused()\n"
+        "def public(): return _used()\n"
+        "class C:\n"
+        "    def __init__(self): self.m()\n"
+        "    def m(self): return 0\n"
+        "    def orphan(self): return 0\n"
+    )
+    assert unreferenced_functions([source]) == ["line 2: _unused", "line 7: orphan"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -90,7 +137,7 @@ def test_public_names_are_listed_once():
 
 
 def test_every_previously_exported_name_is_still_exported():
-    assert len(set(EXPORTED)) == 67
+    assert len(set(EXPORTED)) == 66
     assert sorted(set(EXPORTED) - set(proxsel.__all__)) == []
 
 
