@@ -336,6 +336,18 @@ def _core_of(data: Dataset) -> _Core:
     return data._core
 
 
+def _factor_datasets(datasets: Sequence[Dataset], keep_rows: bool = False) -> _Core:
+    """One :func:`_factor` call over equal-shape datasets; each dataset's
+    cache takes its slice, the same ``R`` its own factor would be."""
+    core = _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
+    for i, data in enumerate(datasets):
+        one = slice(i, i + 1)
+        object.__setattr__(data, "_core", core._replace(
+            r=core.r[one], coef=core.coef[one], fail=core.fail[one],
+            y_sd=core.y_sd[one], q=None, y=None))
+    return core
+
+
 def _is_cv(config: EstimationConfig) -> bool:
     return config.lambda_n is None and config.lambda_mode == "cv"
 
@@ -899,11 +911,12 @@ def default_subsample_size(n: int) -> int:
     return int(math.floor(n ** 0.8))
 
 
-# Subsamples factored and fitted in one stack by subsample_ci. On 200
-# subsamples of n = 2500 rows with 10 TCPs and 10 OCPs (one BLAS thread,
-# numpy 2.4, 2 vCPUs), blocks of 20 take 121 ms and peak at 1.6 MB of
-# Python heap; blocks of 10 take 146 ms (1.05 MB), one at a time 433 ms
-# (0.69 MB) and one stack of all 200 103 ms (11.4 MB).
+# Subsamples factored and fitted in one stack by subsample_ci (and
+# replications by simulation.run_monte_carlo). On 200 subsamples of
+# n = 2500 rows with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4,
+# 2 vCPUs), blocks of 20 take 121 ms and peak at 1.6 MB of Python heap;
+# blocks of 10 take 146 ms (1.05 MB), one at a time 433 ms (0.69 MB) and
+# one stack of all 200 103 ms (11.4 MB).
 _SUBSAMPLE_BLOCK = 20
 
 

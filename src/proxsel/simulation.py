@@ -8,14 +8,17 @@ treatment. All noise scales are standard deviations.
 
 ``run_monte_carlo`` evaluates named estimation methods over independent
 replications and reports coverage / interval length / bias / SE / RMSE per
-method; ``run_study`` packages the benchmark grids (sample-size sweeps,
-invalid-count sweeps, and the two-sided invalid grid) at a quick "desk"
-scale or the heavier "full" scale.
+method. It fits blocks of up to 20 replications at a time, each block with
+one stacked factorization and each closed-form method as one stack of
+per-replication problems. ``run_study`` packages the benchmark grids
+(sample-size sweeps, invalid-count sweeps, and the two-sided invalid grid)
+at a quick "desk" scale or the heavier "full" scale.
 
 Determinism: replication ``r`` draws from a dedicated RNG stream keyed by
 ``(seed, STREAM_DATASET, r)``, and subsampling inside replication ``r`` is
-keyed by a seed derived from ``(seed, STREAM_REP_SEED, r)``. Reports are
-therefore bit-reproducible from the config alone.
+keyed by a seed derived from ``(seed, STREAM_REP_SEED, r)``. Every problem
+of a stack is computed on its own, so reports are bit-reproducible from the
+config alone and do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -27,15 +30,24 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import (
+    _SUBSAMPLE_BLOCK,
     Dataset,
     EstimationConfig,
-    estimate_invalid_tcp,
+    _estimate,
+    _factor_datasets,
+    _first_stage_error,
+    _is_cv,
+    _keep,
+    _pipeline,
+    _refit,
     estimate_invalid_tcp_ocp,
-    naive_p2sls,
-    ols_baseline,
-    oracle_p2sls,
     subsample_ci,
 )
+
+# Unused here, but the benchmark's traced runs wrap these names in this
+# module (bench/workloads.py), so they stay bound.
+from .estimators import estimate_invalid_tcp, naive_p2sls  # noqa: F401
+from .estimators import ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
 
 __all__ = [
@@ -240,52 +252,82 @@ def _oracle_ocp_index(config: SimConfig) -> int:
     return config.s_w if config.s_w < config.p_w else 0
 
 
-def _run_method(
-    name: str,
+def _closed_form(core, name: str, config: SimConfig, est_config: EstimationConfig):
+    """The refit of closed-form method ``name`` on every dataset of
+    ``core``, one problem each: the fit of ``estimate_invalid_tcp(data, 0)``,
+    ``oracle_p2sls`` with the true invalid set, ``naive_p2sls`` or
+    ``ols_baseline``, with each problem's first error."""
+    ds = np.arange(len(core.fail))
+    if name == "adaptive":
+        return _pipeline(core, ds, np.zeros_like(ds), est_config, True)
+    sel = np.zeros((ds.size, config.p_z), dtype=bool)
+    if name == "oracle":
+        sel[:, : config.s_z] = True
+        ocps = [_oracle_ocp_index(config)]
+    else:  # naive enters every fitted OCP column; ols none
+        ocps = range(config.p_w) if name == "naive" else []
+    fit = _refit(core, ds, sel, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
+    errors = _first_stage_error(core, ds)
+    _keep(errors, fit.errors)
+    return fit._replace(errors=errors)
+
+
+def _median_adaptive(
     data: Dataset,
     config: SimConfig,
     est_config: EstimationConfig,
     ci_config: SubsampleCiConfig | None,
     rep_index: int,
 ) -> tuple[float, float, float]:
-    """One method on one replication; returns (estimate, ci_lower, ci_upper)."""
-    if name == "adaptive":
-        est = estimate_invalid_tcp(data, 0, est_config)
-    elif name == "median_adaptive":
-        est = estimate_invalid_tcp_ocp(data, est_config)
-        if ci_config is not None:
-            sub_seed = int(
-                np.random.SeedSequence(
-                    (int(config.seed), STREAM_REP_SEED, int(rep_index))
-                ).generate_state(1)[0]
-            )
-            lo, hi = subsample_ci(
-                data,
-                est_config,
-                n_subsamples=ci_config.n_subsamples,
-                b=ci_config.b,
-                seed=sub_seed,
-                recenter=ci_config.recenter,
-                center=est.beta_hat,
-            )
-            return est.beta_hat, lo, hi
+    """The median aggregate on one replication, with its subsampling
+    interval when ``ci_config`` is given; returns (estimate, lower, upper)."""
+    est = estimate_invalid_tcp_ocp(data, est_config)
+    if ci_config is None:
         return est.beta_hat, math.nan, math.nan
-    elif name == "oracle":
-        est = oracle_p2sls(
-            data,
-            tuple(range(config.s_z)),
-            alpha_level=est_config.alpha_level,
-            ocp_index=_oracle_ocp_index(config),
-        )
-    elif name == "naive":
-        est = naive_p2sls(
-            data,
-            ocp_index=0 if config.p_w == 1 else None,
-            alpha_level=est_config.alpha_level,
-        )
-    elif name == "ols":
-        est = ols_baseline(data, alpha_level=est_config.alpha_level)
-    return est.beta_hat, est.ci_lower, est.ci_upper
+    sub_seed = int(
+        np.random.SeedSequence(
+            (int(config.seed), STREAM_REP_SEED, int(rep_index))
+        ).generate_state(1)[0]
+    )
+    lo, hi = subsample_ci(
+        data,
+        est_config,
+        n_subsamples=ci_config.n_subsamples,
+        b=ci_config.b,
+        seed=sub_seed,
+        recenter=ci_config.recenter,
+        center=est.beta_hat,
+    )
+    return est.beta_hat, lo, hi
+
+
+def _fit_block(
+    block: range,
+    methods: Sequence[str],
+    config: SimConfig,
+    est_config: EstimationConfig,
+    ci_config: SubsampleCiConfig | None,
+):
+    """Yield ``(method, r, (estimate, lower, upper))``, or ``(method, r,
+    error)`` for a failed fit, for every method and replication ``r`` of
+    ``block``; the block's datasets and factors go with the generator."""
+    datasets = [generate_invalid_tcp_ocp_data(config, r) for r in block]
+    # Only the adaptive stack's cv folds need the n rows of Q.
+    core = _factor_datasets(datasets, _is_cv(est_config) and "adaptive" in methods)
+    for m in methods:
+        if m == "median_adaptive":
+            for r, data in zip(block, datasets):
+                try:
+                    out = _median_adaptive(data, config, est_config, ci_config, r)
+                except ProxselError as exc:
+                    out = exc
+                yield m, r, out
+            continue
+        fit = _closed_form(core, m, config, est_config)
+        for i, r in enumerate(block):
+            est = _estimate(fit, i, config.n, est_config.alpha_level, m)
+            yield m, r, (est if isinstance(est, ProxselError)
+                         else (est.beta_hat, est.ci_lower, est.ci_upper))
 
 
 def run_monte_carlo(
@@ -304,9 +346,13 @@ def run_monte_carlo(
     than 10% of its replications. ``ci_config`` controls the subsampling
     interval of the ``median_adaptive`` method; without it that method
     reports NaN coverage and length (point metrics are unaffected).
-    Replications run serially, each on its own counter-keyed RNG stream;
-    ``n_jobs`` is accepted for compatibility, must be at least 1 and has no
-    effect.
+    Replications are drawn, each on its own counter-keyed RNG stream, and
+    fitted in blocks of up to 20: one stacked factorization per block, and
+    one stacked fit per closed-form method (``adaptive``, ``oracle``,
+    ``naive``, ``ols``); ``median_adaptive`` and its interval run per
+    replication, on the replication's slice of its block's factor. The
+    report does not depend on the blocking. ``n_jobs`` is accepted for
+    compatibility, must be at least 1 and has no effect.
     """
     est_config = est_config or EstimationConfig()
     for name in methods:
@@ -321,15 +367,13 @@ def run_monte_carlo(
     lo = {m: np.full(reps, math.nan) for m in methods}
     hi = {m: np.full(reps, math.nan) for m in methods}
     failed = {m: 0 for m in methods}
-    for r in range(reps):
-        data = generate_invalid_tcp_ocp_data(config, r)
-        for m in methods:
-            try:
-                beta[m][r], lo[m][r], hi[m][r] = _run_method(
-                    m, data, config, est_config, ci_config, r
-                )
-            except ProxselError:
+    for first in range(0, reps, _SUBSAMPLE_BLOCK):
+        block = range(first, min(first + _SUBSAMPLE_BLOCK, reps))
+        for m, r, out in _fit_block(block, methods, config, est_config, ci_config):
+            if isinstance(out, ProxselError):
                 failed[m] += 1
+            else:
+                beta[m][r], lo[m][r], hi[m][r] = out
 
     rows: dict[str, MethodMetrics] = {}
     for m in methods:

@@ -9,8 +9,11 @@ unchanged; only the first stage's cache lives here, keyed weakly by dataset,
 instead of on the dataset. ``load_csv_rows`` is ``proxsel.data_io.load_csv``
 as it was before clean files went through numpy's C parser: every file row
 by row, with ``csv``. ``take_rows`` and ``residual_project`` are the row
-subset and annihilator the library no longer needs. Tests compare the
-library against these functions.
+subset and annihilator the library no longer needs.
+``run_monte_carlo_serial`` is ``proxsel.simulation.run_monte_carlo`` as it
+was before replications were fitted in blocks: one replication at a time,
+each method through the library's public single-dataset entry point. Tests
+compare the library against these functions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from proxsel import estimators as library
+from proxsel import simulation
 from proxsel.data_io import MISSING_TOKENS, LoadResult, SchemaMap
 from proxsel.estimators import (
     STREAM_SUBSAMPLE,
@@ -874,3 +879,100 @@ def load_csv_rows(
         X=x,
     )
     return LoadResult(dataset=dataset, n_rows_read=n_read, n_rows_dropped=n_dropped)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo, one replication at a time
+# ---------------------------------------------------------------------------
+
+
+def _run_method(
+    name: str,
+    data: Dataset,
+    config: simulation.SimConfig,
+    est_config: EstimationConfig,
+    ci_config: simulation.SubsampleCiConfig | None,
+    rep_index: int,
+) -> tuple[float, float, float]:
+    """One method on one replication; returns (estimate, ci_lower, ci_upper)."""
+    if name == "adaptive":
+        est = library.estimate_invalid_tcp(data, 0, est_config)
+    elif name == "median_adaptive":
+        est = library.estimate_invalid_tcp_ocp(data, est_config)
+        if ci_config is not None:
+            sub_seed = int(
+                np.random.SeedSequence(
+                    (int(config.seed), simulation.STREAM_REP_SEED, int(rep_index))
+                ).generate_state(1)[0]
+            )
+            lo, hi = library.subsample_ci(
+                data,
+                est_config,
+                n_subsamples=ci_config.n_subsamples,
+                b=ci_config.b,
+                seed=sub_seed,
+                recenter=ci_config.recenter,
+                center=est.beta_hat,
+            )
+            return est.beta_hat, lo, hi
+        return est.beta_hat, math.nan, math.nan
+    elif name == "oracle":
+        est = library.oracle_p2sls(
+            data,
+            tuple(range(config.s_z)),
+            alpha_level=est_config.alpha_level,
+            ocp_index=simulation._oracle_ocp_index(config),
+        )
+    elif name == "naive":
+        est = library.naive_p2sls(
+            data,
+            ocp_index=0 if config.p_w == 1 else None,
+            alpha_level=est_config.alpha_level,
+        )
+    elif name == "ols":
+        est = library.ols_baseline(data, alpha_level=est_config.alpha_level)
+    return est.beta_hat, est.ci_lower, est.ci_upper
+
+
+def run_monte_carlo_serial(
+    config: simulation.SimConfig,
+    methods: Sequence[str] = ("adaptive", "oracle", "naive", "ols"),
+    ci_config: simulation.SubsampleCiConfig | None = None,
+    est_config: EstimationConfig | None = None,
+) -> simulation.MonteCarloReport:
+    """Evaluate the named methods over ``config.reps`` fresh replications,
+    one replication and one method at a time."""
+    est_config = est_config or EstimationConfig()
+    reps = config.reps
+    beta = {m: np.full(reps, math.nan) for m in methods}
+    lo = {m: np.full(reps, math.nan) for m in methods}
+    hi = {m: np.full(reps, math.nan) for m in methods}
+    failed = {m: 0 for m in methods}
+    for r in range(reps):
+        data = simulation.generate_invalid_tcp_ocp_data(config, r)
+        for m in methods:
+            try:
+                beta[m][r], lo[m][r], hi[m][r] = _run_method(
+                    m, data, config, est_config, ci_config, r
+                )
+            except ProxselError:
+                failed[m] += 1
+
+    rows = {}
+    for m in methods:
+        if failed[m] > 0.1 * reps:
+            raise AggregateFailure(
+                f"method {m!r} failed on {failed[m]} of {reps} replications "
+                f"(more than 10%)",
+                n_failed=failed[m],
+                n_total=reps,
+            )
+        rows[m] = simulation._summarize(
+            beta[m], lo[m], hi[m], config.beta_true, failed[m]
+        )
+    return simulation.MonteCarloReport(
+        methods=rows,
+        reps=reps,
+        n_failed=sum(failed.values()),
+        config=config,
+    )

@@ -673,6 +673,29 @@ class TestSubsampleCi:
         interval = subsample_ci(data, n_subsamples=n_subsamples, seed=8)
         np.testing.assert_allclose(interval, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
+    @pytest.mark.parametrize("n, b", [
+        (400, None),  # numpy's Floyd branch
+        (10_050, 150),  # n > 10 000, b <= n // 50: Floyd
+        (10_050, 400),  # n // 50 < b <= n // 20: tail shuffle
+        (10_050, 600),  # b > n // 20: tail shuffle
+    ])
+    def test_subsamples_are_the_shuffled_draws_sorted(self, n, b):
+        # Generator.choice(..., shuffle=False) moves numpy's switch from Floyd
+        # to the tail shuffle from b > n // 50 to b > n // 20, so for n > 10 000
+        # it draws other rows in between, though each draw is sorted anyway.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=n, p_z=6, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0), 2
+        )
+        size = default_subsample_size(n) if b is None else b
+        estimates = []
+        for i in range(5):
+            rng = np.random.default_rng(np.random.SeedSequence((8, STREAM_SUBSAMPLE, i)))
+            idx = np.sort(rng.choice(n, size=size, replace=False))
+            estimates.append(estimate_invalid_tcp_ocp(take_rows(data, idx)).beta_hat)
+        expected = tuple(np.quantile(estimates, [0.025, 0.975]))
+        assert subsample_ci(data, n_subsamples=5, b=b, seed=8) == expected
+
     def test_blocks_keep_a_small_working_set(self):
         # The median-ci design: 200 subsamples of 2500 rows, 10 TCPs, 10 OCPs.
         data = generate_invalid_tcp_ocp_data(

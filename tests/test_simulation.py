@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from proxsel.simulation import (
 )
 
 from conftest import PopulationMoments
+from oracle import run_monte_carlo_serial
 
 
 def assert_metrics_equal(a: MonteCarloReport, b: MonteCarloReport) -> None:
@@ -267,6 +271,107 @@ class TestRunMonteCarlo:
         assert report.methods["adaptive"].coverage >= 0.8
         assert report.methods["oracle"].coverage >= 0.8
         assert abs(report.methods["adaptive"].bias) < 0.05
+
+
+def run_recorded(run, config, methods, ci_config=None, est_config=None):
+    """A run's report, every float as its exact bits (NaN-aware), or its
+    error; and the multiset of the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = run(config, methods, ci_config, est_config)
+            result = (report.reps, report.n_failed, report.config, {
+                name: tuple(v.hex() if isinstance(v, float) else v
+                            for v in dataclasses.astuple(metrics))
+                for name, metrics in report.methods.items()
+            })
+        except AggregateFailure as exc:
+            result = (type(exc), str(exc), exc.n_failed, exc.n_total)
+    return result, Counter((w.category, str(w.message)) for w in caught)
+
+
+class TestBlockedReplications:
+    """Replications are fitted in blocks of 20 as stacks; the report and
+    warnings must be those of one replication and one method at a time."""
+
+    CELLS = {  # SimConfig fields, methods, subsampling, estimation config
+        "p_w=1": (dict(n=200, p_z=4, s_z=1, y_noise_sd=1.0), METHOD_NAMES, None, None),
+        "criterion-1 design": (dict(n=300, p_z=10, s_z=3), METHOD_NAMES, None, None),
+        "p_w=3, interval": (dict(n=200, p_z=6, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0),
+                            METHOD_NAMES, SubsampleCiConfig(n_subsamples=8), None),
+        "p_w=3, recentred": (dict(n=200, p_z=6, s_z=2, p_w=3, s_w=1), METHOD_NAMES,
+                             SubsampleCiConfig(n_subsamples=8, recenter=True), None),
+        # every TCP invalid: each oracle refit is rank-deficient
+        "failing oracle": (dict(n=100, p_z=4, s_z=4), ("adaptive", "oracle"), None, None),
+        # OCP coefficients near DELTA_FLOOR: some replications fail relevance
+        "relevance failures": (dict(n=100, p_z=4, s_z=1, y_noise_sd=1.0, u_sd=1e-12,
+                                    w_noise_sd=6e-8), METHOD_NAMES, None, None),
+    }
+
+    @pytest.mark.parametrize("reps", [1, 19, 20, 21, 43])
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_blocks_give_the_one_at_a_time_report(self, cell, reps):
+        fields, methods, ci_config, est_config = self.CELLS[cell]
+        config = SimConfig(**fields, reps=reps, seed=reps)
+        args = (config, methods, ci_config, est_config)
+        assert run_recorded(run_monte_carlo, *args) == run_recorded(
+            run_monte_carlo_serial, *args)
+
+    def test_cv_mode_gives_the_one_at_a_time_report(self):
+        config = SimConfig(n=200, p_z=6, s_z=2, y_noise_sd=1.0, reps=5)
+        args = (config, METHOD_NAMES, None, EstimationConfig(lambda_mode="cv"))
+        assert run_recorded(run_monte_carlo, *args) == run_recorded(
+            run_monte_carlo_serial, *args)
+
+    def test_the_grid_exercises_failures_and_warnings(self):
+        def run(cell, reps):
+            fields, methods, ci_config, est_config = self.CELLS[cell]
+            return run_recorded(run_monte_carlo, SimConfig(**fields, reps=reps, seed=reps),
+                                methods, ci_config, est_config)
+
+        _, caught = run("criterion-1 design", 43)
+        assert caught and {category for category, _ in caught} == {WeakProxyWarning}
+        failure, _ = run("failing oracle", 21)
+        assert failure[0] is AggregateFailure and failure[2] == 21
+        (_, n_failed, _, methods), _ = run("relevance failures", 43)
+        assert 0 < n_failed == sum(m[-1] for m in methods.values())
+
+    def test_one_factorization_per_block(self, monkeypatch):
+        calls = []
+        factor = estimators._factor
+
+        def counting_factor(data, stack, keep_rows=False):
+            stack = list(stack)
+            calls.append([a.shape for a in stack])
+            return factor(data, stack, keep_rows)
+
+        monkeypatch.setattr(estimators, "_factor", counting_factor)
+        config = SimConfig(n=300, p_z=5, s_z=2, reps=4, y_noise_sd=1.0)
+        run_monte_carlo(config, ("adaptive", "oracle", "naive", "ols"))
+        # A = [Z, D, X, 1, W, Y] has 5 + 1 + 0 + 1 + 1 + 1 columns
+        assert calls == [[(300, 9)] * 4]
+        calls.clear()
+        # the median reuses each replication's slice of its block's factor
+        run_monte_carlo(SimConfig(n=300, p_z=5, s_z=2, reps=45), METHOD_NAMES)
+        assert [len(c) for c in calls] == [20, 20, 5]
+
+    def test_the_working_set_grows_with_the_block_not_the_replications(self):
+        # 200 replications of 300 rows x 22 columns would hold about 10 MB
+        # of datasets and factors at once; one block of 20 holds a tenth.
+        methods = ("adaptive", "oracle", "naive", "ols")
+        fields = dict(n=300, p_z=10, s_z=3, p_w=10, s_w=3)
+        run_monte_carlo(SimConfig(**fields, reps=1), methods)  # warm-up
+        peaks = []
+        for reps in (20, 200):
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", WeakProxyWarning)
+                    run_monte_carlo(SimConfig(**fields, reps=reps), methods)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestRunStudy:
