@@ -255,8 +255,8 @@ class EstimationConfig:
             raise InvalidBound(
                 f"alpha_level must lie in (0, 1), got {self.alpha_level}"
             )
-        if self.adaptive_floor <= 0:
-            raise InvalidBound("adaptive_floor must be positive")
+        if not 0 < self.adaptive_floor < math.inf:
+            raise InvalidBound("adaptive_floor must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +270,10 @@ def _solve(a: np.ndarray, b: np.ndarray, ok) -> np.ndarray:
 
 
 def _augmented(data: Dataset) -> np.ndarray:
-    """``A = [Z, D, X, 1, W, Y]``: every stage depends on the data only
-    through it, and a subsample through its rows of it."""
-    ones = np.ones((data.n, 1))
-    return np.hstack([data.Z, data.D[:, None], data.X, ones, data.W, data.Y[:, None]])
+    """``A = [Z, D, X, 1, W, Y]``, column-major as LAPACK takes it: every
+    stage depends on the data only through it, a subsample on its rows."""
+    a = np.column_stack([data.Z, data.D, data.X, np.ones(data.n), data.W, data.Y])
+    return np.asfortranarray(a)
 
 
 class _Core(NamedTuple):
@@ -338,13 +338,14 @@ def _core_of(data: Dataset) -> _Core:
 
 def _factor_datasets(datasets: Sequence[Dataset], keep_rows: bool = False) -> _Core:
     """One :func:`_factor` call over equal-shape datasets; each dataset's
-    cache takes its slice, the same ``R`` its own factor would be."""
+    cache takes its slice (and its n rows for ``keep_rows``): its own ``R``."""
     core = _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
     for i, data in enumerate(datasets):
         one = slice(i, i + 1)
+        rows = dict(q=core.q[one], y=core.y[one]) if keep_rows else {}
         object.__setattr__(data, "_core", core._replace(
             r=core.r[one], coef=core.coef[one], fail=core.fail[one],
-            y_sd=core.y_sd[one], q=None, y=None))
+            y_sd=core.y_sd[one], **rows))
     return core
 
 
@@ -354,13 +355,14 @@ def _is_cv(config: EstimationConfig) -> bool:
 
 def _single(data: Dataset, ocps=(), keep_rows: bool = False) -> _Core:
     """The factor of ``data`` alone once the OCP indices ``ocps`` are in
-    range: the cached one, or for ``keep_rows`` (cv folds) one that keeps the
-    n rows (the same ``R``: both come from one LAPACK factorization). A
-    failed first stage is left to each caller's error order."""
+    range: the cached one, also for ``keep_rows`` (cv folds) if it kept the n
+    rows, else a new one that does (the same ``R``: both come from one LAPACK
+    factorization). A failed first stage is left to each caller's error order."""
     for k in ocps:
         if not 0 <= int(k) < data.p_w:
             raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
-    return _factor(data, [_augmented(data)], True) if keep_rows else _core_of(data)
+    new = keep_rows and getattr(data._core, "q", None) is None
+    return _factor(data, [_augmented(data)], True) if new else _core_of(data)
 
 
 def _check(error: ProxselError | None) -> None:
@@ -385,8 +387,8 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     core = _single(data, [ocp_index])
     _check(_first_stage_error(core, _one(0))[0])
     coef = core.coef[0]
-    return FirstStage(
-        what=_augmented(data)[:, : core.m] @ coef[:, ocp_index],
+    return FirstStage(  # what from C order: a column-major product rounds differently
+        what=np.ascontiguousarray(_augmented(data)[:, : core.m]) @ coef[:, ocp_index],
         gamma_hat_vec=coef[: data.p_z, -1].copy(),
         delta_hat_vec=coef[: data.p_z, ocp_index].copy(),
     )
@@ -914,9 +916,9 @@ def default_subsample_size(n: int) -> int:
 # Subsamples factored and fitted in one stack by subsample_ci (and
 # replications by simulation.run_monte_carlo). On 200 subsamples of
 # n = 2500 rows with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4,
-# 2 vCPUs), blocks of 20 take 121 ms and peak at 1.6 MB of Python heap;
-# blocks of 10 take 146 ms (1.05 MB), one at a time 433 ms (0.69 MB) and
-# one stack of all 200 103 ms (11.4 MB).
+# 2 vCPUs), blocks of 20 take 101 ms and peak at 1.45 MB of Python heap;
+# blocks of 10 take 117 ms (1.00 MB), one at a time 401 ms (0.94 MB) and
+# one stack of all 200 72 ms (9.8 MB).
 _SUBSAMPLE_BLOCK = 20
 
 
@@ -933,7 +935,8 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
             ).choice(data.n, size=b, replace=False))
             for i in block
         ]
-        core = _factor(data, (a[idx] for idx in draws), _is_cv(config))
+        # each subsample's rows of A, column-major like A
+        core = _factor(data, (np.take(a.T, i, axis=1).T for i in draws), _is_cv(config))
         yield block, _pipeline(core, np.repeat(np.arange(len(block)), p_w),
                                np.tile(np.arange(p_w), len(block)), config, False)
 

@@ -4,17 +4,18 @@ Every selection problem in the package is a weighted lasso
 ``0.5 * ||y - X a||^2 + sum_j thresh_j |a_j|``. :func:`lasso_gram` solves a
 stack of them at once, in covariance form (Friedman, Hastie and Tibshirani,
 2010), from ``X'X``, ``X'y`` and ``y'y`` alone: cyclic coordinate descent on
-each Gram system, vectorized over the stack. After every sweep each
-problem is polished: the stationarity system is solved exactly on its
-current support and signs, which usually ends the iteration after the first
-sweep. Every returned solution is certified on its own (stationarity
-excess at most ``KKT_TOL`` and, when the iteration did not settle, duality
-gap at most ``DUAL_GAP_TOL * y'y``), or that problem alone fails with
-:class:`~proxsel.exceptions.NoConvergence`.
+each Gram system, vectorized over the stack. The stationarity system is
+solved exactly on the KKT support and signs at a zero start before the
+first sweep, and on the iterate's after every sweep; this polish usually
+ends the iteration before any sweep. Every returned solution is certified
+on its own (stationarity excess at most ``KKT_TOL`` and, when the iteration
+did not settle, duality gap at most ``DUAL_GAP_TOL * y'y``), or that
+problem alone fails with :class:`~proxsel.exceptions.NoConvergence`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -91,9 +92,9 @@ def lasso_solve(
     """Minimize ``0.5*||y - X a||^2 + lam * sum_j weights_j * |a_j|``.
 
     A stack of one problem for :func:`lasso_gram`: cyclic coordinate
-    descent on the Gram system, polished after every sweep by solving the
-    stationarity system exactly on the current support and signs (a
-    singular system is skipped, and the problem keeps sweeping). The polish
+    descent on the Gram system, polished by solving the stationarity system
+    exactly on the KKT support and signs at a zero start, then on the
+    iterate's after every sweep (a singular system is skipped). The polish
     ends the iteration once its solution keeps its signs, leaves every
     coordinate off the support within its bound, and passes the duality-gap
     and stationarity certificates; otherwise the iteration runs on to a
@@ -195,22 +196,22 @@ def _certify(gram, xty, yy, thresh, a, sweeps=None) -> list:
 def _support_solve(gram, xty, thresh, on, sign):
     """Exact solution of the stationarity system on supports ``on`` with
     signs ``sign``, and whether it solves the lasso: signs kept on the
-    support, ``|X_j' r| <= thresh_j`` off it."""
-    p = on.shape[1]
-    h = np.where(on[:, :, None] & on[:, None, :], gram, 0.0)
-    h[:, np.arange(p), np.arange(p)] += ~on  # identity off the support
-    rhs = np.where(on, xty - thresh * sign, 0.0)
-    try:
-        sol = np.linalg.solve(h, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Screen the singular systems one by one; those problems keep
-        # sweeping, the others are polished as usual.
-        sol = np.full(on.shape, math.nan)
-        for i in range(len(on)):
-            try:
-                sol[i] = np.linalg.solve(h[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
+    support, ``|X_j' r| <= thresh_j`` off it. Problems are grouped by
+    support size ``k``; each group makes one solve of its k x k blocks."""
+    rhs, sol, size = xty - thresh * sign, np.zeros(on.shape), on.sum(axis=1)
+    for k in np.unique(size[size > 0]):
+        rows = np.flatnonzero(size == k)
+        cols = np.nonzero(on[rows])[1].reshape(rows.size, k)
+        h = gram[rows[:, None, None], cols[:, :, None], cols[:, None, :]]
+        b = np.take_along_axis(rhs[rows], cols, axis=1)
+        try:
+            x = np.linalg.solve(h, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # screen the systems one by one; the
+            x = np.full(b.shape, math.nan)  # singular ones keep sweeping
+            for i in range(rows.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    x[i] = np.linalg.solve(h[i], b[i])
+        sol[rows[:, None], cols] = x
     grad = xty - matvec(gram, sol)
     ok = np.where(on, np.sign(sol) == sign, np.abs(grad) <= thresh)
     return sol, np.all(ok, axis=1)
@@ -238,30 +239,43 @@ def _polish(gram, xty, thresh, a):
     return sol, ok
 
 
+def _sweep(gram, xty, thresh, diag, a) -> np.ndarray:
+    """One cyclic sweep of each problem's ``a``, in place; returns its largest move."""
+    v = matvec(gram, a)  # refresh to avoid drift in the incremental updates
+    move = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        a_j = a[:, j]
+        rho = xty[:, j] - v[:, j] + diag[:, j] * a_j
+        mag = np.abs(rho) - thresh[:, j]
+        live = diag[:, j] > 0.0  # coordinates with a zero column stay put
+        new = np.copysign(mag, rho) / np.where(live, diag[:, j], 1.0)
+        d = np.where(live, np.where(mag > 0.0, new, 0.0), a_j) - a_j
+        a[:, j] += d
+        v += gram[:, :, j] * d[:, None]
+        move = np.maximum(move, np.abs(d))
+    return move
+
+
 def _coordinate_descent(gram, xty, yy, thresh, a, max_sweeps):
     """Lassos in covariance form (``gram = X'X``, ``xty = X'y``, ``yy =
-    y'y``, every ``thresh`` positive) from the starts ``a``: batched cyclic
-    coordinate descent with the support polish. Returns the solutions and
-    each problem's error, or None; every problem is certified, or fails with
-    NoConvergence, on its own."""
+    y'y``, every ``thresh`` positive) from the starts ``a``: a zero start is
+    polished on the KKT check at zero (``|X'y|_j > thresh_j``, ``sign(X'y)``),
+    and what that leaves runs batched cyclic coordinate descent with the
+    support polish. Returns the solutions and each problem's error, or None;
+    every problem is certified, or fails with NoConvergence, on its own."""
     a = np.array(a, dtype=float)
     out, errors = a.copy(), [None] * len(a)
     idx = np.arange(len(a))
     diag = np.diagonal(gram, axis1=1, axis2=2).copy()
-    for sweep in range(1, max_sweeps + 1):
-        v = matvec(gram, a)  # refresh to avoid drift in the incremental updates
-        move = np.zeros(len(a))
-        for j in range(a.shape[1]):
-            a_j = a[:, j]
-            rho = xty[:, j] - v[:, j] + diag[:, j] * a_j
-            mag = np.abs(rho) - thresh[:, j]
-            live = diag[:, j] > 0.0  # coordinates with a zero column stay put
-            new = np.copysign(mag, rho) / np.where(live, diag[:, j], 1.0)
-            d = np.where(live, np.where(mag > 0.0, new, 0.0), a_j) - a_j
-            a[:, j] += d
-            v += gram[:, :, j] * d[:, None]
-            move = np.maximum(move, np.abs(d))
-        sol, ok = _polish(gram, xty, thresh, a)
+    for sweep in range(max_sweeps + 1):
+        if sweep:
+            move = _sweep(gram, xty, thresh, diag, a)
+            sol, ok = _polish(gram, xty, thresh, a)
+        else:  # sweep 0: the polish of a zero start
+            zero, move = ~a.any(axis=1), np.full(len(a), np.inf)
+            on = (np.abs(xty) > thresh) & zero[:, None]
+            sol, ok = _support_solve(gram, xty, thresh, on, np.sign(xty))
+            ok &= zero
         certified = _certify(gram[ok], xty[ok], yy[ok], thresh[ok], sol[ok], sweep)
         ok[ok] = [e is None for e in certified]
         stalled = ~ok & (move <= 1e-13 * np.maximum(1.0, np.max(np.abs(a), axis=1)))

@@ -107,18 +107,37 @@ def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     """Rank certificate of each triangular factor in a stack ``(N, rows, p)``.
 
     ``|diag(R)|`` alone is not a reliable rank certificate; the singular
-    values of ``R``, which are those of the design it factors, are. Returns,
+    values of ``R``, which are those of the design it factors, are. A square
+    upper-triangular ``R`` is bounded first (Higham, ch. 8): ``kappa_F =
+    ||R||_F ||R^-1||_F >= s_max / s_min``, so a bound a hundredfold below ``1
+    / RANK_TOL`` certifies full rank; otherwise the SVD decides. Returns,
     per factor, the error to raise or ``None`` when it is full rank.
     """
-    sv = np.linalg.svd(r, compute_uv=False)
-    return [
-        RankDeficient(
-            "design is rank deficient: smallest/largest singular value "
-            f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
-        )
-        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
-        for s in sv
-    ]
+    errors, doubt = [None] * len(r), np.arange(len(r))
+    if r.shape[-2] == r.shape[-1] > 0:
+        doubt = doubt[~_bounded(r)]
+    sv = np.linalg.svd(r[doubt], compute_uv=False) if doubt.size else ()
+    for i, s in zip(doubt, sv):
+        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+            errors[i] = RankDeficient(
+                "design is rank deficient: smallest/largest singular value "
+                f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
+            )
+    return errors
+
+
+def _bounded(r: np.ndarray) -> np.ndarray:
+    """Which square factors are triangular with ``100 kappa_F < 1 / RANK_TOL``."""
+    p, eye = r.shape[-1], np.eye(r.shape[-1])
+    upper = ~np.any(r[:, np.tri(p, k=-1, dtype=bool)], axis=1)
+    with np.errstate(all="ignore"):  # non-finite bounds fail the test below
+        r = r / np.max(np.abs(r), axis=(1, 2), keepdims=True)  # no underflow
+        inv = np.zeros_like(r)
+        for i in range(p - 1, -1, -1):  # R^-1 by stacked back-substitution
+            rest = (r[:, i, None, i + 1 :] @ inv[:, i + 1 :])[:, 0]
+            inv[:, i] = (eye[i] - rest) / r[:, i, i, None]
+        kappa_sq = np.einsum("nij,nij->n", r, r) * np.einsum("nij,nij->n", inv, inv)
+    return upper & (1e4 * kappa_sq < RANK_TOL**-2)
 
 
 def project(design, target) -> np.ndarray:

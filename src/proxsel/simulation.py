@@ -138,6 +138,9 @@ class SimConfig:
             raise InvalidBound(
                 f"need 0 <= s_w <= p_w, got s_w={self.s_w}, p_w={self.p_w}"
             )
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidBound(f"{name} must be finite, got {value}")
         for name in ("u_sd", "z_noise_sd", "w_noise_sd", "d_noise_sd"):
             if getattr(self, name) <= 0:
                 raise InvalidBound(f"{name} must be > 0")
@@ -312,7 +315,7 @@ def _fit_block(
     error)`` for a failed fit, for every method and replication ``r`` of
     ``block``; the block's datasets and factors go with the generator."""
     datasets = [generate_invalid_tcp_ocp_data(config, r) for r in block]
-    # Only the adaptive stack's cv folds need the n rows of Q.
+    # Keep Q for the adaptive stack's cv folds; median_adaptive reuses it.
     core = _factor_datasets(datasets, _is_cv(est_config) and "adaptive" in methods)
     for m in methods:
         if m == "median_adaptive":

@@ -12,8 +12,14 @@ by row, with ``csv``. ``take_rows`` and ``residual_project`` are the row
 subset and annihilator the library no longer needs.
 ``run_monte_carlo_serial`` is ``proxsel.simulation.run_monte_carlo`` as it
 was before replications were fitted in blocks: one replication at a time,
-each method through the library's public single-dataset entry point. Tests
-compare the library against these functions.
+each method through the library's public single-dataset entry point.
+``rank_errors`` is ``proxsel.linalg.rank_errors`` before it bounded the
+condition number first: one SVD of every factor. ``support_solve`` is
+``proxsel.lasso._support_solve`` before it solved the support blocks alone:
+one p x p system per problem, padded with the identity.
+``coordinate_descent_sweep_first`` is ``proxsel.lasso._coordinate_descent``
+before a zero start was polished ahead of the first sweep. Tests compare the
+library against these functions.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from proxsel import estimators as library
-from proxsel import simulation
+from proxsel import lasso, simulation
 from proxsel.data_io import MISSING_TOKENS, LoadResult, SchemaMap
 from proxsel.estimators import (
     STREAM_SUBSAMPLE,
@@ -51,7 +57,15 @@ from proxsel.exceptions import (
     RankDeficient,
     WeakProxyWarning,
 )
-from proxsel.linalg import as_matrix, as_vector, ols, orthonormal_basis, project
+from proxsel.linalg import (
+    RANK_TOL,
+    as_matrix,
+    as_vector,
+    matvec,
+    ols,
+    orthonormal_basis,
+    project,
+)
 
 DELTA_FLOOR = 1e-10
 ADAPTIVE_FLOOR = 1e-8
@@ -976,3 +990,73 @@ def run_monte_carlo_serial(
         n_failed=sum(failed.values()),
         config=config,
     )
+
+
+# ---------------------------------------------------------------------------
+# Rank certificate and lasso polish before the bound and the support blocks
+# ---------------------------------------------------------------------------
+
+
+def rank_errors(r: np.ndarray) -> list:
+    """``proxsel.linalg.rank_errors`` certifying every factor from its
+    singular values, one stacked SVD."""
+    sv = np.linalg.svd(r, compute_uv=False)
+    return [
+        RankDeficient(
+            "design is rank deficient: smallest/largest singular value "
+            f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
+        )
+        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
+        for s in sv
+    ]
+
+
+def support_solve(gram, xty, thresh, on, sign):
+    """``proxsel.lasso._support_solve`` solving one p x p system per
+    problem, padded with the identity off the support."""
+    p = on.shape[1]
+    h = np.where(on[:, :, None] & on[:, None, :], gram, 0.0)
+    h[:, np.arange(p), np.arange(p)] += ~on  # identity off the support
+    rhs = np.where(on, xty - thresh * sign, 0.0)
+    try:
+        sol = np.linalg.solve(h, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        sol = np.full(on.shape, math.nan)
+        for i in range(len(on)):
+            try:
+                sol[i] = np.linalg.solve(h[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    grad = xty - matvec(gram, sol)
+    ok = np.where(on, np.sign(sol) == sign, np.abs(grad) <= thresh)
+    return sol, np.all(ok, axis=1)
+
+
+def coordinate_descent_sweep_first(gram, xty, yy, thresh, a, max_sweeps):
+    """``proxsel.lasso._coordinate_descent`` polishing only after each
+    sweep, never before the first."""
+    a = np.array(a, dtype=float)
+    out, errors = a.copy(), [None] * len(a)
+    idx = np.arange(len(a))
+    diag = np.diagonal(gram, axis1=1, axis2=2).copy()
+    for sweep in range(1, max_sweeps + 1):
+        move = lasso._sweep(gram, xty, thresh, diag, a)
+        sol, ok = lasso._polish(gram, xty, thresh, a)
+        certified = lasso._certify(gram[ok], xty[ok], yy[ok], thresh[ok], sol[ok], sweep)
+        ok[ok] = [e is None for e in certified]
+        stalled = ~ok & (move <= 1e-13 * np.maximum(1.0, np.max(np.abs(a), axis=1)))
+        out[idx[ok]], out[idx[stalled]] = sol[ok], a[stalled]
+        at_rest = lasso._certify(gram[stalled], xty[stalled], None, thresh[stalled],
+                                 a[stalled])
+        for i, e in zip(idx[stalled], at_rest):
+            errors[i] = e
+        keep = ~(ok | stalled)
+        idx, a, gram, xty, yy, thresh, diag = (
+            z[keep] for z in (idx, a, gram, xty, yy, thresh, diag)
+        )
+        if not idx.size:
+            return out, errors
+    out[idx] = a
+    for i, e in zip(idx, lasso._certify(gram, xty, yy, thresh, a, max_sweeps)):
+        errors[i] = e
+    return out, errors

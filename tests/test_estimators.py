@@ -741,6 +741,31 @@ class TestSubsampleCi:
             subsample_ci(data, n_subsamples=23, seed=1)
         assert err.value.n_failed == err.value.n_total == 23
 
+    def test_subsample_fits_take_no_svd_and_column_major_qr_inputs(self, monkeypatch):
+        # Every rank certificate is settled by its condition bound, and A and
+        # each subsample's rows of it reach the QR without a transposing copy.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=400, p_z=6, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0), 0
+        )
+        b, svd_calls, qr_inputs = default_subsample_size(data.n), [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
+
+        def counting_svd(a, *args, **kwargs):
+            svd_calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def recording_qr(a, *args, **kwargs):
+            qr_inputs.append((np.shape(a), a.flags.f_contiguous))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        subsample_ci(data, n_subsamples=30, seed=3, recenter=True)  # factors A too
+        monkeypatch.undo()
+        assert svd_calls == []
+        k = 6 + 3 + 3  # A = [Z, D, 1, W, Y]
+        assert [f for shape, f in qr_inputs if shape in ((b, k), (400, k))] == [True] * 31
+
     def test_subsample_size_bounds_are_enforced(self):
         data = generate_invalid_tcp_ocp_data(
             SimConfig(n=300, p_z=4, s_z=1, p_w=2, s_w=0, y_noise_sd=1.0), 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import proxsel.estimators as estimators
+from proxsel import lasso
 from proxsel.estimators import (
     Dataset,
     EstimationConfig,
@@ -401,3 +402,108 @@ class TestSelectLambda:
             est = estimate_invalid_tcp(data, 0, EstimationConfig(lambda_mode="rate"))
             hits += est.selected_invalid_tcps == (0, 1, 2)
         assert hits / reps >= 0.95
+
+
+# --- support blocks and the polish before the first sweep ------------------
+
+
+def _stack(seeds, p=12, n=40):
+    """Weighted-lasso instances in covariance form, one per seed."""
+    inst = [random_instance(s, n=n, p=p, weighted=True) for s in seeds]
+    x = np.stack([i[0] for i in inst])
+    y = np.stack([i[1] for i in inst])
+    thresh = np.stack([i[2] * i[3] for i in inst])
+    return x, y, swap(x) @ x, matvec(swap(x), y), inner(y, y), thresh
+
+
+class TestSupportSolve:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_support_blocks_match_the_padded_systems(self, seed):
+        # Half the supports and signs are each problem's lasso solution (the
+        # polish succeeds), half are random (it mostly fails).
+        rng = np.random.default_rng(seed)
+        x, y, gram, xty, yy, thresh = _stack(range(10 * seed, 10 * seed + 40))
+        sols, _ = lasso_gram(gram, xty, yy, thresh, lambda i: (x[i], y[i]))
+        on, sign = sols != 0, np.sign(sols)
+        rand = rng.random(on.shape) < rng.uniform(0.0, 1.0, (len(on), 1))
+        on[::2], sign[::2] = rand[::2], np.where(rng.random(on.shape) < 0.5, -1.0, 1.0)[::2]
+        sol, ok = lasso._support_solve(gram, xty, thresh, on, sign)
+        want, want_ok = oracle.support_solve(gram, xty, thresh, on, sign)
+        np.testing.assert_array_equal(ok, want_ok)
+        assert ok[1::2].all() and not ok[::2].all()
+        np.testing.assert_allclose(sol, want, rtol=1e-12, atol=0)
+
+    def test_a_singular_support_fails_alone(self):
+        # The duplicated-column problem of TestLassoSolve: with both copies on
+        # the support its block is singular, whatever the other problems do.
+        x, y, lam, w = random_instance(7, weighted=True)
+        dup = x.copy()
+        dup[:, 1] = dup[:, 0]
+        xs, ys = np.stack([dup, x, dup]), np.stack([y, y, y])
+        gram, xty = swap(xs) @ xs, matvec(swap(xs), ys)
+        thresh = lam * np.stack([np.ones(12), w, np.ones(12)])
+        on = np.zeros((3, 12), dtype=bool)
+        on[:, :3] = True
+        on[2, 1] = False  # one copy only: regular
+        sign = np.ones((3, 12))
+        sol, ok = lasso._support_solve(gram, xty, thresh, on, sign)
+        want, want_ok = oracle.support_solve(gram, xty, thresh, on, sign)
+        np.testing.assert_array_equal(ok, want_ok)
+        assert not ok[0] and np.isnan(sol[0, :3]).all() and np.isnan(want[0]).all()
+        np.testing.assert_allclose(sol[1:], want[1:], rtol=1e-12, atol=0)
+
+
+def _recorded_stacks(monkeypatch, run):
+    """The inputs of every ``_coordinate_descent`` call that ``run`` makes."""
+    stacks = []
+    solve = lasso._coordinate_descent
+
+    def recording(gram, xty, yy, thresh, a, max_sweeps):
+        stacks.append(tuple(np.array(z, dtype=float) for z in (gram, xty, yy, thresh, a)))
+        return solve(gram, xty, yy, thresh, a, max_sweeps)
+
+    monkeypatch.setattr(lasso, "_coordinate_descent", recording)
+    run()
+    monkeypatch.undo()
+    return stacks
+
+
+class TestPolishFirst:
+    def _same_supports(self, stacks):
+        for gram, xty, yy, thresh, a in stacks:
+            sol, errors = lasso._coordinate_descent(gram, xty, yy, thresh, a, 100_000)
+            want, want_errors = oracle.coordinate_descent_sweep_first(
+                gram, xty, yy, thresh, a, 100_000
+            )
+            assert [e is None for e in errors] == [e is None for e in want_errors]
+            np.testing.assert_array_equal(np.sign(sol), np.sign(want))
+            np.testing.assert_allclose(sol, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
+    def test_selection_and_cv_stacks_keep_their_supports_and_signs(self, monkeypatch):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=400, p_z=10, s_z=3, p_w=5, s_w=1, y_noise_sd=1.0), 0
+        )
+        stacks = _recorded_stacks(monkeypatch, lambda: (
+            estimators.subsample_ci(data, n_subsamples=40, seed=2),
+            select_lambda(data, 0, "cv"),
+        ))
+        assert len(stacks) > 50  # two subsample blocks and the cv grid
+        self._same_supports(stacks)
+
+    def test_random_weighted_lassos_keep_their_supports_and_signs(self):
+        _, _, gram, xty, yy, thresh = _stack(range(100, 140))
+        self._same_supports([(gram, xty, yy, thresh, np.zeros(xty.shape))])
+
+    def test_the_polish_before_the_first_sweep_certifies_most_problems(self, monkeypatch):
+        _, _, gram, xty, yy, thresh = _stack(range(200, 240))
+        swept = []
+        sweep = lasso._sweep
+
+        def counting(gram, xty, thresh, diag, a):
+            swept.append(len(a))
+            return sweep(gram, xty, thresh, diag, a)
+
+        monkeypatch.setattr(lasso, "_sweep", counting)
+        lasso._coordinate_descent(gram, xty, yy, thresh, np.zeros(xty.shape), 100_000)
+        assert swept[0] < len(xty) / 2  # 13 of 40 on these seeds

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsel.exceptions import RankDeficient
-from proxsel.linalg import ols, orthonormal_basis, project
+from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, rank_errors
+
+import oracle
 
 
 class TestProject:
@@ -136,3 +138,63 @@ class TestOls:
         assert scaled[1] * c == pytest.approx(base[1], rel=1e-8, abs=1e-12)
         assert scaled[0] == pytest.approx(base[0], rel=1e-8, abs=1e-12)
 
+
+def _verdicts(certify, r):
+    """Each factor's error message (None when full rank), or the type of
+    the exception the whole stack raised."""
+    try:
+        return [None if e is None else str(e) for e in certify(r)]
+    except np.linalg.LinAlgError as exc:  # an SVD of non-finite entries
+        return type(exc)
+
+
+@st.composite
+def triangular_stacks(draw):
+    """Upper-triangular (or, with fewer rows than columns, trapezoidal) QR
+    factors with prescribed singular-value ratios, some of them defective."""
+    p = draw(st.integers(1, 7))
+    rows = draw(st.integers(1, p - 1)) if p > 1 and draw(st.booleans()) else p
+    ratios = draw(st.lists(st.one_of(
+        st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
+        st.floats(-1e-3, 1e-3).map(lambda d: RANK_TOL * (1.0 + d)),  # the cutoff
+    ), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    factors = []
+    for ratio in ratios:
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        s = scale * np.geomspace(1.0, ratio, rows)
+        r = np.linalg.qr((u * s) @ v[:rows], mode="r")
+        defect = draw(st.sampled_from(["none"] * 4 + ["zero", "nan", "inf"]))
+        i, j = rng.integers(rows), rng.integers(p)
+        if defect == "zero":
+            r[i, i] = 0.0
+        elif defect != "none":  # an entry on or above the diagonal
+            r[min(i, j), j] = np.nan if defect == "nan" else rng.choice([-np.inf, np.inf])
+        factors.append(r)
+    return np.array(factors).reshape(len(factors), rows, p)
+
+
+class TestRankErrors:
+    @settings(max_examples=300, deadline=None)
+    @given(r=triangular_stacks())
+    def test_same_verdicts_and_messages_as_the_svd(self, r):
+        assert _verdicts(rank_errors, r) == _verdicts(oracle.rank_errors, r)
+
+    def test_well_conditioned_triangular_factors_take_no_svd(self, monkeypatch):
+        r = np.linalg.qr(np.random.default_rng(1).standard_normal((200, 15, 5)), mode="r")
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert rank_errors(r) == [None] * 200
+        assert rank_errors(r[:0]) == []
+        assert svd_calls == []
+        rank_errors(r[:3, :4])  # trapezoidal: no bound applies
+        rank_errors(np.array([[[2.0, 1.0], [1.0, 2.0]]]))  # square, not triangular
+        assert svd_calls == [(3, 4, 5), (1, 2, 2)]

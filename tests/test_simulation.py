@@ -62,6 +62,26 @@ class TestConfigValidation:
             SimConfig(y_noise_sd=-1.0)
         SimConfig(y_noise_sd=0.0)  # exactly zero outcome noise is allowed
 
+    FLOAT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_floats_are_invalid_bounds(self, field, value):
+        # Accepted, each would fail later under another name (a NaN outcome
+        # as a bare ValueError from Dataset).
+        with pytest.raises(InvalidBound, match=f"{field} must be finite"):
+            SimConfig(**{field: value})
+
+    def test_the_list_holds_every_float_field(self):
+        assert len(self.FLOAT_FIELDS) == 13
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_adaptive_floor_is_an_invalid_bound(self, value):
+        # NaN used to fail as NoConvergence, inf as RankDeficient.
+        with pytest.raises(InvalidBound, match="adaptive_floor"):
+            EstimationConfig(adaptive_floor=value)
+        assert EstimationConfig(lambda_n=math.inf).lambda_n == math.inf  # a defined penalty
+
     def test_single_ocp_generator_requires_one_valid_column(self):
         with pytest.raises(InvalidBound):
             generate_invalid_tcp_data(SimConfig(p_w=2), 0)
@@ -322,6 +342,25 @@ class TestBlockedReplications:
         args = (config, METHOD_NAMES, None, EstimationConfig(lambda_mode="cv"))
         assert run_recorded(run_monte_carlo, *args) == run_recorded(
             run_monte_carlo_serial, *args)
+
+    def test_cv_median_reuses_the_rows_the_block_kept(self, monkeypatch):
+        calls = []
+        factor = estimators._factor
+
+        def counting_factor(data, stack, keep_rows=False):
+            stack = list(stack)
+            calls.append(([a.shape for a in stack], keep_rows))
+            return factor(data, stack, keep_rows)
+
+        monkeypatch.setattr(estimators, "_factor", counting_factor)
+        config = SimConfig(n=300, p_z=5, s_z=2, reps=4, y_noise_sd=1.0)
+        cv = EstimationConfig(lambda_mode="cv")
+        run_monte_carlo(config, ("adaptive", "median_adaptive"), None, cv)
+        assert calls == [([(300, 9)] * 4, True)]
+        calls.clear()
+        # Without adaptive the block keeps no Q; each median factors its rows.
+        run_monte_carlo(config, ("median_adaptive",), None, cv)
+        assert calls == [([(300, 9)] * 4, False)] + [([(300, 9)], True)] * 4
 
     def test_the_grid_exercises_failures_and_warnings(self):
         def run(cell, reps):
