@@ -512,6 +512,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if getattr(args, "subsample_n", 0) < 0:
+            raise ConfigError(f"--subsample-n must be >= 0, got {args.subsample_n}")
         run = _COMMANDS[args.command](args)
         if getattr(args, "timing", False):
             run = dataclasses.replace(run, timing=time.perf_counter() - start)

@@ -57,7 +57,7 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import as_matrix, as_vector, inner, matvec, rank_errors, swap
+from .linalg import alive, as_matrix, as_vector, inner, keep_first, matvec, rank_errors, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -463,18 +463,11 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _keep(errors: list, new) -> None:
-    """Record each problem's first error; earlier stages take precedence."""
-    for i, e in enumerate(new):
-        if errors[i] is None:
-            errors[i] = e
-
-
 class _Reduced(NamedTuple):
     """A stack's reduced design in covariance form (``gram = g'g``, ``xty =
-    g'Y``, ``yy = Y'Y``), ``d_tilde``, each problem's error or None, and
-    ``rows(i) -> (g, Y)`` of problems ``i`` in the ``m`` coordinates of M.
-    ``lasso(on, thresh)`` solves the weighted lassos of problems ``on``."""
+    g'Y``, ``yy = Y'Y``), ``d_tilde``, each problem's first error (first stage
+    included) or None, and ``rows(i) -> (g, Y)`` of problems ``i`` in M's ``m``
+    coordinates. ``lasso(on, thresh)`` solves the lassos of problems ``on``."""
 
     gram: np.ndarray
     xty: np.ndarray
@@ -517,18 +510,10 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray) -> _Reduced:
     fx = f - matvec(qx[ds], qf)
     tri = rb[ds]  # the (X, 1) factor bordered by the residual of what
     tri[:, :-1, -1], tri[:, -1, -1] = qf, np.sqrt(inner(fx, fx))
-    errors = _first_stage_error(core, ds)
-    _keep(errors, rank_errors(tri))
+    errors = keep_first(_first_stage_error(core, ds), rank_errors(tri))
     d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
-    d = top[ds, :, p_z]
-    bad = inner(d_tilde, d_tilde) <= DEGENERATE_TREATMENT_RTOL * inner(d, d)
-    _keep(errors, [
-        DegenerateTreatment(
-            "treatment is numerically collinear with the fitted OCP and "
-            "covariates; no variation left to identify the effect"
-        ) if b else None
-        for b in bad
-    ])
+    _degenerate(errors, d_tilde, top[ds, :, p_z], DegenerateTreatment,
+                "the fitted OCP and covariates")
     delta, gram = core.coef[ds, :p_z, ocp], s[ds]
     s_delta = matvec(gram, delta)
     scale = 1.0 / np.sqrt(_positive(inner(delta, s_delta)))[:, None]
@@ -548,52 +533,63 @@ def _positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 1.0)
 
 
-def _penalty(core: _Core, ds: np.ndarray, ocp: np.ndarray, config: EstimationConfig):
-    """Each problem's penalty, its errors so far and, in cv mode only, the
-    reduced design: ``config.lambda_n``, else the rate rule ``std(Y) *
-    sqrt(n) / log(n)``, else :func:`cv_penalty` on the n-row designs ``Q @
-    g`` (cv needs ``n >= 20``; its design and folds precede relevance)."""
+def _degenerate(errors: list, resid: np.ndarray, d: np.ndarray, kind, others: str):
+    """The problems whose treatment residual ``resid`` keeps at most
+    ``DEGENERATE_TREATMENT_RTOL`` of ``d'd``; each records a ``kind`` error
+    (a treatment collinear with ``others``) in the ledger ``errors``."""
+    bad = inner(resid, resid) <= DEGENERATE_TREATMENT_RTOL * inner(d, d)
+    at = np.flatnonzero(bad)
+    keep_first(errors, [kind(f"treatment is numerically collinear with {others}; no "
+                             "variation left to identify the effect") for _ in at], at=at)
+    return bad
+
+
+def _penalty(core: _Core, ds: np.ndarray, config: EstimationConfig, red: _Reduced):
+    """Each problem's penalty and its errors so far, given the stack's
+    reduced design ``red``: ``config.lambda_n``, else the rate rule ``std(Y)
+    * sqrt(n) / log(n)``, else :func:`cv_penalty` on the n-row designs ``Q
+    @ g``. Each problem reports its first error, in this order of stages:
+
+    - fixed and rate mode: first stage, relevance, design (the rank of
+      ``(what, X, 1)``, then a degenerate treatment), lasso, refit;
+    - cv mode: ``n >= 20``, first stage, design, folds, relevance, lasso,
+      refit.
+    """
     errors = _first_stage_error(core, ds)
     if config.lambda_n is not None:
-        return np.full(ds.size, float(config.lambda_n)), errors, None
+        return np.full(ds.size, float(config.lambda_n)), errors
     if config.lambda_mode == "rate":
-        return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n), errors, None
+        return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n), errors
     if core.n < 20:
         errors = [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
-    red = _reduced_design(core, ds, ocp)
-    _keep(errors, red.errors)
-    lam = np.zeros(ds.size)
-    on = np.flatnonzero([e is None for e in errors])
+    keep_first(errors, red.errors)
+    lam, on = np.zeros(ds.size), alive(errors)
     if on.size:
         lam_max = np.max(np.abs(red.xty[on]), axis=1)
         x = core.q[ds[on], :, : core.m] @ red.rows(on)[0]
         lam[on], cv_errors = cv_penalty(x, core.y[ds[on]], lam_max)
-        for i, e in zip(on, cv_errors):
-            errors[i] = e
-    return lam, errors, red
+        keep_first(errors, cv_errors, at=on)
+    return lam, errors
 
 
 def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool):
     """The selection stage for a stack of (dataset, OCP) problems: the
-    penalty, the pilots and their weights, the reduced design and the
+    reduced design, the penalty, the pilots and their weights and the
     weighted lasso. Returns the lasso coefficients with each problem's
-    error, or None: :func:`_penalty`'s, else relevance, design or lasso."""
-    lam, errors, red = _penalty(core, ds, ocp, config)
+    first error or None, in :func:`_penalty`'s order of stages."""
+    red = _reduced_design(core, ds, ocp)
+    lam, errors = _penalty(core, ds, config, red)
     bad, weak, _, alpha_m = _pilots(core.coef[ds, : core.p_z, -1],
                                     core.coef[ds, : core.p_z, ocp])
-    for i in np.flatnonzero(bad.any(axis=1)):
-        errors[i] = errors[i] or _relevance_error(bad[i])
-    for i in np.flatnonzero([warn and e is None for e in errors]):
+    flagged = np.flatnonzero(bad.any(axis=1))
+    keep_first(errors, [_relevance_error(bad[i]) for i in flagged], at=flagged)
+    for i in alive(errors) if warn else ():
         _warn_weak(weak[i])
-    if red is None:
-        red = _reduced_design(core, ds, ocp)
-    _keep(errors, red.errors)
-    on = np.flatnonzero([e is None for e in errors])
+    on = alive(keep_first(errors, red.errors))
     weights = 1.0 / np.maximum(np.abs(alpha_m[on]), config.adaptive_floor)
     alpha = np.zeros((ds.size, core.p_z))
     alpha[on], lasso_errors = red.lasso(on, lam[on, None] * weights)
-    for i, e in zip(on, lasso_errors):
-        errors[i] = e
+    keep_first(errors, lasso_errors, at=on)
     return alpha, errors
 
 
@@ -658,6 +654,8 @@ def _zscore(alpha_level: float) -> float:
 
 
 class _Refit(NamedTuple):
+    """Each problem's refit and its first error (first stage included) or None."""
+
     beta: np.ndarray
     gamma: np.ndarray
     alpha: np.ndarray
@@ -686,7 +684,7 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _R
     n_prob, q = ocps.shape
     out = _Refit(np.full(n_prob, math.nan), np.full(n_prob, math.nan),
                  np.zeros((n_prob, core.p_z)), np.full(n_prob, math.nan),
-                 [None] * n_prob)
+                 _first_stage_error(core, ds))
     counts = sel.sum(axis=1)
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
@@ -694,30 +692,22 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _R
         tail = np.tile(np.arange(core.p_z + 1, core.m), (rows.size, 1))  # X, 1
         x = core.cols(dsr, np.column_stack([tcps, core.fitted(ocps[rows]), tail]))
         qx, rx = np.linalg.qr(x)
-        errors = rank_errors(rx)
+        errors = keep_first([out.errors[i] for i in rows], rank_errors(rx))
         rhs = core.cols(dsr, [core.m + core.p_w, core.p_z])  # Y and D
         coef = _solve(rx, swap(qx) @ rhs, [e is None for e in errors])
         del qx  # the largest array of a stack; free it before the residuals
         resid = rhs - x @ coef
         r_y, r_d = (np.ascontiguousarray(resid[:, :, c]) for c in (0, 1))
-        d = core.r[dsr, :, core.p_z]
-        bad = inner(r_d, r_d) <= DEGENERATE_TREATMENT_RTOL * inner(d, d)
-        _keep(errors, [
-            RankDeficient(
-                "treatment is numerically collinear with the other refit "
-                "regressors; no variation left to identify the effect"
-            ) if b else None
-            for b in bad
-        ])
+        bad = _degenerate(errors, r_d, core.r[dsr, :, core.p_z], RankDeficient,
+                          "the other refit regressors")
         d_sq = np.where(bad, 1.0, inner(r_d, r_d))
         beta = inner(r_d, r_y) / d_sq
         c = coef[:, :, 0] - beta[:, None] * coef[:, :, 1]
         raw = core.cols(dsr, core.fitted(ocps[rows])) - core.cols(dsr, core.m + ocps[rows])
         eps = r_y - beta[:, None] * r_d + matvec(raw, c[:, k : k + q])
         sigma2 = (inner(eps, eps) / core.n) / (d_sq / core.n)
+        keep_first(out.errors, errors, at=rows)
         ok = np.array([e is None for e in errors])
-        for i in np.flatnonzero(~ok):
-            out.errors[rows[i]] = errors[i]
         good = rows[ok]
         out.beta[good], out.variance[good] = beta[ok], sigma2[ok]
         out.alpha[good[:, None], tcps[ok]] = c[ok, :k]
@@ -743,11 +733,6 @@ def _estimate(fit: _Refit, i: int, n: int, alpha_level: float, method: str):
     )
 
 
-def _fit_or_raise(est: ProxyEstimate | ProxselError) -> ProxyEstimate:
-    _check(None if isinstance(est, ProxyEstimate) else est)
-    return est
-
-
 def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
     """:func:`_refit` on ``data`` alone, for the public refit entry points."""
     sel = sorted(set(int(j) for j in selected))
@@ -756,12 +741,11 @@ def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
             f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
         )
     ocps = np.array([[int(k) for k in ocps]], dtype=int).reshape(1, -1)
-    core = _single(data, ocps[0])
-    _check(_first_stage_error(core, _one(0))[0])
     mask = np.zeros((1, data.p_z), dtype=bool)
     mask[0, sel] = True
-    fit = _refit(core, _one(0), mask, ocps)
-    return _fit_or_raise(_estimate(fit, 0, data.n, alpha_level, method))
+    fit = _refit(_single(data, ocps[0]), _one(0), mask, ocps)
+    _check(fit.errors[0])
+    return _estimate(fit, 0, data.n, alpha_level, method)
 
 
 def post_adaptive_2sls(
@@ -835,8 +819,7 @@ def _pipeline(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool) 
     """Selection and post-selection refit for a stack of problems."""
     alpha, errors = _select(core, ds, ocp, config, warn)
     fit = _refit(core, ds, alpha != 0, ocp[:, None])
-    _keep(errors, fit.errors)
-    return fit._replace(errors=errors)
+    return fit._replace(errors=keep_first(errors, fit.errors))
 
 
 def estimate_invalid_tcp(
@@ -855,9 +838,8 @@ def estimate_invalid_tcp(
     config = config or EstimationConfig()
     core = _single(data, [ocp_index], _is_cv(config))
     fit = _pipeline(core, _one(0), _one(ocp_index), config, True)
-    return _fit_or_raise(
-        _estimate(fit, 0, data.n, config.alpha_level, "post_adaptive_2sls")
-    )
+    _check(fit.errors[0])
+    return _estimate(fit, 0, data.n, config.alpha_level, "post_adaptive_2sls")
 
 
 def estimate_invalid_tcp_ocp(
@@ -911,6 +893,16 @@ def estimate_invalid_tcp_ocp(
 def default_subsample_size(n: int) -> int:
     """Default subsample size: ``floor(n ** (4/5))``."""
     return int(math.floor(n ** 0.8))
+
+
+def _subsample_size(b: int | None, n: int, min_b: int) -> int:
+    """``b``, by default :func:`default_subsample_size`, once ``min_b < b <
+    n``: at or below ``min_b = p_z + p_w + p_x + 1`` no subsample is a
+    valid :class:`Dataset`."""
+    b = default_subsample_size(n) if b is None else int(b)
+    if not min_b < b < n:
+        raise InvalidBound(f"need p_z + p_w + p_x + 1 = {min_b} < b < n = {n}, got b = {b}")
+    return b
 
 
 # Subsamples factored and fitted in one stack by subsample_ci (and
@@ -973,15 +965,7 @@ def subsample_ci(
     """
     config = config or EstimationConfig()
     n = data.n
-    if b is None:
-        b = default_subsample_size(n)
-    b = int(b)
-    # At or below this no subsample is a valid Dataset.
-    min_b = data.p_z + data.p_w + data.p_x + 1
-    if not min_b < b < n:
-        raise InvalidBound(
-            f"need p_z + p_w + p_x + 1 = {min_b} < b < n = {n}, got b = {b}"
-        )
+    b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
 
@@ -1050,7 +1034,8 @@ def select_lambda(
     first stage raises in either mode.
     """
     config = EstimationConfig(lambda_mode=mode)
-    lam, errors, _ = _penalty(_single(data, [ocp_index], _is_cv(config)), _one(0),
-                              _one(ocp_index), config)
+    core = _single(data, [ocp_index], _is_cv(config))
+    red = _reduced_design(core, _one(0), _one(ocp_index))
+    lam, errors = _penalty(core, _one(0), config, red)
     _check(errors[0])
     return float(lam[0])

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .exceptions import NoConvergence
-from .linalg import as_matrix, as_vector, inner, matvec, swap
+from .linalg import alive, as_matrix, as_vector, inner, keep_first, matvec, swap
 
 __all__ = [
     "lasso_solve",
@@ -149,15 +149,13 @@ def lasso_gram(gram, xty, yy, thresh, rows, start=None, max_sweeps=DEFAULT_MAX_S
     ls, cd = np.flatnonzero(~lasso), np.flatnonzero(lasso)
     for i, x, y in zip(ls, *rows(ls)):
         alpha[i] = np.linalg.lstsq(x, y, rcond=None)[0]
-    for i, e in zip(ls, _certify(gram[ls], xty[ls], None, thresh[ls], alpha[ls])):
-        errors[i] = e
+    keep_first(errors, _certify(gram[ls], xty[ls], None, thresh[ls], alpha[ls]), at=ls)
     if cd.size:
         pick = cd if ls.size else slice(None)  # no copy when every problem is a lasso
         alpha[pick], cd_errors = _coordinate_descent(
             gram[pick], xty[pick], yy[pick], thresh[pick], alpha[pick], max_sweeps
         )
-        for i, e in zip(cd, cd_errors):
-            errors[i] = e
+        keep_first(errors, cd_errors, at=cd)
     return alpha, errors
 
 
@@ -281,8 +279,7 @@ def _coordinate_descent(gram, xty, yy, thresh, a, max_sweeps):
         stalled = ~ok & (move <= 1e-13 * np.maximum(1.0, np.max(np.abs(a), axis=1)))
         out[idx[ok]], out[idx[stalled]] = sol[ok], a[stalled]
         at_rest = _certify(gram[stalled], xty[stalled], None, thresh[stalled], a[stalled])
-        for i, e in zip(idx[stalled], at_rest):
-            errors[i] = e
+        keep_first(errors, at_rest, at=idx[stalled])
         keep = ~(ok | stalled)
         idx, a, gram, xty, yy, thresh, diag = (
             z[keep] for z in (idx, a, gram, xty, yy, thresh, diag)
@@ -290,9 +287,7 @@ def _coordinate_descent(gram, xty, yy, thresh, a, max_sweeps):
         if not idx.size:
             return out, errors
     out[idx] = a
-    for i, e in zip(idx, _certify(gram, xty, yy, thresh, a, max_sweeps)):
-        errors[i] = e
-    return out, errors
+    return out, keep_first(errors, _certify(gram, xty, yy, thresh, a, max_sweeps), at=idx)
 
 
 def cv_penalty(x: np.ndarray, y: np.ndarray, lam_max: np.ndarray):
@@ -322,7 +317,7 @@ def cv_penalty(x: np.ndarray, y: np.ndarray, lam_max: np.ndarray):
     a = np.zeros((CV_FOLDS, todo.size, p))
     mse = np.zeros((todo.size, CV_GRID_SIZE))
     for gi in range(CV_GRID_SIZE):
-        on = np.flatnonzero([errors[i] is None for i in todo])
+        on = alive([errors[i] for i in todo])
         if not on.size:
             break
         thresh = np.broadcast_to(grid[on, gi, None], (CV_FOLDS, on.size, p))
@@ -332,9 +327,7 @@ def cv_penalty(x: np.ndarray, y: np.ndarray, lam_max: np.ndarray):
             a[:, on].reshape(-1, p), DEFAULT_MAX_SWEEPS,
         )
         a[:, on] = sol.reshape(CV_FOLDS, on.size, p)
-        for flat, e in enumerate(errs):  # a problem stops at its first failure
-            i = todo[on[flat % on.size]]
-            errors[i] = errors[i] or e
+        keep_first(errors, errs, at=np.tile(todo[on], CV_FOLDS))  # stops at its first failure
         for f, v in enumerate(vals):
             resid = y[:, v] - matvec(x[:, v], a[f])
             mse[:, gi] += inner(resid, resid)

@@ -103,6 +103,22 @@ def inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
+def keep_first(errors: list, new, at=None) -> list:
+    """Merge into a stack's error ledger (one entry per problem, None until
+    it fails): record ``new[i]`` as the error of problem ``at[i]`` (or of
+    problem ``i``) where that problem has none yet, so each problem keeps
+    its first error and earlier stages take precedence. Returns ``errors``."""
+    for i, e in zip(range(len(errors)) if at is None else at, new):
+        if e is not None and errors[i] is None:
+            errors[i] = e
+    return errors
+
+
+def alive(errors) -> np.ndarray:
+    """Indices of the problems without an error."""
+    return np.flatnonzero([e is None for e in errors])
+
+
 def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     """Rank certificate of each triangular factor in a stack ``(N, rows, p)``.
 
@@ -113,17 +129,17 @@ def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     / RANK_TOL`` certifies full rank; otherwise the SVD decides. Returns,
     per factor, the error to raise or ``None`` when it is full rank.
     """
-    errors, doubt = [None] * len(r), np.arange(len(r))
+    doubt = np.arange(len(r))
     if r.shape[-2] == r.shape[-1] > 0:
         doubt = doubt[~_bounded(r)]
     sv = np.linalg.svd(r[doubt], compute_uv=False) if doubt.size else ()
-    for i, s in zip(doubt, sv):
-        if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-            errors[i] = RankDeficient(
-                "design is rank deficient: smallest/largest singular value "
-                f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
-            )
-    return errors
+    return keep_first([None] * len(r), [
+        RankDeficient(
+            "design is rank deficient: smallest/largest singular value "
+            f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
+        ) if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
+        for s in sv
+    ], at=doubt)
 
 
 def _bounded(r: np.ndarray) -> np.ndarray:

@@ -35,11 +35,10 @@ from .estimators import (
     EstimationConfig,
     _estimate,
     _factor_datasets,
-    _first_stage_error,
     _is_cv,
-    _keep,
     _pipeline,
     _refit,
+    _subsample_size,
     estimate_invalid_tcp_ocp,
     subsample_ci,
 )
@@ -219,6 +218,10 @@ class SubsampleCiConfig:
     b: int | None = None
     recenter: bool = False
 
+    def __post_init__(self) -> None:
+        if self.n_subsamples < 1:
+            raise InvalidBound(f"n_subsamples must be >= 1, got {self.n_subsamples}")
+
 
 @dataclass(frozen=True)
 class MethodMetrics:
@@ -269,10 +272,7 @@ def _closed_form(core, name: str, config: SimConfig, est_config: EstimationConfi
         ocps = [_oracle_ocp_index(config)]
     else:  # naive enters every fitted OCP column; ols none
         ocps = range(config.p_w) if name == "naive" else []
-    fit = _refit(core, ds, sel, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
-    errors = _first_stage_error(core, ds)
-    _keep(errors, fit.errors)
-    return fit._replace(errors=errors)
+    return _refit(core, ds, sel, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
 
 
 def _median_adaptive(
@@ -347,8 +347,9 @@ def run_monte_carlo(
     metrics and counted; the run aborts with
     :class:`~proxsel.exceptions.AggregateFailure` when any method loses more
     than 10% of its replications. ``ci_config`` controls the subsampling
-    interval of the ``median_adaptive`` method; without it that method
-    reports NaN coverage and length (point metrics are unaffected).
+    interval of the ``median_adaptive`` method (a size ``b`` outside ``(p_z
+    + p_w + 1, n)`` is an :class:`~proxsel.exceptions.InvalidBound` before
+    any draw); without it that method reports NaN coverage and length.
     Replications are drawn, each on its own counter-keyed RNG stream, and
     fitted in blocks of up to 20: one stacked factorization per block, and
     one stacked fit per closed-form method (``adaptive``, ``oracle``,
@@ -365,6 +366,8 @@ def run_monte_carlo(
             )
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if ci_config is not None and "median_adaptive" in methods:
+        _subsample_size(ci_config.b, config.n, config.p_z + config.p_w + 1)
     reps = config.reps
     beta = {m: np.full(reps, math.nan) for m in methods}
     lo = {m: np.full(reps, math.nan) for m in methods}

@@ -459,6 +459,31 @@ class TestEstimateCommand:
         assert not out.exists()
 
 
+class TestNegativeSubsampleCount:
+    """Both subcommands with ``--subsample-n`` refuse a negative count, which
+    used to run without an interval (``estimate`` wrote it into the report)."""
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_exits_with_a_config_error_naming_the_flag(
+        self, command, multi_ocp_csv, tmp_path, capsys
+    ):
+        data_path, schema_path, _ = multi_ocp_csv
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 200, "p_z": 4, "s_z": 1, "reps": 3}), encoding="utf-8")
+        inputs = {
+            "estimate": ["--data", str(data_path), "--schema", str(schema_path),
+                         "--mode", "median"],
+            "simulate": ["--config", str(sim), "--methods", "median_adaptive"],
+        }
+        out = tmp_path / "never.json"
+        code = main([command, *inputs[command], "--subsample-n", "-5", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ConfigError: --subsample-n must be >= 0, got -5\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 @pytest.fixture
 def command_argv(multi_ocp_csv, tmp_path, monkeypatch):
     """Each subcommand's arguments, without ``--out`` and ``--timing``, on

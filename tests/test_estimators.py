@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -18,6 +19,7 @@ from proxsel.estimators import (
     Dataset,
     EstimationConfig,
     FirstStage,
+    ProxyEstimate,
     adaptive_lasso_proximal,
     alpha_median,
     default_subsample_size,
@@ -37,6 +39,7 @@ import proxsel.estimators as estimators_module
 from proxsel.exceptions import (
     AggregateFailure,
     AssumptionViolation,
+    DegenerateTreatment,
     InvalidBound,
     ProxselError,
     RankDeficient,
@@ -346,6 +349,79 @@ class TestFirstStageFailure:
             estimate_invalid_tcp(data, 1, EstimationConfig(lambda_mode="cv"))
         with pytest.raises(RankDeficient):
             estimate_invalid_tcp(data, 1)
+
+
+RELEVANCE = re.escape(
+    "OCP reduced-form coefficient is numerically zero at TCP indices "
+    "[0, 1, 2, 3, 4, 5]; the ratio pilot estimator is undefined there"
+)
+RANK = r"design is rank deficient: smallest/largest singular value = \S+/\S+ at cutoff 1e-10"
+DEGENERATE = re.escape(
+    "treatment is numerically collinear with the fitted OCP and covariates; "
+    "no variation left to identify the effect"
+)
+
+
+class TestErrorPrecedence:
+    """A problem that fails at several stages reports the first, in the
+    order that ``estimators._penalty`` sets out: relevance before the
+    reduced design in fixed and rate mode, the design before relevance in
+    cv mode, and the first stage before the refit everywhere."""
+
+    @staticmethod
+    def with_ocp_1(column):
+        base = generate_invalid_tcp_ocp_data(SimConfig(n=300, p_z=6, s_z=2, p_w=3, seed=3), 0)
+        w = base.W.copy()
+        w[:, 1] = column(base)
+        return Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+
+    # A constant OCP fails relevance (all its TCP coefficients are zero) and
+    # the design (what is constant, so (what, X, 1) has rank 1) at once; an
+    # OCP equal to the treatment up to 1e-14 fails relevance and leaves the
+    # treatment degenerate.
+    @pytest.mark.parametrize(
+        "column, config, kind, message",
+        [
+            (lambda b: np.ones(b.n), EstimationConfig(), AssumptionViolation, RELEVANCE),
+            (lambda b: np.ones(b.n), EstimationConfig(lambda_n=1.0), AssumptionViolation,
+             RELEVANCE),
+            (lambda b: np.ones(b.n), EstimationConfig(lambda_mode="cv"), RankDeficient, RANK),
+            (lambda b: b.D + 1e-14 * b.Z[:, 0], EstimationConfig(), AssumptionViolation,
+             RELEVANCE),
+            (lambda b: b.D + 1e-14 * b.Z[:, 0], EstimationConfig(lambda_mode="cv"),
+             DegenerateTreatment, DEGENERATE),
+        ],
+        ids=["constant-rate", "constant-fixed", "constant-cv", "treatment-rate",
+             "treatment-cv"],
+    )
+    def test_a_column_failing_two_stages_reports_the_first(
+        self, column, config, kind, message
+    ):
+        fits = estimate_invalid_tcp_ocp(self.with_ocp_1(column), config).per_ocp_fits
+        assert type(fits[1]) is kind
+        assert re.fullmatch(message, str(fits[1]))
+        assert all(isinstance(f, ProxyEstimate) for f in (fits[0], fits[2]))
+        with pytest.raises(kind) as single:
+            estimate_invalid_tcp(self.with_ocp_1(column), 1, config)
+        assert str(single.value) == str(fits[1])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data: oracle_p2sls(data, (1, 2)),  # its own refit is singular too
+            lambda data: naive_p2sls(data),
+            lambda data: naive_p2sls(data, None),
+            lambda data: ols_baseline(data),  # (D, 1) alone is full rank
+        ],
+        ids=["oracle", "naive", "naive-all", "ols"],
+    )
+    def test_a_failed_first_stage_wins_over_the_refit(self, call):
+        data = collinear_tcp_dataset(60)
+        with pytest.raises(RankDeficient) as first:
+            first_stage(data)
+        with pytest.raises(RankDeficient) as refit:
+            call(data)
+        assert str(refit.value) == str(first.value)
 
 
 class TestInvariances:

@@ -89,6 +89,31 @@ class TestConfigValidation:
             generate_invalid_tcp_data(SimConfig(p_w=1, s_w=1), 0)
 
 
+class TestSubsampleSettings:
+    """A bad subsampling setting is an InvalidBound up front, not a failure
+    of every median_adaptive replication (AggregateFailure)."""
+
+    def test_no_subsamples_is_an_invalid_bound(self):
+        with pytest.raises(InvalidBound, match="n_subsamples must be >= 1, got 0"):
+            SubsampleCiConfig(n_subsamples=0)
+
+    @pytest.mark.parametrize("b", [5, 10, 300, 301])
+    def test_a_size_out_of_range_fails_before_any_draw(self, b, monkeypatch):
+        drawn = []
+        draw = simulation.generate_invalid_tcp_ocp_data
+        monkeypatch.setattr(simulation, "generate_invalid_tcp_ocp_data",
+                            lambda *args: drawn.append(args) or draw(*args))
+        config = SimConfig(n=300, p_z=6, p_w=3, reps=3)
+        with pytest.raises(InvalidBound, match=rf"= 10 < b < n = 300, got b = {b}$"):
+            run_monte_carlo(config, ("adaptive", "median_adaptive"), SubsampleCiConfig(b=b))
+        assert drawn == []
+
+    def test_the_size_binds_only_where_the_interval_runs(self):
+        config = SimConfig(n=300, p_z=6, p_w=3, reps=3)
+        report = run_monte_carlo(config, ("adaptive",), SubsampleCiConfig(b=5))
+        assert set(report.methods) == {"adaptive"}
+
+
 class TestGenerator:
     def test_identical_inputs_give_bit_identical_draws(self):
         config = SimConfig(n=200, p_z=4, s_z=1, p_w=3, s_w=1, seed=9)

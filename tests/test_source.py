@@ -132,6 +132,46 @@ def test_the_guard_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: math"]
 
 
+def ledger_writes(source: str) -> list[str]:
+    """Item assignments (or deletions) to a name or attribute ``errors``
+    outside ``keep_first``, the one helper that merges per-problem errors
+    (each problem keeps its first)."""
+    tree = ast.parse(source)
+    helper = {
+        id(node) for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "keep_first"
+        for node in ast.walk(fn)
+    }
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", getattr(node.value, "attr", None)) == "errors"
+        and id(node) not in helper
+    )]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_per_problem_errors_are_merged_only_by_the_ledger_helper(path):
+    assert ledger_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_a_hand_written_merge():
+    source = (
+        "def keep_first(errors, new):\n"
+        "    for i, e in enumerate(new):\n"
+        "        if errors[i] is None:\n"
+        "            errors[i] = e\n"
+        "def stage(errors, out, new, on, other):\n"
+        "    for i, e in zip(on, new): errors[i] = e\n"
+        "    out.errors[on[0]] = new[0]\n"
+        "    errors[0] = errors[0] or new[0]\n"
+        "    first, errors[1] = new[0], new[1]\n"
+        "    other[errors[0]] = errors[0]\n"
+        "    x = errors[0]\n"
+    )
+    assert ledger_writes(source) == ["line 6", "line 7", "line 8", "line 9"]
+
+
 def test_public_names_are_listed_once():
     assert len(proxsel.__all__) == len(set(proxsel.__all__))
 
