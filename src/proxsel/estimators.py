@@ -337,16 +337,8 @@ def _core_of(data: Dataset) -> _Core:
 
 
 def _factor_datasets(datasets: Sequence[Dataset], keep_rows: bool = False) -> _Core:
-    """One :func:`_factor` call over equal-shape datasets; each dataset's
-    cache takes its slice (and its n rows for ``keep_rows``): its own ``R``."""
-    core = _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
-    for i, data in enumerate(datasets):
-        one = slice(i, i + 1)
-        rows = dict(q=core.q[one], y=core.y[one]) if keep_rows else {}
-        object.__setattr__(data, "_core", core._replace(
-            r=core.r[one], coef=core.coef[one], fail=core.fail[one],
-            y_sd=core.y_sd[one], **rows))
-    return core
+    """One :func:`_factor` call over equal-shape datasets."""
+    return _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
 
 
 def _is_cv(config: EstimationConfig) -> bool:
@@ -355,14 +347,13 @@ def _is_cv(config: EstimationConfig) -> bool:
 
 def _single(data: Dataset, ocps=(), keep_rows: bool = False) -> _Core:
     """The factor of ``data`` alone once the OCP indices ``ocps`` are in
-    range: the cached one, also for ``keep_rows`` (cv folds) if it kept the n
-    rows, else a new one that does (the same ``R``: both come from one LAPACK
+    range: the cached one, or for ``keep_rows`` (cv folds) a new one that
+    keeps the n rows (the same ``R``: both come from one LAPACK
     factorization). A failed first stage is left to each caller's error order."""
     for k in ocps:
         if not 0 <= int(k) < data.p_w:
             raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
-    new = keep_rows and getattr(data._core, "q", None) is None
-    return _factor(data, [_augmented(data)], True) if new else _core_of(data)
+    return _factor(data, [_augmented(data)], True) if keep_rows else _core_of(data)
 
 
 def _check(error: ProxselError | None) -> None:
@@ -551,9 +542,10 @@ def _penalty(core: _Core, ds: np.ndarray, config: EstimationConfig, red: _Reduce
     @ g``. Each problem reports its first error, in this order of stages:
 
     - fixed and rate mode: first stage, relevance, design (the rank of
-      ``(what, X, 1)``, then a degenerate treatment), lasso, refit;
+      ``(what, X, 1)``, then a degenerate treatment), lasso, every TCP
+      selected (:func:`_pipeline`), refit;
     - cv mode: ``n >= 20``, first stage, design, folds, relevance, lasso,
-      refit.
+      every TCP selected, refit.
     """
     errors = _first_stage_error(core, ds)
     if config.lambda_n is not None:
@@ -818,6 +810,12 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
 def _pipeline(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool) -> _Refit:
     """Selection and post-selection refit for a stack of problems."""
     alpha, errors = _select(core, ds, ocp, config, warn)
+    every = np.flatnonzero(np.all(alpha != 0, axis=1))
+    setting = (f"lambda_mode={config.lambda_mode!r}" if config.lambda_n is None
+               else f"lambda_n={config.lambda_n}")
+    keep_first(errors, [AssumptionViolation(
+        f"all {core.p_z} TCPs were selected as invalid at {setting}; no valid TCP is "
+        "left to identify the effect") for _ in every], at=every)
     fit = _refit(core, ds, alpha != 0, ocp[:, None])
     return fit._replace(errors=keep_first(errors, fit.errors))
 
@@ -888,6 +886,18 @@ def estimate_invalid_tcp_ocp(
         method="median_over_ocps",
         per_ocp_fits=per_ocp,
     )
+
+
+def _majority_median(fit: _Refit, p_w: int) -> np.ndarray:
+    """The median effect of each run of ``p_w`` problems (one per OCP) over
+    its succeeded ones; NaN unless a strict majority of them succeeded."""
+    failed = np.array([e is not None for e in fit.errors]).reshape(-1, p_w)
+    beta, clean = fit.beta.reshape(-1, p_w), ~failed.any(axis=1)
+    out = np.full(len(beta), math.nan)
+    out[clean] = np.median(beta[clean], axis=1)
+    for s in np.flatnonzero(~clean & (failed.sum(axis=1) < p_w - p_w // 2)):
+        out[s] = np.median(beta[s, ~failed[s]])
+    return out
 
 
 def default_subsample_size(n: int) -> int:
@@ -969,14 +979,9 @@ def subsample_ci(
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
 
-    p_w = data.p_w
     estimates = np.full(n_subsamples, math.nan)
     for block, fit in _subsample_fits(data, config, n_subsamples, b, seed):
-        failed = np.array([e is not None for e in fit.errors]).reshape(-1, p_w)
-        beta, clean = fit.beta.reshape(-1, p_w), ~failed.any(axis=1)
-        estimates[np.array(block)[clean]] = np.median(beta[clean], axis=1)
-        for s in np.flatnonzero(~clean & (failed.sum(axis=1) < p_w - p_w // 2)):
-            estimates[block[s]] = np.median(beta[s, ~failed[s]])  # a strict majority
+        estimates[block.start : block.stop] = _majority_median(fit, data.p_w)
     n_failed = int(np.sum(np.isnan(estimates)))
     if n_failed > 0.2 * n_subsamples:
         raise AggregateFailure(

@@ -9,10 +9,11 @@ treatment. All noise scales are standard deviations.
 ``run_monte_carlo`` evaluates named estimation methods over independent
 replications and reports coverage / interval length / bias / SE / RMSE per
 method. It fits blocks of up to 20 replications at a time, each block with
-one stacked factorization and each closed-form method as one stack of
-per-replication problems. ``run_study`` packages the benchmark grids
-(sample-size sweeps, invalid-count sweeps, and the two-sided invalid grid)
-at a quick "desk" scale or the heavier "full" scale.
+one stacked factorization and each method as one stack of problems on it
+(per replication, or per replication and OCP for the median); only the
+median's subsampling interval runs per replication. ``run_study`` packages
+the benchmark grids (sample-size sweeps, invalid-count sweeps, and the
+two-sided invalid grid) at a quick "desk" scale or the heavier "full" scale.
 
 Determinism: replication ``r`` draws from a dedicated RNG stream keyed by
 ``(seed, STREAM_DATASET, r)``, and subsampling inside replication ``r`` is
@@ -33,20 +34,20 @@ from .estimators import (
     _SUBSAMPLE_BLOCK,
     Dataset,
     EstimationConfig,
-    _estimate,
     _factor_datasets,
     _is_cv,
+    _majority_median,
     _pipeline,
     _refit,
     _subsample_size,
-    estimate_invalid_tcp_ocp,
+    _zscore,
     subsample_ci,
 )
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
-from .estimators import estimate_invalid_tcp, naive_p2sls  # noqa: F401
-from .estimators import ols_baseline, oracle_p2sls  # noqa: F401
+from .estimators import estimate_invalid_tcp, estimate_invalid_tcp_ocp  # noqa: F401
+from .estimators import naive_p2sls, ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
 
 __all__ = [
@@ -275,35 +276,6 @@ def _closed_form(core, name: str, config: SimConfig, est_config: EstimationConfi
     return _refit(core, ds, sel, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
 
 
-def _median_adaptive(
-    data: Dataset,
-    config: SimConfig,
-    est_config: EstimationConfig,
-    ci_config: SubsampleCiConfig | None,
-    rep_index: int,
-) -> tuple[float, float, float]:
-    """The median aggregate on one replication, with its subsampling
-    interval when ``ci_config`` is given; returns (estimate, lower, upper)."""
-    est = estimate_invalid_tcp_ocp(data, est_config)
-    if ci_config is None:
-        return est.beta_hat, math.nan, math.nan
-    sub_seed = int(
-        np.random.SeedSequence(
-            (int(config.seed), STREAM_REP_SEED, int(rep_index))
-        ).generate_state(1)[0]
-    )
-    lo, hi = subsample_ci(
-        data,
-        est_config,
-        n_subsamples=ci_config.n_subsamples,
-        b=ci_config.b,
-        seed=sub_seed,
-        recenter=ci_config.recenter,
-        center=est.beta_hat,
-    )
-    return est.beta_hat, lo, hi
-
-
 def _fit_block(
     block: range,
     methods: Sequence[str],
@@ -311,26 +283,34 @@ def _fit_block(
     est_config: EstimationConfig,
     ci_config: SubsampleCiConfig | None,
 ):
-    """Yield ``(method, r, (estimate, lower, upper))``, or ``(method, r,
-    error)`` for a failed fit, for every method and replication ``r`` of
-    ``block``; the block's datasets and factors go with the generator."""
+    """Yield each method with its ``(estimate, lower, upper)`` arrays over
+    the replications of ``block``, all NaN where a replication failed. The
+    block is factored once, and each method is one stack on that factor: a
+    problem per replication, or per (replication, OCP) for the median, whose
+    subsampling interval (for ``ci_config``) is then drawn per replication."""
     datasets = [generate_invalid_tcp_ocp_data(config, r) for r in block]
-    # Keep Q for the adaptive stack's cv folds; median_adaptive reuses it.
-    core = _factor_datasets(datasets, _is_cv(est_config) and "adaptive" in methods)
+    core = _factor_datasets(datasets, _is_cv(est_config))
     for m in methods:
-        if m == "median_adaptive":
-            for r, data in zip(block, datasets):
-                try:
-                    out = _median_adaptive(data, config, est_config, ci_config, r)
-                except ProxselError as exc:
-                    out = exc
-                yield m, r, out
+        if m != "median_adaptive":
+            fit = _closed_form(core, m, config, est_config)
+            beta = np.where([e is None for e in fit.errors], fit.beta, math.nan)
+            half = _zscore(est_config.alpha_level) * np.sqrt(fit.variance / config.n)
+            yield m, (beta, beta - half, beta + half)
             continue
-        fit = _closed_form(core, m, config, est_config)
-        for i, r in enumerate(block):
-            est = _estimate(fit, i, config.n, est_config.alpha_level, m)
-            yield m, r, (est if isinstance(est, ProxselError)
-                         else (est.beta_hat, est.ci_lower, est.ci_upper))
+        ds, p_w = np.arange(len(block)), config.p_w
+        fit = _pipeline(core, np.repeat(ds, p_w), np.tile(np.arange(p_w), ds.size),
+                        est_config, True)
+        beta, (lo, hi) = _majority_median(fit, p_w), np.full((2, ds.size), math.nan)
+        for i in np.flatnonzero(np.isfinite(beta)) if ci_config else ():
+            seed = np.random.SeedSequence((int(config.seed), STREAM_REP_SEED, block[i]))
+            try:
+                lo[i], hi[i] = subsample_ci(
+                    datasets[i], est_config, n_subsamples=ci_config.n_subsamples,
+                    b=ci_config.b, seed=int(seed.generate_state(1)[0]),
+                    recenter=ci_config.recenter, center=beta[i])
+            except ProxselError:
+                beta[i] = math.nan
+        yield m, (beta, lo, hi)
 
 
 def run_monte_carlo(
@@ -352,10 +332,9 @@ def run_monte_carlo(
     any draw); without it that method reports NaN coverage and length.
     Replications are drawn, each on its own counter-keyed RNG stream, and
     fitted in blocks of up to 20: one stacked factorization per block, and
-    one stacked fit per closed-form method (``adaptive``, ``oracle``,
-    ``naive``, ``ols``); ``median_adaptive`` and its interval run per
-    replication, on the replication's slice of its block's factor. The
-    report does not depend on the blocking. ``n_jobs`` is accepted for
+    one stacked fit per method on it (``median_adaptive`` stacks every
+    replication's OCPs); only the median's interval runs per replication.
+    The report does not depend on the blocking. ``n_jobs`` is accepted for
     compatibility, must be at least 1 and has no effect.
     """
     est_config = est_config or EstimationConfig()
@@ -369,34 +348,28 @@ def run_monte_carlo(
     if ci_config is not None and "median_adaptive" in methods:
         _subsample_size(ci_config.b, config.n, config.p_z + config.p_w + 1)
     reps = config.reps
-    beta = {m: np.full(reps, math.nan) for m in methods}
-    lo = {m: np.full(reps, math.nan) for m in methods}
-    hi = {m: np.full(reps, math.nan) for m in methods}
-    failed = {m: 0 for m in methods}
+    blocks: dict[str, list] = {m: [] for m in methods}
     for first in range(0, reps, _SUBSAMPLE_BLOCK):
         block = range(first, min(first + _SUBSAMPLE_BLOCK, reps))
-        for m, r, out in _fit_block(block, methods, config, est_config, ci_config):
-            if isinstance(out, ProxselError):
-                failed[m] += 1
-            else:
-                beta[m][r], lo[m][r], hi[m][r] = out
+        for m, fit in _fit_block(block, methods, config, est_config, ci_config):
+            blocks[m].append(fit)
 
     rows: dict[str, MethodMetrics] = {}
     for m in methods:
-        if failed[m] > 0.1 * reps:
+        beta, lo, hi = np.concatenate(blocks[m], axis=1)
+        failed = int(np.sum(np.isnan(beta)))
+        if failed > 0.1 * reps:
             raise AggregateFailure(
-                f"method {m!r} failed on {failed[m]} of {reps} replications "
+                f"method {m!r} failed on {failed} of {reps} replications "
                 f"(more than 10%)",
-                n_failed=failed[m],
+                n_failed=failed,
                 n_total=reps,
             )
-        rows[m] = _summarize(
-            beta[m], lo[m], hi[m], config.beta_true, failed[m]
-        )
+        rows[m] = _summarize(beta, lo, hi, config.beta_true, failed)
     return MonteCarloReport(
         methods=rows,
         reps=reps,
-        n_failed=sum(failed.values()),
+        n_failed=sum(row.n_failed for row in rows.values()),
         config=config,
     )
 

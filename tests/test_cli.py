@@ -484,6 +484,34 @@ class TestNegativeSubsampleCount:
         assert not out.exists()
 
 
+class TestSubsampleSizeWithoutInterval:
+    """``--subsample-b`` while ``--subsample-n`` is 0 is refused: ``estimate``
+    used to write the unchecked size into its report and ``simulate`` to drop
+    it silently."""
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_exits_with_a_config_error_naming_both_flags(
+        self, command, multi_ocp_csv, tmp_path, capsys
+    ):
+        data_path, schema_path, _ = multi_ocp_csv
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 200, "p_z": 4, "s_z": 1, "reps": 3}), encoding="utf-8")
+        inputs = {  # estimate defaults to 1000 subsamples, simulate to none
+            "estimate": ["--data", str(data_path), "--schema", str(schema_path),
+                         "--subsample-n", "0", "--subsample-b", "-3"],
+            "simulate": ["--config", str(sim), "--methods", "median_adaptive",
+                         "--subsample-b", "50"],
+        }
+        out = tmp_path / "never.json"
+        code = main([command, *inputs[command], "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: ConfigError: --subsample-b needs --subsample-n > 0 (got --subsample-n 0)\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 @pytest.fixture
 def command_argv(multi_ocp_csv, tmp_path, monkeypatch):
     """Each subcommand's arguments, without ``--out`` and ``--timing``, on

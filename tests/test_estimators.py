@@ -423,6 +423,21 @@ class TestErrorPrecedence:
             call(data)
         assert str(refit.value) == str(first.value)
 
+    def test_a_zero_penalty_fails_naming_it_not_the_refit(self):
+        # Least squares selects every TCP, and the refit on all of them and
+        # the fitted OCP would leave no treatment variation.
+        data = generate_invalid_tcp_ocp_data(SimConfig(n=300, p_z=6, s_z=2, p_w=3, seed=3), 0)
+        message = ("all 6 TCPs were selected as invalid at lambda_n=0.0; no valid TCP is "
+                   "left to identify the effect")
+        with pytest.raises(AssumptionViolation) as single:
+            estimate_invalid_tcp(data, 0, EstimationConfig(lambda_n=0.0))
+        assert str(single.value) == message
+        with pytest.raises(AggregateFailure):
+            estimate_invalid_tcp_ocp(data, EstimationConfig(lambda_n=0.0))
+        # the selection itself is still returned
+        alpha, selected = adaptive_lasso_proximal(data, 0, 0.0)
+        assert selected == tuple(range(6))
+
 
 class TestInvariances:
     def test_treatment_effect_shift_moves_the_estimate_one_for_one(self):

@@ -281,22 +281,37 @@ class TestRunMonteCarlo:
         assert math.isfinite(m.coverage)
         assert m.ci_length > 0.0
 
+    def test_a_failed_interval_drops_its_replication(self):
+        # cv mode needs 20 rows, so every subsample of 19 fails, and with
+        # them each replication's interval; its estimate goes too.
+        config = SimConfig(n=200, p_z=4, s_z=1, p_w=3, reps=2, y_noise_sd=1.0)
+        with pytest.raises(AggregateFailure) as failure:
+            run_monte_carlo(config, ("median_adaptive",), SubsampleCiConfig(n_subsamples=4, b=19),
+                            EstimationConfig(lambda_mode="cv"))
+        assert failure.value.n_failed == 2
+
     def test_recentred_interval_fits_the_full_sample_once(self, monkeypatch):
-        # The point estimate is the recentring centre, so one full-sample
-        # fit per replication serves both.
+        # The median comes from the block's stack, so the recentring centre
+        # needs no per-replication fit and the full sample one factorization.
         config = SimConfig(n=300, p_z=4, s_z=1, p_w=3, reps=1)
-        full_sample = []
-        fit = estimators.estimate_invalid_tcp_ocp
+        medians, full_size = [], []
+        factor, median = estimators._factor, estimators.estimate_invalid_tcp_ocp
 
-        def counting(data, *args, **kwargs):
-            full_sample.append(data.n == config.n)
-            return fit(data, *args, **kwargs)
+        def counting_factor(data, stack, keep_rows=False):
+            stack = list(stack)
+            full_size.extend(a.shape[0] == config.n for a in stack)
+            return factor(data, stack, keep_rows)
 
-        monkeypatch.setattr(simulation, "estimate_invalid_tcp_ocp", counting)
-        monkeypatch.setattr(estimators, "estimate_invalid_tcp_ocp", counting)
+        def counting_median(*args, **kwargs):
+            medians.append(args)
+            return median(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_factor", counting_factor)
+        monkeypatch.setattr(simulation, "estimate_invalid_tcp_ocp", counting_median)
+        monkeypatch.setattr(estimators, "estimate_invalid_tcp_ocp", counting_median)
         ci_config = SubsampleCiConfig(n_subsamples=5, recenter=True)
         report = run_monte_carlo(config, ("median_adaptive",), ci_config)
-        assert sum(full_sample) == 1
+        assert medians == [] and sum(full_size) == 1
         assert math.isfinite(report.methods["median_adaptive"].ci_length)
 
     def test_unknown_method_is_rejected(self):
@@ -346,6 +361,12 @@ class TestBlockedReplications:
                             METHOD_NAMES, SubsampleCiConfig(n_subsamples=8), None),
         "p_w=3, recentred": (dict(n=200, p_z=6, s_z=2, p_w=3, s_w=1), METHOD_NAMES,
                              SubsampleCiConfig(n_subsamples=8, recenter=True), None),
+        # some OCPs fail relevance: medians over a bare majority, or none
+        "median alone, recentred": (dict(n=100, p_z=4, s_z=1, p_w=4, y_noise_sd=1.0,
+                                         u_sd=1e-12, w_noise_sd=2e-8), ("median_adaptive",),
+                                    SubsampleCiConfig(n_subsamples=8, recenter=True), None),
+        "median alone, cv": (dict(n=200, p_z=6, s_z=2, p_w=4, s_w=1, y_noise_sd=1.0),
+                             ("median_adaptive",), None, EstimationConfig(lambda_mode="cv")),
         # every TCP invalid: each oracle refit is rank-deficient
         "failing oracle": (dict(n=100, p_z=4, s_z=4), ("adaptive", "oracle"), None, None),
         # OCP coefficients near DELTA_FLOOR: some replications fail relevance
@@ -383,9 +404,9 @@ class TestBlockedReplications:
         run_monte_carlo(config, ("adaptive", "median_adaptive"), None, cv)
         assert calls == [([(300, 9)] * 4, True)]
         calls.clear()
-        # Without adaptive the block keeps no Q; each median factors its rows.
+        # The median alone also fits on the block's one factor, which keeps Q.
         run_monte_carlo(config, ("median_adaptive",), None, cv)
-        assert calls == [([(300, 9)] * 4, False)] + [([(300, 9)], True)] * 4
+        assert calls == [([(300, 9)] * 4, True)]
 
     def test_the_grid_exercises_failures_and_warnings(self):
         def run(cell, reps):
