@@ -514,6 +514,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "subsample_n", 0) < 0:
             raise ConfigError(f"--subsample-n must be >= 0, got {args.subsample_n}")
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if getattr(args, "subsample_b", None) is not None and args.subsample_n == 0:
             raise ConfigError("--subsample-b needs --subsample-n > 0 (got --subsample-n 0)")
         run = _COMMANDS[args.command](args)

@@ -84,8 +84,8 @@ def _read_json(path: str, what: str) -> Any:
 
 def _from_dict(cls, raw: Any, what: str):
     """``cls`` from a JSON object whose keys are its field names. Unknown
-    keys, missing required ones, a value of the wrong JSON type and a broken
-    invariant are a :class:`ConfigError` naming ``what``."""
+    keys, missing required ones, a value of the wrong JSON type, a non-finite
+    number and a broken invariant are a :class:`ConfigError` naming ``what``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -108,6 +108,8 @@ def _from_dict(cls, raw: Any, what: str):
             raise ConfigError(
                 f"{what}: key {key!r} must be {ann}, got {type(value).__name__}"
             )
+        if isinstance(value, float) and not math.isfinite(value):  # a report cannot echo it
+            raise ConfigError(f"{what}: key {key!r} must be finite, got {value}")
         kwargs[key] = float(value) if value is not None and ann.startswith("float") else value
     try:
         return cls(**kwargs)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, NamedTuple, Sequence
 
@@ -118,10 +118,9 @@ class Dataset:
     covariates. Requires ``n > p_z + p_w + p_x + 1`` so every second-stage
     regression has positive degrees of freedom. The dataset stores read-only
     copies of its arrays, so neither ``data.Y[...] = ...`` nor a write to
-    the caller's own array can make its factor ``R`` and first stage,
-    computed once on first use and kept on the dataset, go stale. Datasets,
-    first stages and fits compare and hash by identity: their arrays have no
-    single truth value.
+    the caller's own array changes what a later estimate sees; fitting
+    stores nothing on it. Datasets, first stages and fits compare and hash
+    by identity: their arrays have no single truth value.
     """
 
     Y: np.ndarray
@@ -129,7 +128,6 @@ class Dataset:
     Z: np.ndarray
     W: np.ndarray
     X: np.ndarray | None = None
-    _core: "_Core | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = as_vector(self.Y, "Y")
@@ -154,7 +152,7 @@ class Dataset:
             )
         for name, arr in (("Y", y), ("D", d), ("Z", z), ("W", w), ("X", x)):
             # Copy (keeping the memory layout): np.asarray above does not,
-            # and the caller must not reach the cached factor's inputs.
+            # and a later write to the caller's array must not reach the fit.
             object.__setattr__(self, name, _read_only(arr.copy(order="K")))
 
     @property
@@ -260,7 +258,7 @@ class EstimationConfig:
 
 
 # ---------------------------------------------------------------------------
-# One R-factor per dataset
+# One R-factor per dataset and call
 # ---------------------------------------------------------------------------
 
 def _solve(a: np.ndarray, b: np.ndarray, ok) -> np.ndarray:
@@ -330,12 +328,6 @@ def _factor(data: Dataset, stack, keep_rows: bool = False) -> _Core:
     return _Core(ys.shape[1], data.p_z, data.p_w, m, ext, coef, fail, y_sd, *rows)
 
 
-def _core_of(data: Dataset) -> _Core:
-    if data._core is None:
-        object.__setattr__(data, "_core", _factor(data, [_augmented(data)]))
-    return data._core
-
-
 def _factor_datasets(datasets: Sequence[Dataset], keep_rows: bool = False) -> _Core:
     """One :func:`_factor` call over equal-shape datasets."""
     return _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
@@ -346,14 +338,12 @@ def _is_cv(config: EstimationConfig) -> bool:
 
 
 def _single(data: Dataset, ocps=(), keep_rows: bool = False) -> _Core:
-    """The factor of ``data`` alone once the OCP indices ``ocps`` are in
-    range: the cached one, or for ``keep_rows`` (cv folds) a new one that
-    keeps the n rows (the same ``R``: both come from one LAPACK
-    factorization). A failed first stage is left to each caller's error order."""
+    """The factor of ``data`` alone (for ``keep_rows``, with its n rows) once the
+    OCP indices ``ocps`` are in range; a failed first stage is left to the caller."""
     for k in ocps:
         if not 0 <= int(k) < data.p_w:
             raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
-    return _factor(data, [_augmented(data)], True) if keep_rows else _core_of(data)
+    return _factor_datasets([data], keep_rows)
 
 
 def _check(error: ProxselError | None) -> None:
@@ -370,11 +360,7 @@ def _first_stage_error(core: _Core, ds: np.ndarray) -> list:
 
 
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
-    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``.
-
-    All OCPs share one factorization, computed on the dataset's first call
-    into any estimator and reused by every later one.
-    """
+    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
     core = _single(data, [ocp_index])
     _check(_first_stage_error(core, _one(0))[0])
     coef = core.coef[0]
@@ -707,6 +693,14 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _R
     return out
 
 
+def _given(core: _Core, sel: Sequence[int], ocps: Sequence[int]) -> _Refit:
+    """:func:`_refit` of each dataset of ``core`` on the TCPs ``sel`` and OCPs ``ocps``."""
+    ds = np.arange(len(core.fail))
+    mask = np.zeros((ds.size, core.p_z), dtype=bool)
+    mask[:, list(sel)] = True
+    return _refit(core, ds, mask, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
+
+
 def _estimate(fit: _Refit, i: int, n: int, alpha_level: float, method: str):
     """Problem ``i`` of a refit as a :class:`ProxyEstimate`, or its error."""
     if fit.errors[i] is not None:
@@ -732,10 +726,7 @@ def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
         raise IndexError(
             f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
         )
-    ocps = np.array([[int(k) for k in ocps]], dtype=int).reshape(1, -1)
-    mask = np.zeros((1, data.p_z), dtype=bool)
-    mask[0, sel] = True
-    fit = _refit(_single(data, ocps[0]), _one(0), mask, ocps)
+    fit = _given(_single(data, ocps), sel, ocps)
     _check(fit.errors[0])
     return _estimate(fit, 0, data.n, alpha_level, method)
 
@@ -864,14 +855,7 @@ def estimate_invalid_tcp_ocp(
         for j in range(p_w)
     )
     fits = [f for f in per_ocp if isinstance(f, ProxyEstimate)]
-    required = p_w // 2 + 1
-    if len(fits) < required:
-        raise AggregateFailure(
-            f"only {len(fits)} of {p_w} per-OCP runs succeeded; "
-            f"need at least {required}",
-            n_failed=p_w - len(fits),
-            n_total=p_w,
-        )
+    _check(_majority(len(fits), p_w))
     beta = float(np.median([f.beta_hat for f in fits]))
     gamma = float(np.median([f.gamma_hat for f in fits]))
     alpha_vec = np.median(np.vstack([f.alpha_hat for f in fits]), axis=0)
@@ -888,16 +872,29 @@ def estimate_invalid_tcp_ocp(
     )
 
 
-def _majority_median(fit: _Refit, p_w: int) -> np.ndarray:
+def _majority(n_ok: int, p_w: int) -> AggregateFailure | None:
+    """The error of a median over ``p_w`` per-OCP runs of which ``n_ok``
+    succeeded: None for a strict majority."""
+    required = p_w // 2 + 1
+    if n_ok >= required:
+        return None
+    return AggregateFailure(f"only {n_ok} of {p_w} per-OCP runs succeeded; need at least "
+                            f"{required}", n_failed=p_w - n_ok, n_total=p_w)
+
+
+def _majority_median(fit: _Refit, p_w: int) -> tuple[np.ndarray, list]:
     """The median effect of each run of ``p_w`` problems (one per OCP) over
-    its succeeded ones; NaN unless a strict majority of them succeeded."""
+    its succeeded ones, and the run's error: NaN and :func:`_majority`'s
+    error unless a strict majority of them succeeded."""
     failed = np.array([e is not None for e in fit.errors]).reshape(-1, p_w)
     beta, clean = fit.beta.reshape(-1, p_w), ~failed.any(axis=1)
     out = np.full(len(beta), math.nan)
     out[clean] = np.median(beta[clean], axis=1)
-    for s in np.flatnonzero(~clean & (failed.sum(axis=1) < p_w - p_w // 2)):
+    errors = [_majority(p_w - int(k), p_w) for k in failed.sum(axis=1)]
+    ok = alive(errors)
+    for s in ok[~clean[ok]]:
         out[s] = np.median(beta[s, ~failed[s]])
-    return out
+    return out, errors
 
 
 def default_subsample_size(n: int) -> int:
@@ -968,8 +965,8 @@ def subsample_ci(
     ``sqrt(b) * (estimate_b - estimate_n)`` (the orthodox construction; the
     raw-quantile default matches the reference simulation design), centred
     at ``center``, the full-sample estimate, which is computed when omitted.
-    Deterministic given ``seed``: subsample ``i`` draws from an independent
-    stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``, and blocks of
+    Deterministic given ``seed`` (at least 0): subsample ``i`` draws from
+    an independent stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``, and blocks of
     subsamples are factored and fitted as stacks in which every problem is
     computed on its own, so the interval does not depend on the blocking.
     """
@@ -978,10 +975,12 @@ def subsample_ci(
     b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
+    if seed < 0:
+        raise InvalidBound(f"seed must be >= 0, got {seed}")
 
     estimates = np.full(n_subsamples, math.nan)
     for block, fit in _subsample_fits(data, config, n_subsamples, b, seed):
-        estimates[block.start : block.stop] = _majority_median(fit, data.p_w)
+        estimates[block.start : block.stop] = _majority_median(fit, data.p_w)[0]
     n_failed = int(np.sum(np.isnan(estimates)))
     if n_failed > 0.2 * n_subsamples:
         raise AggregateFailure(

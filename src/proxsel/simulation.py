@@ -35,10 +35,10 @@ from .estimators import (
     Dataset,
     EstimationConfig,
     _factor_datasets,
+    _given,
     _is_cv,
     _majority_median,
     _pipeline,
-    _refit,
     _subsample_size,
     _zscore,
     subsample_ci,
@@ -49,6 +49,7 @@ from .estimators import (
 from .estimators import estimate_invalid_tcp, estimate_invalid_tcp_ocp  # noqa: F401
 from .estimators import naive_p2sls, ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
+from .linalg import keep_first
 
 __all__ = [
     "SimConfig",
@@ -148,6 +149,8 @@ class SimConfig:
             raise InvalidBound("y_noise_sd must be >= 0")
         if self.reps < 1:
             raise InvalidBound(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise InvalidBound(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_invalid_tcp_ocp_data(config: SimConfig, rep_index: int) -> Dataset:
@@ -264,16 +267,13 @@ def _closed_form(core, name: str, config: SimConfig, est_config: EstimationConfi
     ``core``, one problem each: the fit of ``estimate_invalid_tcp(data, 0)``,
     ``oracle_p2sls`` with the true invalid set, ``naive_p2sls`` or
     ``ols_baseline``, with each problem's first error."""
-    ds = np.arange(len(core.fail))
     if name == "adaptive":
+        ds = np.arange(len(core.fail))
         return _pipeline(core, ds, np.zeros_like(ds), est_config, True)
-    sel = np.zeros((ds.size, config.p_z), dtype=bool)
     if name == "oracle":
-        sel[:, : config.s_z] = True
-        ocps = [_oracle_ocp_index(config)]
-    else:  # naive enters every fitted OCP column; ols none
-        ocps = range(config.p_w) if name == "naive" else []
-    return _refit(core, ds, sel, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
+        return _given(core, range(config.s_z), [_oracle_ocp_index(config)])
+    # naive enters every fitted OCP column; ols none
+    return _given(core, (), range(config.p_w) if name == "naive" else ())
 
 
 def _fit_block(
@@ -284,10 +284,11 @@ def _fit_block(
     ci_config: SubsampleCiConfig | None,
 ):
     """Yield each method with its ``(estimate, lower, upper)`` arrays over
-    the replications of ``block``, all NaN where a replication failed. The
-    block is factored once, and each method is one stack on that factor: a
-    problem per replication, or per (replication, OCP) for the median, whose
-    subsampling interval (for ``ci_config``) is then drawn per replication."""
+    the replications of ``block``, all NaN where a replication failed, and
+    each replication's error or None. The block is factored once, and each
+    method is one stack on that factor: a problem per replication, or per
+    (replication, OCP) for the median, whose subsampling interval (for
+    ``ci_config``) is then drawn per replication."""
     datasets = [generate_invalid_tcp_ocp_data(config, r) for r in block]
     core = _factor_datasets(datasets, _is_cv(est_config))
     for m in methods:
@@ -295,12 +296,12 @@ def _fit_block(
             fit = _closed_form(core, m, config, est_config)
             beta = np.where([e is None for e in fit.errors], fit.beta, math.nan)
             half = _zscore(est_config.alpha_level) * np.sqrt(fit.variance / config.n)
-            yield m, (beta, beta - half, beta + half)
+            yield m, (beta, beta - half, beta + half), fit.errors
             continue
         ds, p_w = np.arange(len(block)), config.p_w
         fit = _pipeline(core, np.repeat(ds, p_w), np.tile(np.arange(p_w), ds.size),
                         est_config, True)
-        beta, (lo, hi) = _majority_median(fit, p_w), np.full((2, ds.size), math.nan)
+        (beta, errors), (lo, hi) = _majority_median(fit, p_w), np.full((2, ds.size), math.nan)
         for i in np.flatnonzero(np.isfinite(beta)) if ci_config else ():
             seed = np.random.SeedSequence((int(config.seed), STREAM_REP_SEED, block[i]))
             try:
@@ -308,9 +309,10 @@ def _fit_block(
                     datasets[i], est_config, n_subsamples=ci_config.n_subsamples,
                     b=ci_config.b, seed=int(seed.generate_state(1)[0]),
                     recenter=ci_config.recenter, center=beta[i])
-            except ProxselError:
+            except ProxselError as exc:
                 beta[i] = math.nan
-        yield m, (beta, lo, hi)
+                keep_first(errors, [exc], at=[i])
+        yield m, (beta, lo, hi), errors
 
 
 def run_monte_carlo(
@@ -349,19 +351,22 @@ def run_monte_carlo(
         _subsample_size(ci_config.b, config.n, config.p_z + config.p_w + 1)
     reps = config.reps
     blocks: dict[str, list] = {m: [] for m in methods}
+    causes: dict[str, list] = {m: [] for m in methods}  # each replication's error
     for first in range(0, reps, _SUBSAMPLE_BLOCK):
         block = range(first, min(first + _SUBSAMPLE_BLOCK, reps))
-        for m, fit in _fit_block(block, methods, config, est_config, ci_config):
+        for m, fit, errors in _fit_block(block, methods, config, est_config, ci_config):
             blocks[m].append(fit)
+            causes[m] += errors
 
     rows: dict[str, MethodMetrics] = {}
     for m in methods:
         beta, lo, hi = np.concatenate(blocks[m], axis=1)
         failed = int(np.sum(np.isnan(beta)))
         if failed > 0.1 * reps:
+            cause = causes[m][int(np.flatnonzero(np.isnan(beta))[0])]
             raise AggregateFailure(
                 f"method {m!r} failed on {failed} of {reps} replications "
-                f"(more than 10%)",
+                f"(more than 10%); first failure: {type(cause).__name__}: {cause}",
                 n_failed=failed,
                 n_total=reps,
             )

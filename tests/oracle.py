@@ -962,6 +962,7 @@ def run_monte_carlo_serial(
     lo = {m: np.full(reps, math.nan) for m in methods}
     hi = {m: np.full(reps, math.nan) for m in methods}
     failed = {m: 0 for m in methods}
+    first = {m: None for m in methods}  # each method's first failure
     for r in range(reps):
         data = simulation.generate_invalid_tcp_ocp_data(config, r)
         for m in methods:
@@ -969,15 +970,16 @@ def run_monte_carlo_serial(
                 beta[m][r], lo[m][r], hi[m][r] = _run_method(
                     m, data, config, est_config, ci_config, r
                 )
-            except ProxselError:
+            except ProxselError as exc:
                 failed[m] += 1
+                first[m] = first[m] or exc
 
     rows = {}
     for m in methods:
         if failed[m] > 0.1 * reps:
             raise AggregateFailure(
                 f"method {m!r} failed on {failed[m]} of {reps} replications "
-                f"(more than 10%)",
+                f"(more than 10%); first failure: {type(first[m]).__name__}: {first[m]}",
                 n_failed=failed[m],
                 n_total=reps,
             )

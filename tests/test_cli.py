@@ -442,6 +442,20 @@ class TestEstimateCommand:
         assert err.startswith("error: ConfigError:") and "lambda_n" in err
         assert not out.exists()
 
+    def test_infinite_penalty_exits_before_the_fit(self, exact_csv, tmp_path, capsys):
+        # Accepted, it used to fit and print the table, then fail writing the report.
+        data_path, schema_path, _, _ = exact_csv
+        config, out = tmp_path / "inf.json", tmp_path / "never.json"
+        config.write_text('{"lambda_n": Infinity}', encoding="utf-8")
+        code = main(["estimate", "--data", str(data_path), "--schema", str(schema_path),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: ConfigError: {config}: key 'lambda_n' must be finite, got inf\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_non_finite_cell_exits_with_a_parse_error(self, tmp_path, capsys):
         data_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
         rows = np.random.default_rng(2).uniform(-2, 2, (6, 4)).round(3)
@@ -480,6 +494,33 @@ class TestNegativeSubsampleCount:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == "error: ConfigError: --subsample-n must be >= 0, got -5\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestNegativeSeed:
+    """Every subcommand with ``--seed`` refuses a negative one up front; each
+    used to fail late, with numpy's bare ``ValueError`` (``estimate`` after
+    printing its full-sample fit)."""
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "reproduce"])
+    def test_exits_with_a_config_error_naming_the_flag(
+        self, command, multi_ocp_csv, tmp_path, capsys
+    ):
+        data_path, schema_path, _ = multi_ocp_csv
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 200, "p_z": 4, "s_z": 1, "reps": 3}), encoding="utf-8")
+        inputs = {
+            "estimate": ["--data", str(data_path), "--schema", str(schema_path),
+                         "--subsample-n", "20"],
+            "simulate": ["--config", str(sim), "--methods", "ols"],
+            "reproduce": ["--study", "single_ocp_sz"],
+        }
+        out = tmp_path / "never.json"
+        code = main([command, *inputs[command], "--seed", "-2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ConfigError: --seed must be >= 0, got -2\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -232,7 +232,7 @@ def test_covariance_form_is_the_n_row_reduced_design(seed, p_x, near_x, near_d, 
         d + near_d * (z @ delta),
     ])
     data = Dataset(Y=d + z[:, 0] + rng.standard_normal(n), D=d, Z=z, W=w, X=x)
-    red = est._reduced_design(est._core_of(data), np.zeros(3, dtype=int), np.arange(3))
+    red = est._reduced_design(est._single(data), np.zeros(3, dtype=int), np.arange(3))
     zp = oracle.residual_project(np.column_stack([d, x, np.ones(n)]), z)
     s_norm = np.linalg.norm(zp.T @ zp, 2)
     for j in range(3):

@@ -491,6 +491,18 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 parse_config(config_file(tmp_path, text), "sim")
 
+    @pytest.mark.parametrize("kind, text", [
+        ("estimation", '{"lambda_n": Infinity}'),
+        ("sim", '{"beta_true": -Infinity}'),
+        ("sim", '{"u_sd": 1e400}'),
+        ("estimation", '{"alpha_level": NaN}'),
+    ])
+    def test_a_non_finite_number_names_its_key(self, tmp_path, kind, text):
+        # A report could not echo it: JSON has no such number.
+        key = text.split('"')[1]
+        with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+            parse_config(config_file(tmp_path, text), kind)
+
     def test_integer_accepted_for_float_fields(self, tmp_path):
         cfg = parse_config(config_file(tmp_path, '{"beta_true": 1}'), "sim")
         assert cfg.beta_true == 1.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 import sys
 import threading
@@ -109,7 +110,7 @@ class TestFirstStage:
         )
         y, d, z, w = (a.copy() for a in (base.Y, base.D, base.Z, base.W))
         data = Dataset(Y=y, D=d, Z=z, W=w)
-        before = estimate_invalid_tcp(data, 1)  # caches the first stage
+        before = estimate_invalid_tcp(data, 1)  # fitted before the writes below
         y += 3.0 * d
         z[:, 0] = (z[:, 0] - z[:, 0].mean()) / z[:, 0].std()
         w *= 2.0
@@ -123,7 +124,15 @@ class TestFirstStage:
             assert est.variance == before.variance
             assert est.selected_invalid_tcps == before.selected_invalid_tcps
 
-    def test_every_entry_point_shares_one_first_stage(self, monkeypatch):
+    def test_fitting_leaves_the_dataset_unchanged(self):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=2, s_w=0, y_noise_sd=1.0), 0
+        )
+        before = pickle.dumps(data)
+        estimate_invalid_tcp(data, 0)
+        assert pickle.dumps(data) == before
+
+    def test_every_entry_point_factors_its_data_once_per_call(self, monkeypatch):
         calls = []
         factor = estimators_module._factor
 
@@ -141,13 +150,13 @@ class TestFirstStage:
         oracle_p2sls(data, (0, 1))
         naive_p2sls(data)
         first_stage(data, 1)
-        # one thin QR of A = [Z, D, X, 1, W, Y], 5 + 1 + 0 + 1 + 2 + 1
-        # columns, serves the first stage and every refit
-        assert calls == [[(300, 10)]]
+        # each call takes one thin QR of A = [Z, D, X, 1, W, Y], 5 + 1 + 0
+        # + 1 + 2 + 1 columns, and keeps nothing on the dataset
+        assert calls == [[(300, 10)]] * 5
 
     def test_threads_racing_on_a_fresh_dataset_agree(self):
-        # The cache has no lock: racing threads may each compute the first
-        # stage, but every one must see the serial numbers.
+        # Fits keep no state on the dataset, so threads racing on one fresh
+        # dataset must each see the serial numbers.
         base = generate_invalid_tcp_ocp_data(
             SimConfig(n=300, p_z=5, s_z=2, p_w=3, s_w=0, y_noise_sd=1.0), 0
         )
@@ -569,7 +578,7 @@ class TestSelectionStage:
             data = generate_invalid_tcp_ocp_data(
                 SimConfig(n=300, p_z=5, s_z=1, p_w=p_w, s_w=0, y_noise_sd=1.0), 0
             )
-            core = estimators_module._core_of(data)
+            core = estimators_module._single(data)
             matrices = []
 
             def counting(a, *args, **kwargs):
@@ -693,6 +702,14 @@ class TestSubsampleCi:
         c = subsample_ci(data, n_subsamples=20, seed=4)
         assert a == b
         assert a != c
+
+    def test_a_negative_seed_is_an_invalid_bound_before_any_fit(self, monkeypatch):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=4, s_z=1, p_w=2, s_w=0, y_noise_sd=1.0), 0
+        )
+        monkeypatch.setattr(estimators_module, "_factor", None)  # any fit would fail
+        with pytest.raises(InvalidBound, match="seed must be >= 0, got -1"):
+            subsample_ci(data, n_subsamples=20, seed=-1)
 
     def test_noiseless_data_yields_a_degenerate_interval(self):
         data, (beta, _, _) = make_exact_dataset(n=400)

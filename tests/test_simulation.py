@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidBound):
             SimConfig(reps=0)
 
+    def test_a_negative_seed_is_an_invalid_bound(self):
+        # numpy's stream keys refuse it too, but only at the first draw
+        with pytest.raises(InvalidBound, match="seed must be >= 0, got -2"):
+            SimConfig(seed=-2)
+
     def test_scales_must_be_positive(self):
         with pytest.raises(InvalidBound):
             SimConfig(u_sd=0.0)
@@ -325,6 +330,17 @@ class TestRunMonteCarlo:
         with pytest.raises(AggregateFailure):
             run_monte_carlo(config, ("oracle",))
 
+    def test_an_aborted_run_names_its_first_failure(self):
+        # At a zero penalty every TCP is selected, so no replication of the
+        # adaptive methods has a valid TCP left.
+        config = SimConfig(n=300, p_z=6, p_w=3, reps=23)
+        with pytest.raises(AggregateFailure) as failure:
+            run_monte_carlo(config, METHOD_NAMES, None, EstimationConfig(lambda_n=0.0))
+        assert str(failure.value) == (
+            "method 'adaptive' failed on 23 of 23 replications (more than 10%); first "
+            "failure: AssumptionViolation: all 6 TCPs were selected as invalid at "
+            "lambda_n=0.0; no valid TCP is left to identify the effect")
+
     def test_interval_methods_cover_at_moderate_scale(self):
         config = SimConfig(n=800, p_z=6, s_z=2, reps=30, y_noise_sd=1.0)
         report = run_monte_carlo(config, ("adaptive", "oracle"))
@@ -436,7 +452,7 @@ class TestBlockedReplications:
         # A = [Z, D, X, 1, W, Y] has 5 + 1 + 0 + 1 + 1 + 1 columns
         assert calls == [[(300, 9)] * 4]
         calls.clear()
-        # the median reuses each replication's slice of its block's factor
+        # the median fits on its block's one factor too
         run_monte_carlo(SimConfig(n=300, p_z=5, s_z=2, reps=45), METHOD_NAMES)
         assert [len(c) for c in calls] == [20, 20, 5]
 

@@ -172,6 +172,40 @@ def test_the_guard_finds_a_hand_written_merge():
     assert ledger_writes(source) == ["line 6", "line 7", "line 8", "line 9"]
 
 
+def frozen_writes(source: str) -> list[str]:
+    """Calls to ``object.__setattr__`` outside a ``__post_init__``: a frozen
+    object is written only while it is being built."""
+    tree = ast.parse(source)
+    building = {
+        id(node) for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        for node in ast.walk(fn)
+    }
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and getattr(node.func.value, "id", None) == "object"
+            and id(node) not in building]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_frozen_objects_are_written_only_while_built(path):
+    assert frozen_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_a_write_to_a_built_object():
+    source = (
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "def cache(c):\n"
+        "    object.__setattr__(c, 'b', 2)\n"
+        "    setattr(c, 'd', 3)\n"
+        "    c.__setattr__('e', 4)\n"
+    )
+    assert frozen_writes(source) == ["line 5"]
+
+
 def test_public_names_are_listed_once():
     assert len(proxsel.__all__) == len(set(proxsel.__all__))
 
