@@ -11,18 +11,28 @@ diagnostics, a simulation harness, file I/O, and a command-line interface
 round out the toolkit.
 """
 
-from . import data_io, estimators, exceptions, identification, linalg, simulation
 from .exceptions import *
 from .linalg import *
-from .identification import *
 from .estimators import *
 from .simulation import *
-from .data_io import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (exceptions, linalg, identification, estimators, simulation, data_io)
-    for name in module.__all__
-]
+
+def __getattr__(name: str):
+    # identification and data_io, and so __all__, load on first use: a Monte
+    # Carlo needs neither (PEP 562).
+    import importlib
+    modules = [importlib.import_module(f"{__name__}.{m}") for m in
+               ("exceptions", "linalg", "identification", "estimators", "simulation", "data_io")]
+    for module in modules:
+        globals().update((k, getattr(module, k)) for k in module.__all__)
+    globals()["__all__"] = ["__version__"] + [k for module in modules for k in module.__all__]
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return sorted(set(globals()) - {"__getattr__", "__dir__"})

@@ -201,8 +201,11 @@ def load_csv(
     mapped columns. A file with a blank or quoted line, a row too short for
     a mapped column, or a mapped cell that is missing, non-finite or not a
     plain ASCII number is read again, row by row, from the start. The
-    arrays, row counts and errors are the same either way.
+    arrays, row counts and errors are the same either way. A ``delimiter``
+    that is not exactly one character is a :class:`ConfigError`.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(f"delimiter must be exactly one character, got {delimiter!r}")
     try:
         handle = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:

@@ -842,59 +842,54 @@ def estimate_invalid_tcp_ocp(
     tolerates a minority of invalid OCPs. ``per_ocp_fits`` keeps each
     column's fit, or the error it raised, and ``per_ocp_estimates`` its
     effect (NaN for a failed column); the aggregate proceeds only when a
-    strict majority of runs succeed. No closed-form interval exists for the
-    median — attach one with :func:`subsample_ci` — so variance and CI
-    fields are NaN here.
+    strict majority of runs succeed, and its :class:`AggregateFailure`
+    otherwise names the first failed OCP and its error. No closed-form
+    interval exists for the median — attach one with :func:`subsample_ci` —
+    so variance and CI fields are NaN here.
     """
     config = config or EstimationConfig()
-    p_w = data.p_w
-    fit = _pipeline(_single(data, (), _is_cv(config)), np.zeros(p_w, dtype=int),
-                    np.arange(p_w), config, True)
-    per_ocp = tuple(
-        _estimate(fit, j, data.n, config.alpha_level, "post_adaptive_2sls")
-        for j in range(p_w)
-    )
-    fits = [f for f in per_ocp if isinstance(f, ProxyEstimate)]
-    _check(_majority(len(fits), p_w))
-    beta = float(np.median([f.beta_hat for f in fits]))
-    gamma = float(np.median([f.gamma_hat for f in fits]))
-    alpha_vec = np.median(np.vstack([f.alpha_hat for f in fits]), axis=0)
+    fit, beta, errors = _medians(_single(data, (), _is_cv(config)), config, True)
+    _check(errors[0])
+    ok = alive(fit.errors)
+    alpha_vec = np.median(fit.alpha[ok], axis=0)
     return ProxyEstimate(
-        beta_hat=beta,
-        gamma_hat=gamma,
+        beta_hat=float(beta[0]),
+        gamma_hat=float(np.median(fit.gamma[ok])),
         alpha_hat=alpha_vec,
         selected_invalid_tcps=tuple(int(j) for j in np.nonzero(alpha_vec)[0]),
         variance=math.nan,
         ci_lower=math.nan,
         ci_upper=math.nan,
         method="median_over_ocps",
-        per_ocp_fits=per_ocp,
+        per_ocp_fits=tuple(_estimate(fit, j, data.n, config.alpha_level, "post_adaptive_2sls")
+                           for j in range(data.p_w)),
     )
 
 
-def _majority(n_ok: int, p_w: int) -> AggregateFailure | None:
-    """The error of a median over ``p_w`` per-OCP runs of which ``n_ok``
-    succeeded: None for a strict majority."""
-    required = p_w // 2 + 1
-    if n_ok >= required:
-        return None
-    return AggregateFailure(f"only {n_ok} of {p_w} per-OCP runs succeeded; need at least "
-                            f"{required}", n_failed=p_w - n_ok, n_total=p_w)
-
-
-def _majority_median(fit: _Refit, p_w: int) -> tuple[np.ndarray, list]:
-    """The median effect of each run of ``p_w`` problems (one per OCP) over
-    its succeeded ones, and the run's error: NaN and :func:`_majority`'s
-    error unless a strict majority of them succeeded."""
-    failed = np.array([e is not None for e in fit.errors]).reshape(-1, p_w)
-    beta, clean = fit.beta.reshape(-1, p_w), ~failed.any(axis=1)
-    out = np.full(len(beta), math.nan)
+def _medians(core: _Core, config, warn: bool) -> tuple[_Refit, np.ndarray, list]:
+    """:func:`_pipeline` on every (dataset, OCP) problem of ``core``, in that
+    order, and each dataset's median effect over its succeeded OCPs with its
+    error: NaN and an :class:`AggregateFailure` naming the first failed OCP
+    unless a strict majority of the dataset's OCPs succeeded."""
+    n_ds, p_w = len(core.fail), core.p_w
+    fit = _pipeline(core, np.repeat(np.arange(n_ds), p_w), np.tile(np.arange(p_w), n_ds),
+                    config, warn)
+    failed = np.array([e is not None for e in fit.errors]).reshape(n_ds, p_w)
+    beta, clean = fit.beta.reshape(n_ds, p_w), ~failed.any(axis=1)
+    out = np.full(n_ds, math.nan)
     out[clean] = np.median(beta[clean], axis=1)
-    errors = [_majority(p_w - int(k), p_w) for k in failed.sum(axis=1)]
-    ok = alive(errors)
-    for s in ok[~clean[ok]]:
+    n_ok, need = p_w - failed.sum(axis=1), p_w // 2 + 1
+    for s in np.flatnonzero(~clean & (n_ok >= need)):
         out[s] = np.median(beta[s, ~failed[s]])
-    return out, errors
+    errors = [None] * n_ds
+    for s in np.flatnonzero(n_ok < need):
+        j = int(np.argmax(failed[s]))
+        cause = fit.errors[s * p_w + j]
+        keep_first(errors, [AggregateFailure(
+            f"only {n_ok[s]} of {p_w} per-OCP runs succeeded; need at least {need}; "
+            f"OCP {j} failed with {type(cause).__name__}: {cause}",
+            n_failed=int(p_w - n_ok[s]), n_total=p_w)], at=[s])
+    return fit, out, errors
 
 
 def default_subsample_size(n: int) -> int:
@@ -922,10 +917,10 @@ _SUBSAMPLE_BLOCK = 20
 
 
 def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int):
-    """Blocks of subsample indices, each with the refits of its (subsample,
-    OCP) problems in that order; subsample ``i`` draws its ``b`` rows from
-    the stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``."""
-    p_w, a = data.p_w, _augmented(data)
+    """Blocks of subsample indices, each with :func:`_medians` of its
+    subsamples; subsample ``i`` draws its ``b`` rows from the stream keyed
+    by ``(seed, STREAM_SUBSAMPLE, i)``."""
+    a = _augmented(data)
     for first in range(0, n_subsamples, _SUBSAMPLE_BLOCK):
         block = range(first, min(first + _SUBSAMPLE_BLOCK, n_subsamples))
         draws = [
@@ -936,8 +931,7 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
         ]
         # each subsample's rows of A, column-major like A
         core = _factor(data, (np.take(a.T, i, axis=1).T for i in draws), _is_cv(config))
-        yield block, _pipeline(core, np.repeat(np.arange(len(block)), p_w),
-                               np.tile(np.arange(p_w), len(block)), config, False)
+        yield block, *_medians(core, config, False)
 
 
 def subsample_ci(
@@ -979,8 +973,8 @@ def subsample_ci(
         raise InvalidBound(f"seed must be >= 0, got {seed}")
 
     estimates = np.full(n_subsamples, math.nan)
-    for block, fit in _subsample_fits(data, config, n_subsamples, b, seed):
-        estimates[block.start : block.stop] = _majority_median(fit, data.p_w)[0]
+    for block, _, medians, _ in _subsample_fits(data, config, n_subsamples, b, seed):
+        estimates[block.start : block.stop] = medians
     n_failed = int(np.sum(np.isnan(estimates)))
     if n_failed > 0.2 * n_subsamples:
         raise AggregateFailure(

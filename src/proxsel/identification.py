@@ -135,8 +135,9 @@ def check_identification(
         (``|delta[j]*q - gamma[j]| <= tol * max(|gamma[j]|, |delta[j]*q|)``)
         and for two subset ratios to count as equal. Purely relative, so the
         verdict is invariant to rescaling all ``(delta, gamma)`` pairs by a
-        common nonzero constant. Use the default on population-style inputs;
-        on estimated inputs pick a statistical tolerance.
+        common nonzero constant; it must lie in ``[0, inf)``. Use the default
+        on population-style inputs; on estimated inputs pick a statistical
+        tolerance.
 
     Returns
     -------
@@ -159,6 +160,8 @@ def check_identification(
         raise InvalidBound(
             f"invalid_bound must lie in [1, p_z={p_z}], got {invalid_bound}"
         )
+    if not 0 <= tol < math.inf:
+        raise InvalidBound(f"tol must lie in [0, inf), got {tol}")
     bad = [int(j) for j in np.nonzero(np.abs(delta) <= tol)[0]]
     if bad:
         raise AssumptionViolation(

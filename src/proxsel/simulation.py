@@ -37,7 +37,7 @@ from .estimators import (
     _factor_datasets,
     _given,
     _is_cv,
-    _majority_median,
+    _medians,
     _pipeline,
     _subsample_size,
     _zscore,
@@ -298,10 +298,8 @@ def _fit_block(
             half = _zscore(est_config.alpha_level) * np.sqrt(fit.variance / config.n)
             yield m, (beta, beta - half, beta + half), fit.errors
             continue
-        ds, p_w = np.arange(len(block)), config.p_w
-        fit = _pipeline(core, np.repeat(ds, p_w), np.tile(np.arange(p_w), ds.size),
-                        est_config, True)
-        (beta, errors), (lo, hi) = _majority_median(fit, p_w), np.full((2, ds.size), math.nan)
+        _, beta, errors = _medians(core, est_config, True)
+        lo, hi = np.full((2, len(block)), math.nan)
         for i in np.flatnonzero(np.isfinite(beta)) if ci_config else ():
             seed = np.random.SeedSequence((int(config.seed), STREAM_REP_SEED, block[i]))
             try:

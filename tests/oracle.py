@@ -640,9 +640,10 @@ def estimate_invalid_tcp_ocp(
     fits = [f for f in per_ocp if isinstance(f, ProxyEstimate)]
     required = data.p_w // 2 + 1
     if len(fits) < required:
+        j, cause = next((j, f) for j, f in enumerate(per_ocp) if isinstance(f, ProxselError))
         raise AggregateFailure(
             f"only {len(fits)} of {data.p_w} per-OCP runs succeeded; "
-            f"need at least {required}",
+            f"need at least {required}; OCP {j} failed with {type(cause).__name__}: {cause}",
             n_failed=data.p_w - len(fits),
             n_total=data.p_w,
         )

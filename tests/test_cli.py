@@ -698,6 +698,25 @@ class TestIdentifyCommand:
         assert json.loads(captured.out)["distinct_q_count"] == 1
         assert captured.err == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_a_tolerance_outside_zero_to_infinity_exits_without_a_verdict(self, tol, capsys):
+        code = main(["identify", "--delta-tilde", "1,2,3,4", "--gamma-tilde", "1,2,3,8",
+                     "--invalid-bound", "3", "--tol", tol])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidBound: tol must lie in [0, inf), got {float(tol)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_a_bad_delimiter_exits_with_a_config_error(self, delimiter, multi_ocp_csv, capsys):
+        data_path, schema_path, _ = multi_ocp_csv
+        code = main(["identify", "--data", str(data_path), "--schema", str(schema_path),
+                     "--delimiter", delimiter, "--invalid-bound", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: delimiter must be exactly one")
+        assert captured.out == ""
+
     def test_vector_length_mismatch_exits_nonzero(self, capsys):
         code = main(
             [

@@ -188,7 +188,7 @@ def subsample_problems(data, n_subsamples, seed, config=None):
     reference's fit of the same rows; yields ``(new, old)`` outcomes."""
     config = config or EstimationConfig()
     b = est.default_subsample_size(data.n)
-    for block, fit in est._subsample_fits(data, config, n_subsamples, b, seed):
+    for block, fit, _, _ in est._subsample_fits(data, config, n_subsamples, b, seed):
         for s, i in enumerate(block):
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, est.STREAM_SUBSAMPLE, i))

@@ -105,6 +105,16 @@ class TestSchemaMap:
 
 
 class TestLoadCsv:
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_a_delimiter_of_other_than_one_character_is_a_config_error(
+        self, tmp_path, delimiter
+    ):
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], sample_rows())
+        with pytest.raises(ConfigError, match=f"delimiter must be exactly one character, "
+                                              f"got {delimiter!r}"):
+            load_csv(str(path), SCHEMA, delimiter=delimiter)
+
     def test_columns_are_mapped_by_header_name(self, tmp_path):
         rows = sample_rows()
         path = tmp_path / "data.csv"

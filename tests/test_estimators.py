@@ -686,6 +686,20 @@ class TestMedianOverOcps:
         assert err.value.n_failed == 3
         assert err.value.n_total == 5
 
+    def test_a_failed_median_names_its_first_failed_ocp(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        w = base.W.copy()
+        w[:, 4:] = base.D[:, None]
+        data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+        with pytest.raises(AggregateFailure) as err:
+            estimate_invalid_tcp_ocp(data)
+        assert str(err.value).startswith(
+            "only 4 of 10 per-OCP runs succeeded; need at least 6; OCP 4 failed with "
+            "AssumptionViolation: OCP reduced-form coefficient is numerically zero")
+        assert (err.value.n_failed, err.value.n_total) == (6, 10)
+
 
 class TestSubsampleCi:
     def test_default_size_follows_the_four_fifths_rule(self):
@@ -831,7 +845,7 @@ class TestSubsampleCi:
         b = default_subsample_size(data.n)
         failed = [
             [j for j in range(10) if fit.errors[s * 10 + j] is not None]
-            for block, fit in estimators_module._subsample_fits(
+            for block, fit, _, _ in estimators_module._subsample_fits(
                 data, EstimationConfig(), 23, b, 1
             )
             for s in range(len(block))

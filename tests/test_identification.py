@@ -108,6 +108,14 @@ class TestCheckIdentification:
         with pytest.raises(ValueError):
             check_identification([1.0, 2.0], [1.0], invalid_bound=1)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tolerance_outside_zero_to_infinity_raises(self, tol):
+        # NaN used to make every subset consistent and every ratio distinct, a
+        # negative tol gave a vacuous verdict, and inf a relevance failure.
+        with pytest.raises(InvalidBound, match="tol must lie in"):
+            check_identification([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 8.0], 3, tol=tol)
+        assert check_identification([1.0, 2.0], [1.0, 2.0], 1, tol=0.0).identified
+
     def test_many_proxies_list_every_subset_and_ratio(self):
         report = check_identification(
             [1.0] * 15, [1.0] * 5 + [2.0] * 5 + [3.0] * 5, invalid_bound=11

@@ -366,6 +366,17 @@ def run_recorded(run, config, methods, ci_config=None, est_config=None):
     return result, Counter((w.category, str(w.message)) for w in caught)
 
 
+def test_a_failed_monte_carlo_median_names_the_per_ocp_cause():
+    # Every OCP selects every TCP at a zero penalty; the run used to say only
+    # "only 0 of 3 per-OCP runs succeeded; need at least 2".
+    with pytest.raises(AggregateFailure) as err:
+        run_monte_carlo(SimConfig(n=300, p_z=6, p_w=3, reps=23), ("median_adaptive",),
+                        None, EstimationConfig(lambda_n=0.0))
+    assert str(err.value).endswith(
+        "need at least 2; OCP 0 failed with AssumptionViolation: all 6 TCPs were "
+        "selected as invalid at lambda_n=0.0; no valid TCP is left to identify the effect")
+
+
 class TestBlockedReplications:
     """Replications are fitted in blocks of 20 as stacks; the report and
     warnings must be those of one replication and one method at a time."""

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -204,6 +207,15 @@ def test_the_guard_finds_a_write_to_a_built_object():
         "    c.__setattr__('e', 4)\n"
     )
     assert frozen_writes(source) == ["line 5"]
+
+
+def test_a_monte_carlo_import_leaves_the_file_and_subset_layers_unloaded():
+    code = ("import sys, proxsel.simulation; "
+            "print(sorted({'proxsel.data_io', 'proxsel.identification'} & set(sys.modules)))")
+    src = str(Path(proxsel.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_public_names_are_listed_once():
