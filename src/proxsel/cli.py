@@ -251,28 +251,13 @@ def _ocp_row(
 ) -> OcpRow:
     """One report row: the selection and interval of a fit, or its error."""
     if isinstance(fit, ProxselError):
-        return OcpRow(
-            label=label,
-            invalid_tcps=(),
-            valid_tcps=(),
-            beta_hat=None,
-            ci_lower=None,
-            ci_upper=None,
-            error=f"{type(fit).__name__}: {fit}",
-        )
+        return OcpRow(label=label, invalid_tcps=(), valid_tcps=(), beta_hat=None,
+                      ci_lower=None, ci_upper=None, error=f"{type(fit).__name__}: {fit}")
     selected = set(int(j) for j in fit.selected_invalid_tcps)
     invalid = tuple(tcp_names[j] for j in sorted(selected))
-    valid = tuple(
-        name for j, name in enumerate(tcp_names) if j not in selected
-    )
-    return OcpRow(
-        label=label,
-        invalid_tcps=invalid,
-        valid_tcps=valid,
-        beta_hat=fit.beta_hat,
-        ci_lower=fit.ci_lower,
-        ci_upper=fit.ci_upper,
-    )
+    valid = tuple(name for j, name in enumerate(tcp_names) if j not in selected)
+    return OcpRow(label=label, invalid_tcps=invalid, valid_tcps=valid, beta_hat=fit.beta_hat,
+                  ci_lower=fit.ci_lower, ci_upper=fit.ci_upper)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ known about validity:
 
 Every stage depends on the data only through ``A = [Z, D, X, 1, W, Y]``.
 Each dataset (and each subsample) takes one thin QR ``A = Q R`` and keeps
-the small factor ``R``; since ``A L = Q (R L)``, every stage runs on ``R``
+only the small factor ``R``; since ``A L = Q (R L)``, every stage runs on ``R``
 with the inner products, residual norms and rank certificates of the n-row
 design, on stacks of (dataset, OCP) problems: one problem for
 :func:`estimate_invalid_tcp`, ``p_w`` for the median, blocks of subsamples
@@ -40,6 +40,8 @@ subsample draw in :func:`subsample_ci`, driven by an explicit seed.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -97,6 +99,9 @@ DEGENERATE_TREATMENT_RTOL = 1e-12
 
 #: RNG stream tag for subsample index draws (see ``numpy.random.SeedSequence``).
 STREAM_SUBSAMPLE = 2
+
+# Warnings point at the first frame outside this directory.
+_PACKAGE = os.path.dirname(__file__) + os.sep
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +287,9 @@ class _Core(NamedTuple):
     products, residual norms and singular values of any sub-design of ``A``
     are those of ``R L``. ``r`` appends the fitted OCP columns in the same
     coordinates: the fit of ``W_j`` on ``M = (Z, D, X, 1)``, of width ``m``,
-    is the top ``m`` rows of ``W_j``'s column of ``R``. ``q`` and ``y``, the
-    n-row ``Q`` and outcome, are kept only for cross-validation folds.
+    is the top ``m`` rows of ``W_j``'s column of ``R``. Nothing n-row is
+    kept: ``design(i)`` rebuilds dataset ``i``'s ``A`` from what the caller
+    holds, for the stages that need n rows (:func:`_n_rows`).
     """
 
     n: int
@@ -294,8 +300,7 @@ class _Core(NamedTuple):
     coef: np.ndarray  # (B, m, p_w + 1): first-stage coefficients of W, Y
     fail: tuple  # per dataset: the rank error of M, or None
     y_sd: np.ndarray  # (B,): std(Y, ddof=1)
-    q: np.ndarray | None
-    y: np.ndarray | None
+    design: Callable  # i -> dataset i's A
 
     def cols(self, ds: np.ndarray, cols) -> np.ndarray:
         """Sub-design ``cols[i]`` (or the same ``cols`` for every problem)
@@ -308,42 +313,50 @@ class _Core(NamedTuple):
         return self.m + self.p_w + 1 + ocp
 
 
-def _factor(data: Dataset, stack, keep_rows: bool = False) -> _Core:
-    """One thin QR per ``A`` in ``stack`` (row subsets of ``data``, made one
-    at a time), and the first stage on each ``R``."""
-    qs, rs, ys = [], [], []
-    for a in stack:
-        q, r = np.linalg.qr(a) if keep_rows else (None, np.linalg.qr(a, mode="r"))
-        qs.append(q)
-        rs.append(r)
-        ys.append(a[:, -1].copy())
-    r, ys, k = np.stack(rs), np.stack(ys), rs[0].shape[1]
+def _factor(data: Dataset, design: Callable, size: int) -> _Core:
+    """One thin QR, in mode ``"r"``, per ``A = design(i)`` for ``i < size``
+    (row subsets of ``data``, built one at a time), and the first stage on
+    each ``R``."""
+    rs, y_sd = [], []
+    for i in range(size):
+        a = design(i)
+        rs.append(np.linalg.qr(a, mode="r"))
+        y_sd.append(np.std(a[:, -1], ddof=1))
+    r, k = np.stack(rs), rs[0].shape[1]
     m = data.p_z + data.p_x + 2
     fail = tuple(e if e is None else str(e) for e in rank_errors(r[:, :m, :m]))
     ext = np.concatenate([r, r[:, :, m : k - 1]], axis=2)
     ext[:, m:, k:] = 0.0
     coef = _solve(r[:, :m, :m], r[:, :m, m:], [f is None for f in fail])
-    y_sd = np.std(ys, axis=1, ddof=1)
-    rows = (np.stack(qs), ys) if keep_rows else (None, None)
-    return _Core(ys.shape[1], data.p_z, data.p_w, m, ext, coef, fail, y_sd, *rows)
+    return _Core(a.shape[0], data.p_z, data.p_w, m, ext, coef, fail, np.array(y_sd), design)
 
 
-def _factor_datasets(datasets: Sequence[Dataset], keep_rows: bool = False) -> _Core:
+def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
     """One :func:`_factor` call over equal-shape datasets."""
-    return _factor(datasets[0], (_augmented(d) for d in datasets), keep_rows)
+    return _factor(datasets[0], lambda i: _augmented(datasets[i]), len(datasets))
 
 
-def _is_cv(config: EstimationConfig) -> bool:
-    return config.lambda_n is None and config.lambda_mode == "cv"
-
-
-def _single(data: Dataset, ocps=(), keep_rows: bool = False) -> _Core:
-    """The factor of ``data`` alone (for ``keep_rows``, with its n rows) once the
-    OCP indices ``ocps`` are in range; a failed first stage is left to the caller."""
+def _single(data: Dataset, ocps=()) -> _Core:
+    """The factor of ``data`` alone once the OCP indices ``ocps`` are in
+    range; a failed first stage is left to the caller."""
     for k in ocps:
         if not 0 <= int(k) < data.p_w:
             raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
-    return _factor_datasets([data], keep_rows)
+    return _factor_datasets([data])
+
+
+def _n_rows(core: _Core, ds: np.ndarray, coords: np.ndarray):
+    """Each problem's n-row design ``Q_M @ coords[i]`` (``coords`` in M's
+    coordinates) and outcome ``A[:, -1]``, one ``A`` rebuilt per dataset: M's
+    columns lead ``A``, so ``Q_M = A_M R_MM^-1`` on the rank-certified ``R_MM``."""
+    m = core.m
+    coef = np.linalg.solve(core.r[ds, :m, :m], coords)
+    x, y = np.empty((ds.size, core.n, coords.shape[-1])), np.empty((ds.size, core.n))
+    for d in np.unique(ds):
+        at = np.flatnonzero(ds == d)
+        a = core.design(d)
+        x[at], y[at] = a[:, :m] @ coef[at], a[:, -1]
+    return x, y
 
 
 def _check(error: ProxselError | None) -> None:
@@ -399,13 +412,18 @@ def _relevance_error(bad: np.ndarray) -> AssumptionViolation | None:
 
 
 def _warn_weak(weak: np.ndarray) -> None:
+    """Warn of weak relevance at the line that called into the package,
+    however many of its frames lie between."""
     if np.any(weak):
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"weak TCP relevance at indices "
             f"{[int(j) for j in np.nonzero(weak)[0]]}: |coefficient| below "
             f"5% of the median; pilot ratios may be unstable",
             WeakProxyWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -524,8 +542,8 @@ def _degenerate(errors: list, resid: np.ndarray, d: np.ndarray, kind, others: st
 def _penalty(core: _Core, ds: np.ndarray, config: EstimationConfig, red: _Reduced):
     """Each problem's penalty and its errors so far, given the stack's
     reduced design ``red``: ``config.lambda_n``, else the rate rule ``std(Y)
-    * sqrt(n) / log(n)``, else :func:`cv_penalty` on the n-row designs ``Q
-    @ g``. Each problem reports its first error, in this order of stages:
+    * sqrt(n) / log(n)``, else :func:`cv_penalty` on :func:`_n_rows`' ``g``
+    and ``Y``. Each problem reports its first error, in this order of stages:
 
     - fixed and rate mode: first stage, relevance, design (the rank of
       ``(what, X, 1)``, then a degenerate treatment), lasso, every TCP
@@ -544,8 +562,7 @@ def _penalty(core: _Core, ds: np.ndarray, config: EstimationConfig, red: _Reduce
     lam, on = np.zeros(ds.size), alive(errors)
     if on.size:
         lam_max = np.max(np.abs(red.xty[on]), axis=1)
-        x = core.q[ds[on], :, : core.m] @ red.rows(on)[0]
-        lam[on], cv_errors = cv_penalty(x, core.y[ds[on]], lam_max)
+        lam[on], cv_errors = cv_penalty(*_n_rows(core, ds[on], red.rows(on)[0]), lam_max)
         keep_first(errors, cv_errors, at=on)
     return lam, errors
 
@@ -617,7 +634,7 @@ def adaptive_lasso_proximal(
         True,
     )
     _check(errors[0])
-    return alpha[0], tuple(int(j) for j in np.nonzero(alpha[0])[0])
+    return alpha[0], _support(alpha[0])
 
 
 # ---------------------------------------------------------------------------
@@ -708,15 +725,13 @@ def _estimate(fit: _Refit, i: int, n: int, alpha_level: float, method: str):
     beta, variance = float(fit.beta[i]), float(fit.variance[i])
     half = _zscore(alpha_level) * math.sqrt(variance / n)
     return ProxyEstimate(
-        beta_hat=beta,
-        gamma_hat=float(fit.gamma[i]),
-        alpha_hat=fit.alpha[i].copy(),
-        selected_invalid_tcps=tuple(int(j) for j in np.nonzero(fit.alpha[i])[0]),
-        variance=variance,
-        ci_lower=beta - half,
-        ci_upper=beta + half,
-        method=method,
-    )
+        beta_hat=beta, gamma_hat=float(fit.gamma[i]), alpha_hat=fit.alpha[i].copy(),
+        selected_invalid_tcps=_support(fit.alpha[i]), variance=variance,
+        ci_lower=beta - half, ci_upper=beta + half, method=method)
+
+
+def _support(alpha: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) for j in np.nonzero(alpha)[0])
 
 
 def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
@@ -825,7 +840,7 @@ def estimate_invalid_tcp(
     dataset's ``R``.
     """
     config = config or EstimationConfig()
-    core = _single(data, [ocp_index], _is_cv(config))
+    core = _single(data, [ocp_index])
     fit = _pipeline(core, _one(0), _one(ocp_index), config, True)
     _check(fit.errors[0])
     return _estimate(fit, 0, data.n, config.alpha_level, "post_adaptive_2sls")
@@ -848,22 +863,16 @@ def estimate_invalid_tcp_ocp(
     so variance and CI fields are NaN here.
     """
     config = config or EstimationConfig()
-    fit, beta, errors = _medians(_single(data, (), _is_cv(config)), config, True)
+    fit, beta, errors = _medians(_single(data), config, True)
     _check(errors[0])
     ok = alive(fit.errors)
     alpha_vec = np.median(fit.alpha[ok], axis=0)
     return ProxyEstimate(
-        beta_hat=float(beta[0]),
-        gamma_hat=float(np.median(fit.gamma[ok])),
-        alpha_hat=alpha_vec,
-        selected_invalid_tcps=tuple(int(j) for j in np.nonzero(alpha_vec)[0]),
-        variance=math.nan,
-        ci_lower=math.nan,
-        ci_upper=math.nan,
-        method="median_over_ocps",
+        beta_hat=float(beta[0]), gamma_hat=float(np.median(fit.gamma[ok])),
+        alpha_hat=alpha_vec, selected_invalid_tcps=_support(alpha_vec),
+        variance=math.nan, ci_lower=math.nan, ci_upper=math.nan, method="median_over_ocps",
         per_ocp_fits=tuple(_estimate(fit, j, data.n, config.alpha_level, "post_adaptive_2sls")
-                           for j in range(data.p_w)),
-    )
+                           for j in range(data.p_w)))
 
 
 def _medians(core: _Core, config, warn: bool) -> tuple[_Refit, np.ndarray, list]:
@@ -930,7 +939,8 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
             for i in block
         ]
         # each subsample's rows of A, column-major like A
-        core = _factor(data, (np.take(a.T, i, axis=1).T for i in draws), _is_cv(config))
+        core = _factor(data, lambda s, draws=draws: np.take(a.T, draws[s], axis=1).T,
+                       len(draws))
         yield block, *_medians(core, config, False)
 
 
@@ -972,29 +982,26 @@ def subsample_ci(
     if seed < 0:
         raise InvalidBound(f"seed must be >= 0, got {seed}")
 
-    estimates = np.full(n_subsamples, math.nan)
-    for block, _, medians, _ in _subsample_fits(data, config, n_subsamples, b, seed):
+    estimates, errors = np.full(n_subsamples, math.nan), []
+    for block, _, medians, block_errors in _subsample_fits(data, config, n_subsamples, b, seed):
         estimates[block.start : block.stop] = medians
-    n_failed = int(np.sum(np.isnan(estimates)))
+        errors += block_errors
+    failed = np.flatnonzero(np.isnan(estimates))
+    n_failed = failed.size
     if n_failed > 0.2 * n_subsamples:
+        i = int(failed[0])
         raise AggregateFailure(
-            f"{n_failed} of {n_subsamples} subsample runs failed "
-            f"(more than 20%)",
-            n_failed=n_failed,
-            n_total=n_subsamples,
-        )
+            f"{n_failed} of {n_subsamples} subsample runs failed (more than 20%); "
+            f"subsample {i} failed with {type(errors[i]).__name__}: {errors[i]}",
+            n_failed=n_failed, n_total=n_subsamples)
     values = estimates[np.isfinite(estimates)]
     lo_q, hi_q = config.alpha_level / 2.0, 1.0 - config.alpha_level / 2.0
     if recenter:
         if center is None:
             center = estimate_invalid_tcp_ocp(data, config).beta_hat
-        roots = math.sqrt(b) * (values - center)
-        r_lo, r_hi = np.quantile(roots, [lo_q, hi_q])
+        r_lo, r_hi = np.quantile(math.sqrt(b) * (values - center), [lo_q, hi_q])
         scale = math.sqrt(n)
-        return (
-            float(center - r_hi / scale),
-            float(center - r_lo / scale),
-        )
+        return float(center - r_hi / scale), float(center - r_lo / scale)
     lo, hi = np.quantile(values, [lo_q, hi_q])
     return float(lo), float(hi)
 
@@ -1005,12 +1012,13 @@ def subsample_ci(
 
 
 def _reduced_rows(data: Dataset, ocp_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-row reduced design ``(g, d_tilde)`` of one OCP, as ``Q @ g_R``."""
-    core = _single(data, [ocp_index], keep_rows=True)
+    """The n-row reduced design ``(g, d_tilde)`` of one OCP, by :func:`_n_rows`."""
+    core = _single(data, [ocp_index])
     red = _reduced_design(core, _one(0), _one(ocp_index))
     _check(red.errors[0])
-    q = core.q[0, :, : core.m]
-    return q @ red.rows(_one(0))[0][0], q @ red.d_tilde[0]
+    coords = np.concatenate([red.rows(_one(0))[0], red.d_tilde[:, :, None]], axis=2)
+    x = _n_rows(core, _one(0), coords)[0][0]
+    return x[:, :-1], x[:, -1]
 
 
 def select_lambda(
@@ -1028,11 +1036,12 @@ def select_lambda(
     log-spaced penalties, from the smallest with an all-zero solution down
     to ``CV_GRID_MIN_RATIO`` times it; folds are contiguous row blocks (no
     RNG) and ties prefer the larger penalty. The folds take the reduced
-    design of the selection stage back to n rows through ``Q``. A failed
-    first stage raises in either mode.
+    design of the selection stage back to n rows as ``A_M R_MM^-1 g``, from
+    the data's ``A`` and its factor. A failed first stage raises in either
+    mode.
     """
     config = EstimationConfig(lambda_mode=mode)
-    core = _single(data, [ocp_index], _is_cv(config))
+    core = _single(data, [ocp_index])
     red = _reduced_design(core, _one(0), _one(ocp_index))
     lam, errors = _penalty(core, _one(0), config, red)
     _check(errors[0])

@@ -36,7 +36,6 @@ from .estimators import (
     EstimationConfig,
     _factor_datasets,
     _given,
-    _is_cv,
     _medians,
     _pipeline,
     _subsample_size,
@@ -290,7 +289,7 @@ def _fit_block(
     (replication, OCP) for the median, whose subsampling interval (for
     ``ci_config``) is then drawn per replication."""
     datasets = [generate_invalid_tcp_ocp_data(config, r) for r in block]
-    core = _factor_datasets(datasets, _is_cv(est_config))
+    core = _factor_datasets(datasets)
     for m in methods:
         if m != "median_adaptive":
             fit = _closed_form(core, m, config, est_config)

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -136,10 +137,9 @@ class TestFirstStage:
         calls = []
         factor = estimators_module._factor
 
-        def counting_factor(data, stack, keep_rows=False):
-            stack = list(stack)
-            calls.append([a.shape for a in stack])
-            return factor(data, stack, keep_rows)
+        def counting_factor(data, design, size):
+            calls.append([design(i).shape for i in range(size)])
+            return factor(data, design, size)
 
         monkeypatch.setattr(estimators_module, "_factor", counting_factor)
         data = generate_invalid_tcp_ocp_data(
@@ -220,6 +220,23 @@ class TestMedianPilots:
         with pytest.warns(WeakProxyWarning):
             value = median_gamma(fs)
         assert math.isfinite(value)
+
+    def test_weak_relevance_warns_at_the_callers_line(self):
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=600, p_z=6, s_z=1, p_w=3, s_w=0, y_noise_sd=1.0, seed=2), 0
+        )
+        z = base.Z.copy()
+        z[:, 5] = 100 * np.random.default_rng(0).standard_normal(base.n)  # delta ~ 1e-5
+        data = Dataset(Y=base.Y, D=base.D, Z=z, W=base.W)
+        for call in (
+            lambda: median_gamma(first_stage(data)),
+            lambda: adaptive_lasso_proximal(data, 0, 1.0),
+            lambda: estimate_invalid_tcp(data),
+            lambda: estimate_invalid_tcp_ocp(data),
+        ):
+            with pytest.warns(WeakProxyWarning) as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__] * len(caught)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -595,6 +612,70 @@ class TestSelectionStage:
         assert factored[1] == factored[3] == factored[9] == 1
 
 
+class TestFactor:
+    def test_every_n_row_qr_keeps_only_r(self, monkeypatch):
+        # Only the factor of A takes more rows than A has columns; it keeps R
+        # alone, and cv folds rebuild their rows from A.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0), 0
+        )
+        k = data.p_z + 1 + data.p_x + 1 + data.p_w + 1
+        calls, qr = [], np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            calls.append((np.shape(a)[-2], mode))
+            return qr(a, mode)
+
+        monkeypatch.setattr(estimators_module.np.linalg, "qr", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakProxyWarning)
+            for mode in ("rate", "cv"):
+                config = EstimationConfig(lambda_mode=mode)
+                estimate_invalid_tcp(data, 1, config)
+                estimate_invalid_tcp_ocp(data, config)
+                subsample_ci(data, config, n_subsamples=3, seed=1)
+                select_lambda(data, 2, mode)
+            estimators_module._reduced_rows(data, 0)
+            first_stage(data, 1)
+            lasso_proximal(data, 0, 0.3)
+            naive_p2sls(data, None)
+        monkeypatch.undo()
+        tall = [mode for rows, mode in calls if rows > k]
+        assert len(tall) > 10 and set(tall) == {"r"}
+
+    def test_a_block_factor_peaks_at_a_few_designs_not_the_block(self):
+        datasets = [
+            generate_invalid_tcp_ocp_data(
+                SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), r
+            )
+            for r in range(20)
+        ]
+        estimators_module._factor_datasets(datasets)  # warm-up
+        tracemalloc.start()
+        try:
+            core = estimators_module._factor_datasets(datasets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Keeping each dataset's n-row Q would hold 20 designs' worth.
+        a_bytes = estimators_module._augmented(datasets[0]).nbytes
+        assert peak < 4 * a_bytes
+        assert all(2500 not in f.shape for f in core if isinstance(f, np.ndarray))
+
+    def test_cv_folds_rebuild_the_reduced_rows_from_a(self):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=400, p_z=6, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0), 0
+        )
+        g, d_tilde = estimators_module._reduced_rows(data, 1)
+        fs = first_stage(data, 1)
+        others = np.column_stack([fs.what, np.ones(data.n), data.D])
+        expected = residual_project(others, data.Z)
+        np.testing.assert_allclose(g, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+        d_expected = residual_project(others[:, :2], data.D)
+        np.testing.assert_allclose(d_tilde, d_expected, rtol=0,
+                                   atol=1e-10 * np.abs(d_expected).max())
+
+
 class TestIdentityEquality:
     def test_fits_datasets_and_first_stages_compare_by_identity(self):
         data = generate_invalid_tcp_ocp_data(
@@ -724,6 +805,19 @@ class TestSubsampleCi:
         monkeypatch.setattr(estimators_module, "_factor", None)  # any fit would fail
         with pytest.raises(InvalidBound, match="seed must be >= 0, got -1"):
             subsample_ci(data, n_subsamples=20, seed=-1)
+
+    def test_failed_subsamples_name_the_first_and_its_cause(self):
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=6, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0, seed=3), 0
+        )
+        with pytest.raises(AggregateFailure) as failure:
+            subsample_ci(data, EstimationConfig(lambda_n=0.0), n_subsamples=30, seed=5)
+        assert str(failure.value) == (
+            "30 of 30 subsample runs failed (more than 20%); subsample 0 failed with "
+            "AggregateFailure: only 0 of 3 per-OCP runs succeeded; need at least 2; "
+            "OCP 0 failed with AssumptionViolation: all 6 TCPs were selected as invalid "
+            "at lambda_n=0.0; no valid TCP is left to identify the effect")
+        assert (failure.value.n_failed, failure.value.n_total) == (30, 30)
 
     def test_noiseless_data_yields_a_degenerate_interval(self):
         data, (beta, _, _) = make_exact_dataset(n=400)

@@ -302,10 +302,9 @@ class TestRunMonteCarlo:
         medians, full_size = [], []
         factor, median = estimators._factor, estimators.estimate_invalid_tcp_ocp
 
-        def counting_factor(data, stack, keep_rows=False):
-            stack = list(stack)
-            full_size.extend(a.shape[0] == config.n for a in stack)
-            return factor(data, stack, keep_rows)
+        def counting_factor(data, design, size):
+            full_size.extend(design(i).shape[0] == config.n for i in range(size))
+            return factor(data, design, size)
 
         def counting_median(*args, **kwargs):
             medians.append(args)
@@ -416,24 +415,26 @@ class TestBlockedReplications:
         assert run_recorded(run_monte_carlo, *args) == run_recorded(
             run_monte_carlo_serial, *args)
 
-    def test_cv_median_reuses_the_rows_the_block_kept(self, monkeypatch):
-        calls = []
+    def test_cv_mode_factors_each_block_once_and_keeps_no_rows(self, monkeypatch):
+        cores = []
         factor = estimators._factor
 
-        def counting_factor(data, stack, keep_rows=False):
-            stack = list(stack)
-            calls.append(([a.shape for a in stack], keep_rows))
-            return factor(data, stack, keep_rows)
+        def recording_factor(data, design, size):
+            cores.append(factor(data, design, size))
+            return cores[-1]
 
-        monkeypatch.setattr(estimators, "_factor", counting_factor)
+        monkeypatch.setattr(estimators, "_factor", recording_factor)
         config = SimConfig(n=300, p_z=5, s_z=2, reps=4, y_noise_sd=1.0)
         cv = EstimationConfig(lambda_mode="cv")
-        run_monte_carlo(config, ("adaptive", "median_adaptive"), None, cv)
-        assert calls == [([(300, 9)] * 4, True)]
-        calls.clear()
-        # The median alone also fits on the block's one factor, which keeps Q.
-        run_monte_carlo(config, ("median_adaptive",), None, cv)
-        assert calls == [([(300, 9)] * 4, True)]
+        for methods in (("adaptive", "median_adaptive"), ("median_adaptive",)):
+            cores.clear()
+            run_monte_carlo(config, methods, None, cv)
+            # one factor of the block's 4 datasets; the folds rebuild their
+            # rows from the datasets, so the factor holds no n-row array
+            assert [core.r.shape[0] for core in cores] == [4]
+            shapes = [f.shape for f in cores[0] if isinstance(f, np.ndarray)]
+            assert shapes and all(config.n not in shape for shape in shapes)
+            assert cores[0].design(3).shape == (300, 9)
 
     def test_the_grid_exercises_failures_and_warnings(self):
         def run(cell, reps):
@@ -452,10 +453,9 @@ class TestBlockedReplications:
         calls = []
         factor = estimators._factor
 
-        def counting_factor(data, stack, keep_rows=False):
-            stack = list(stack)
-            calls.append([a.shape for a in stack])
-            return factor(data, stack, keep_rows)
+        def counting_factor(data, design, size):
+            calls.append([design(i).shape for i in range(size)])
+            return factor(data, design, size)
 
         monkeypatch.setattr(estimators, "_factor", counting_factor)
         config = SimConfig(n=300, p_z=5, s_z=2, reps=4, y_noise_sd=1.0)
