@@ -20,7 +20,6 @@ import numpy as np
 
 from proxsel import (
     SimConfig,
-    first_stage,
     generate_invalid_tcp_data,
     irrepresentable_diagnostic,
     rip_recovery_margin,
@@ -30,8 +29,7 @@ from proxsel.exceptions import CombinatorialBlowup
 
 config = SimConfig(n=2500, p_z=8, s_z=2, seed=3)
 data = generate_invalid_tcp_data(config, rep_index=0)
-fs = first_stage(data)
-design, d_tilde = _reduced_rows(data, 0)
+design, d_tilde, what = _reduced_rows(data, 0)
 
 print("irrepresentable condition (invalid set = {0, 1}):")
 rep = irrepresentable_diagnostic(design, [0, 1])
@@ -48,7 +46,7 @@ print(f"  value = {rep.irrepresentable_value:.3f}  holds: {rep.irrepresentable_h
 print("\nrestricted-isometry recovery margin (2 invalid TCPs):")
 # The margin's sign is invariant to rescaling Z; dividing by sqrt(n) just
 # keeps the isometry constants O(1) for display.
-rep = rip_recovery_margin(data.Z / np.sqrt(data.n), fs.what, d_tilde, s_z=2)
+rep = rip_recovery_margin(data.Z / np.sqrt(data.n), what, d_tilde, s_z=2)
 for label, (lo, hi) in rep.rip.items():
     print(f"  {label:15s}: isometry constants [{lo:.3f}, {hi:.3f}]")
 print(f"  margin = {rep.recovery_margin:.3f} (positive certifies recovery)")

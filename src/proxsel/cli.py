@@ -270,11 +270,15 @@ def cmd_simulate(args: argparse.Namespace) -> RunReport:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
+    if not methods:
+        raise ConfigError("--methods names no method")
+    for i, m in enumerate(methods):
         if m not in METHOD_NAMES:
             raise ConfigError(
                 f"unknown method {m!r}; available: {', '.join(METHOD_NAMES)}"
             )
+        if m in methods[:i]:
+            raise ConfigError(f"--methods names {m!r} twice")
     ci_config = None
     if args.subsample_n > 0:
         ci_config = SubsampleCiConfig(
@@ -443,8 +447,7 @@ def cmd_diagnose(args: argparse.Namespace) -> RunReport:
         raise ConfigError("provide --invalid-set and/or --sparsity")
     schema, loaded, index = _load(args)
     data = loaded.dataset
-    fs = first_stage(data, index)
-    design, d_tilde = _reduced_rows(data, index)
+    design, d_tilde, what = _reduced_rows(data, index)
     payload: dict[str, Any] = {
         "ocp": schema.ocp_columns[index],
         "n": data.n,
@@ -452,10 +455,10 @@ def cmd_diagnose(args: argparse.Namespace) -> RunReport:
     }
     if args.invalid_set is not None:
         tokens = [t.strip() for t in args.invalid_set.split(",") if t.strip()]
-        indices = sorted(
+        indices = sorted({
             _resolve_column(t, schema.tcp_columns, -1, "--invalid-set entry")
             for t in tokens
-        )
+        })
         irr = irrepresentable_diagnostic(design, indices)
         payload["irrepresentable"] = {
             "invalid_set": [schema.tcp_columns[j] for j in indices],
@@ -463,7 +466,7 @@ def cmd_diagnose(args: argparse.Namespace) -> RunReport:
             "holds": irr.irrepresentable_holds,
         }
     if args.sparsity is not None:
-        rip = rip_recovery_margin(data.Z, fs.what, d_tilde, args.sparsity)
+        rip = rip_recovery_margin(data.Z, what, d_tilde, args.sparsity)
         payload["rip"] = {
             label: {"lower": lo, "upper": hi}
             for label, (lo, hi) in rip.rip.items()

@@ -368,17 +368,29 @@ def _one(index: int) -> np.ndarray:
     return np.array([int(index)])
 
 
-def _first_stage_error(core: _Core, ds: np.ndarray) -> list:
+def _ledger(core: _Core, ds: np.ndarray, config: EstimationConfig | None = None) -> list:
+    """A stack's error ledger, seeded with the first two stages: each problem's
+    first error, or None. Stages record into it with ``keep_first`` and skip
+    failed problems, in one order for every penalty mode: ``n >= 20`` (cv
+    mode only), first stage, relevance, reduced design, folds (cv mode only),
+    lasso, every TCP selected, refit."""
+    if config and config.lambda_n is None and config.lambda_mode == "cv" and core.n < 20:
+        return [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
     return [None if core.fail[d] is None else RankDeficient(core.fail[d]) for d in ds]
+
+
+def _what(data: Dataset, core: _Core, ocp_index: int) -> np.ndarray:
+    # from C order: a column-major product rounds differently
+    return np.ascontiguousarray(_augmented(data)[:, : core.m]) @ core.coef[0][:, ocp_index]
 
 
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
     core = _single(data, [ocp_index])
-    _check(_first_stage_error(core, _one(0))[0])
+    _check(_ledger(core, _one(0))[0])
     coef = core.coef[0]
-    return FirstStage(  # what from C order: a column-major product rounds differently
-        what=np.ascontiguousarray(_augmented(data)[:, : core.m]) @ coef[:, ocp_index],
+    return FirstStage(
+        what=_what(data, core, ocp_index),
         gamma_hat_vec=coef[: data.p_z, -1].copy(),
         delta_hat_vec=coef[: data.p_z, ocp_index].copy(),
     )
@@ -460,15 +472,14 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 
 class _Reduced(NamedTuple):
     """A stack's reduced design in covariance form (``gram = g'g``, ``xty =
-    g'Y``, ``yy = Y'Y``), ``d_tilde``, each problem's first error (first stage
-    included) or None, and ``rows(i) -> (g, Y)`` of problems ``i`` in M's ``m``
-    coordinates. ``lasso(on, thresh)`` solves the lassos of problems ``on``."""
+    g'Y``, ``yy = Y'Y``), ``d_tilde``, and ``rows(i) -> (g, Y)`` of problems
+    ``i`` in M's ``m`` coordinates. ``lasso(on, thresh)`` solves the lassos of
+    problems ``on``."""
 
     gram: np.ndarray
     xty: np.ndarray
     yy: np.ndarray
     d_tilde: np.ndarray
-    errors: list
     rows: Callable
 
     def lasso(self, on: np.ndarray, thresh: np.ndarray):
@@ -477,7 +488,7 @@ class _Reduced(NamedTuple):
                           lambda i: self.rows(on[i]))
 
 
-def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray) -> _Reduced:
+def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) -> _Reduced:
     """The selection stage's design, one problem per (dataset, OCP).
 
     ``d_tilde`` is D residualized on ``(what, X, 1)`` and ``g`` the TCP
@@ -489,8 +500,8 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray) -> _Reduced:
     So ``Zp``, ``S = Zp'Zp`` and ``Zp'Y`` are formed once per dataset, and
     each problem takes rank-one downdates of ``S`` and ``Zp'Y``. ``g`` has
     rank ``p_z - 1`` with null direction ``delta``, which is why selection
-    needs a majority or plurality of valid TCPs. Errors: a failed first
-    stage, else a rank-deficient ``(what, X, 1)`` (certified on the dataset's
+    needs a majority or plurality of valid TCPs. Records in the ledger
+    ``errors`` a rank-deficient ``(what, X, 1)`` (certified on the dataset's
     ``(X, 1)`` factor bordered by the residual of ``what``: same singular
     values), else a degenerate treatment.
     """
@@ -505,7 +516,7 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray) -> _Reduced:
     fx = f - matvec(qx[ds], qf)
     tri = rb[ds]  # the (X, 1) factor bordered by the residual of what
     tri[:, :-1, -1], tri[:, -1, -1] = qf, np.sqrt(inner(fx, fx))
-    errors = keep_first(_first_stage_error(core, ds), rank_errors(tri))
+    keep_first(errors, rank_errors(tri))
     d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
     _degenerate(errors, d_tilde, top[ds, :, p_z], DegenerateTreatment,
                 "the fitted OCP and covariates")
@@ -520,7 +531,7 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray) -> _Reduced:
         return g - matvec(g, t[i])[:, :, None] * v[i, None, :], y[ds[i]]
 
     return _Reduced(gram, zy[ds] - v * inner(t, zy[ds])[:, None],
-                    inner(y_all, y_all)[ds], d_tilde, errors, rows)
+                    inner(y_all, y_all)[ds], d_tilde, rows)
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -539,53 +550,41 @@ def _degenerate(errors: list, resid: np.ndarray, d: np.ndarray, kind, others: st
     return bad
 
 
-def _penalty(core: _Core, ds: np.ndarray, config: EstimationConfig, red: _Reduced):
-    """Each problem's penalty and its errors so far, given the stack's
-    reduced design ``red``: ``config.lambda_n``, else the rate rule ``std(Y)
-    * sqrt(n) / log(n)``, else :func:`cv_penalty` on :func:`_n_rows`' ``g``
-    and ``Y``. Each problem reports its first error, in this order of stages:
-
-    - fixed and rate mode: first stage, relevance, design (the rank of
-      ``(what, X, 1)``, then a degenerate treatment), lasso, every TCP
-      selected (:func:`_pipeline`), refit;
-    - cv mode: ``n >= 20``, first stage, design, folds, relevance, lasso,
-      every TCP selected, refit.
-    """
-    errors = _first_stage_error(core, ds)
+def _penalty(core: _Core, ds: np.ndarray, config, red, errors: list) -> np.ndarray:
+    """Each problem's penalty: ``config.lambda_n``, else the rate rule
+    ``std(Y) * sqrt(n) / log(n)``, else :func:`cv_penalty` on :func:`_n_rows`'
+    ``g`` and ``Y`` of ``red``, for the problems alive in the ledger ``errors``."""
     if config.lambda_n is not None:
-        return np.full(ds.size, float(config.lambda_n)), errors
+        return np.full(ds.size, float(config.lambda_n))
     if config.lambda_mode == "rate":
-        return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n), errors
-    if core.n < 20:
-        errors = [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
-    keep_first(errors, red.errors)
+        return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n)
     lam, on = np.zeros(ds.size), alive(errors)
     if on.size:
         lam_max = np.max(np.abs(red.xty[on]), axis=1)
         lam[on], cv_errors = cv_penalty(*_n_rows(core, ds[on], red.rows(on)[0]), lam_max)
         keep_first(errors, cv_errors, at=on)
-    return lam, errors
+    return lam
 
 
-def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool):
+def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, errors: list):
     """The selection stage for a stack of (dataset, OCP) problems: the
-    reduced design, the penalty, the pilots and their weights and the
-    weighted lasso. Returns the lasso coefficients with each problem's
-    first error or None, in :func:`_penalty`'s order of stages."""
-    red = _reduced_design(core, ds, ocp)
-    lam, errors = _penalty(core, ds, config, red)
+    pilots and their relevance, the reduced design, the penalty, the
+    weights and the weighted lasso, each recording into the ledger
+    ``errors`` (:func:`_ledger`'s order). Returns the lasso coefficients."""
     bad, weak, _, alpha_m = _pilots(core.coef[ds, : core.p_z, -1],
                                     core.coef[ds, : core.p_z, ocp])
     flagged = np.flatnonzero(bad.any(axis=1))
     keep_first(errors, [_relevance_error(bad[i]) for i in flagged], at=flagged)
     for i in alive(errors) if warn else ():
         _warn_weak(weak[i])
-    on = alive(keep_first(errors, red.errors))
+    red = _reduced_design(core, ds, ocp, errors)
+    lam = _penalty(core, ds, config, red, errors)
+    on = alive(errors)
     weights = 1.0 / np.maximum(np.abs(alpha_m[on]), config.adaptive_floor)
     alpha = np.zeros((ds.size, core.p_z))
     alpha[on], lasso_errors = red.lasso(on, lam[on, None] * weights)
     keep_first(errors, lasso_errors, at=on)
-    return alpha, errors
+    return alpha
 
 
 def lasso_proximal(
@@ -604,10 +603,11 @@ def lasso_proximal(
     """
     core = _single(data, [ocp_index])
     lam = EstimationConfig(lambda_n=float(lam)).lambda_n  # InvalidBound unless >= 0
-    red = _reduced_design(core, _one(0), _one(ocp_index))
-    _check(red.errors[0])
-    alpha, errors = red.lasso(_one(0), np.full((1, data.p_z), lam))
+    errors = _ledger(core, _one(0))
+    red = _reduced_design(core, _one(0), _one(ocp_index), errors)
     _check(errors[0])
+    alpha, lasso_errors = red.lasso(_one(0), np.full((1, data.p_z), lam))
+    _check(lasso_errors[0])
     top, d_tilde = core.r[0, : core.m], red.d_tilde[0]
     resid = top[:, core.m + core.p_w] - top[:, : data.p_z] @ alpha[0]
     return alpha[0], float(d_tilde @ resid / (d_tilde @ d_tilde))
@@ -628,11 +628,10 @@ def adaptive_lasso_proximal(
     A negative or NaN ``lambda_n`` is an :class:`InvalidBound`. Returns the
     penalized coefficient vector and its support.
     """
-    alpha, errors = _select(
-        _single(data, [ocp_index]), _one(0), _one(ocp_index),
-        EstimationConfig(lambda_n=float(lambda_n), adaptive_floor=adaptive_floor),
-        True,
-    )
+    core = _single(data, [ocp_index])
+    config = EstimationConfig(lambda_n=float(lambda_n), adaptive_floor=adaptive_floor)
+    errors = _ledger(core, _one(0))
+    alpha = _select(core, _one(0), _one(ocp_index), config, True, errors)
     _check(errors[0])
     return alpha[0], _support(alpha[0])
 
@@ -649,7 +648,7 @@ def _zscore(alpha_level: float) -> float:
 
 
 class _Refit(NamedTuple):
-    """Each problem's refit and its first error (first stage included) or None."""
+    """Each problem's refit, NaN where it failed, and its error ledger."""
 
     beta: np.ndarray
     gamma: np.ndarray
@@ -658,11 +657,13 @@ class _Refit(NamedTuple):
     errors: list
 
 
-def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _Refit:
+def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
+           errors: list) -> _Refit:
     """Refit on (treatment, selected TCPs, fitted OCPs, X, 1), per problem.
 
     ``sel`` (N, p_z) masks each problem's selected TCPs and ``ocps`` (N, q)
-    lists its OCP columns; problems are stacked by selection size. One
+    lists its OCP columns; the problems the ledger ``errors`` holds alive are
+    refitted, stacked by selection size, and their refit errors recorded. One
     least-squares pass regresses ``Y`` and ``D`` on the non-treatment
     regressors; with residuals ``r_Y`` and ``r_D`` the effect is the ratio
     form ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the other
@@ -678,22 +679,22 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _R
     """
     n_prob, q = ocps.shape
     out = _Refit(np.full(n_prob, math.nan), np.full(n_prob, math.nan),
-                 np.zeros((n_prob, core.p_z)), np.full(n_prob, math.nan),
-                 _first_stage_error(core, ds))
-    counts = sel.sum(axis=1)
+                 np.zeros((n_prob, core.p_z)), np.full(n_prob, math.nan), errors)
+    on = alive(errors)
+    counts = sel[on].sum(axis=1)
     for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
+        rows = on[counts == k]
         tcps, dsr = np.nonzero(sel[rows])[1].reshape(rows.size, k), ds[rows]
         tail = np.tile(np.arange(core.p_z + 1, core.m), (rows.size, 1))  # X, 1
         x = core.cols(dsr, np.column_stack([tcps, core.fitted(ocps[rows]), tail]))
         qx, rx = np.linalg.qr(x)
-        errors = keep_first([out.errors[i] for i in rows], rank_errors(rx))
+        failed = rank_errors(rx)
         rhs = core.cols(dsr, [core.m + core.p_w, core.p_z])  # Y and D
-        coef = _solve(rx, swap(qx) @ rhs, [e is None for e in errors])
+        coef = _solve(rx, swap(qx) @ rhs, [e is None for e in failed])
         del qx  # the largest array of a stack; free it before the residuals
         resid = rhs - x @ coef
         r_y, r_d = (np.ascontiguousarray(resid[:, :, c]) for c in (0, 1))
-        bad = _degenerate(errors, r_d, core.r[dsr, :, core.p_z], RankDeficient,
+        bad = _degenerate(failed, r_d, core.r[dsr, :, core.p_z], RankDeficient,
                           "the other refit regressors")
         d_sq = np.where(bad, 1.0, inner(r_d, r_d))
         beta = inner(r_d, r_y) / d_sq
@@ -701,8 +702,8 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray) -> _R
         raw = core.cols(dsr, core.fitted(ocps[rows])) - core.cols(dsr, core.m + ocps[rows])
         eps = r_y - beta[:, None] * r_d + matvec(raw, c[:, k : k + q])
         sigma2 = (inner(eps, eps) / core.n) / (d_sq / core.n)
-        keep_first(out.errors, errors, at=rows)
-        ok = np.array([e is None for e in errors])
+        keep_first(errors, failed, at=rows)
+        ok = alive(failed)
         good = rows[ok]
         out.beta[good], out.variance[good] = beta[ok], sigma2[ok]
         out.alpha[good[:, None], tcps[ok]] = c[ok, :k]
@@ -715,7 +716,8 @@ def _given(core: _Core, sel: Sequence[int], ocps: Sequence[int]) -> _Refit:
     ds = np.arange(len(core.fail))
     mask = np.zeros((ds.size, core.p_z), dtype=bool)
     mask[:, list(sel)] = True
-    return _refit(core, ds, mask, np.tile(np.array(ocps, dtype=int), (ds.size, 1)))
+    return _refit(core, ds, mask, np.tile(np.array(ocps, dtype=int), (ds.size, 1)),
+                  _ledger(core, ds))
 
 
 def _estimate(fit: _Refit, i: int, n: int, alpha_level: float, method: str):
@@ -814,16 +816,16 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
 
 
 def _pipeline(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool) -> _Refit:
-    """Selection and post-selection refit for a stack of problems."""
-    alpha, errors = _select(core, ds, ocp, config, warn)
+    """Selection and post-selection refit for a stack of problems, on one ledger."""
+    errors = _ledger(core, ds, config)
+    alpha = _select(core, ds, ocp, config, warn, errors)
     every = np.flatnonzero(np.all(alpha != 0, axis=1))
     setting = (f"lambda_mode={config.lambda_mode!r}" if config.lambda_n is None
                else f"lambda_n={config.lambda_n}")
     keep_first(errors, [AssumptionViolation(
         f"all {core.p_z} TCPs were selected as invalid at {setting}; no valid TCP is "
         "left to identify the effect") for _ in every], at=every)
-    fit = _refit(core, ds, alpha != 0, ocp[:, None])
-    return fit._replace(errors=keep_first(errors, fit.errors))
+    return _refit(core, ds, alpha != 0, ocp[:, None], errors)
 
 
 def estimate_invalid_tcp(
@@ -1011,14 +1013,16 @@ def subsample_ci(
 # ---------------------------------------------------------------------------
 
 
-def _reduced_rows(data: Dataset, ocp_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-row reduced design ``(g, d_tilde)`` of one OCP, by :func:`_n_rows`."""
+def _reduced_rows(data: Dataset, ocp_index: int):
+    """The n-row reduced design ``(g, d_tilde)`` of one OCP, by :func:`_n_rows`,
+    and the fitted OCP ``what`` of :func:`first_stage`, on one factor."""
     core = _single(data, [ocp_index])
-    red = _reduced_design(core, _one(0), _one(ocp_index))
-    _check(red.errors[0])
+    errors = _ledger(core, _one(0))
+    red = _reduced_design(core, _one(0), _one(ocp_index), errors)
+    _check(errors[0])
     coords = np.concatenate([red.rows(_one(0))[0], red.d_tilde[:, :, None]], axis=2)
     x = _n_rows(core, _one(0), coords)[0][0]
-    return x[:, :-1], x[:, -1]
+    return x[:, :-1], x[:, -1], _what(data, core, ocp_index)
 
 
 def select_lambda(
@@ -1042,7 +1046,8 @@ def select_lambda(
     """
     config = EstimationConfig(lambda_mode=mode)
     core = _single(data, [ocp_index])
-    red = _reduced_design(core, _one(0), _one(ocp_index))
-    lam, errors = _penalty(core, _one(0), config, red)
+    errors = _ledger(core, _one(0), config)
+    red = _reduced_design(core, _one(0), _one(ocp_index), errors) if mode == "cv" else None
+    lam = _penalty(core, _one(0), config, red, errors)
     _check(errors[0])
     return float(lam[0])

@@ -293,9 +293,8 @@ def _fit_block(
     for m in methods:
         if m != "median_adaptive":
             fit = _closed_form(core, m, config, est_config)
-            beta = np.where([e is None for e in fit.errors], fit.beta, math.nan)
             half = _zscore(est_config.alpha_level) * np.sqrt(fit.variance / config.n)
-            yield m, (beta, beta - half, beta + half), fit.errors
+            yield m, (fit.beta, fit.beta - half, fit.beta + half), fit.errors
             continue
         _, beta, errors = _medians(core, est_config, True)
         lo, hi = np.full((2, len(block)), math.nan)
@@ -319,7 +318,8 @@ def run_monte_carlo(
     est_config: EstimationConfig | None = None,
     n_jobs: int = 1,
 ) -> MonteCarloReport:
-    """Evaluate the named methods over ``config.reps`` fresh replications.
+    """Evaluate the named methods, at least one and each named once (else a
+    ``ValueError`` before any draw), over ``config.reps`` fresh replications.
 
     Failed replications (rank deficiency, selection failures, subsampling
     failures under extreme configurations) are dropped from a method's
@@ -337,11 +337,15 @@ def run_monte_carlo(
     compatibility, must be at least 1 and has no effect.
     """
     est_config = est_config or EstimationConfig()
-    for name in methods:
+    if not methods:
+        raise ValueError("no method given")
+    for i, name in enumerate(methods):
         if name not in METHOD_NAMES:
             raise ValueError(
                 f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"
             )
+        if name in methods[:i]:
+            raise ValueError(f"method {name!r} is listed twice")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if ci_config is not None and "median_adaptive" in methods:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from proxsel import cli
+from proxsel import cli, estimators
 from proxsel.cli import build_parser, main
 from proxsel.data_io import SchemaMap, load_csv, read_report
 from proxsel.estimators import (
@@ -168,6 +168,19 @@ class TestSimulateCommand:
             != rb.diagnostics["monte_carlo"]["methods"]
         )
         assert rb.seed == 9
+
+    @pytest.mark.parametrize("methods, message", [
+        ("adaptive,adaptive", "--methods names 'adaptive' twice"),
+        (" , ", "--methods names no method"),
+    ], ids=["duplicate", "empty"])
+    def test_a_duplicate_or_empty_method_list_exits_without_a_report(
+        self, tmp_path, capsys, methods, message
+    ):
+        out = tmp_path / "never.json"
+        code = main(["simulate", "--methods", methods, "--out", str(out)])
+        assert code == 1
+        assert f"ConfigError: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_nonzero_without_a_report(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -754,6 +767,29 @@ class TestDiagnoseCommand:
         assert isinstance(payload["irrepresentable"]["holds"], bool)
         assert "recovery_margin" in payload
         assert set(payload["rip"]) == {"tcp", "ocp_fit", "treatment_resid"}
+
+    def test_a_repeated_invalid_set_entry_is_echoed_once(self, multi_ocp_csv, capsys):
+        data_path, schema_path, _ = multi_ocp_csv
+        payloads = []
+        for entries in ("z1,z1,z2", "z1,z2"):
+            argv = ["diagnose", "--data", str(data_path), "--schema", str(schema_path),
+                    "--invalid-set", entries]
+            assert main(argv) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["irrepresentable"]["invalid_set"] == ["z1", "z2"]
+
+    def test_factors_the_data_once(self, multi_ocp_csv, capsys, monkeypatch):
+        data_path, schema_path, _ = multi_ocp_csv
+        factored = []
+        factor = estimators._factor
+        monkeypatch.setattr(estimators, "_factor",
+                            lambda *args: factored.append(args[2]) or factor(*args))
+        argv = ["diagnose", "--data", str(data_path), "--schema", str(schema_path),
+                "--invalid-set", "z1,z2", "--sparsity", "2"]
+        assert main(argv) == 0
+        assert factored == [1]
+        assert "recovery_margin" in json.loads(capsys.readouterr().out)
 
     def test_combinatorial_guard_refuses_large_enumerations(
         self, tmp_path, capsys

@@ -232,16 +232,18 @@ def test_covariance_form_is_the_n_row_reduced_design(seed, p_x, near_x, near_d, 
         d + near_d * (z @ delta),
     ])
     data = Dataset(Y=d + z[:, 0] + rng.standard_normal(n), D=d, Z=z, W=w, X=x)
-    red = est._reduced_design(est._single(data), np.zeros(3, dtype=int), np.arange(3))
+    core, ds = est._single(data), np.zeros(3, dtype=int)
+    errors = est._ledger(core, ds)
+    red = est._reduced_design(core, ds, np.arange(3), errors)
     zp = oracle.residual_project(np.column_stack([d, x, np.ones(n)]), z)
     s_norm = np.linalg.norm(zp.T @ zp, 2)
     for j in range(3):
         try:
             g, _ = oracle._reduced_design(data, oracle.first_stage(data, j).what)
         except ProxselError as exc:
-            assert type(red.errors[j]) is type(exc), (j, red.errors[j], exc)
+            assert type(errors[j]) is type(exc), (j, errors[j], exc)
             continue
-        assert red.errors[j] is None, (j, red.errors[j])
+        assert errors[j] is None, (j, errors[j])
         np.testing.assert_allclose(red.gram[j], g.T @ g, rtol=0, atol=1e-10 * s_norm)
         np.testing.assert_allclose(
             red.xty[j], g.T @ data.Y, rtol=0,

@@ -323,6 +323,23 @@ class TestRunMonteCarlo:
             run_monte_carlo(SimConfig(reps=1), ("bootstrap",))
         assert "bootstrap" not in METHOD_NAMES
 
+    @pytest.mark.parametrize("methods, message", [
+        (("adaptive", "adaptive", "ols"), "method 'adaptive' is listed twice"),
+        ((), "no method given"),
+    ], ids=["duplicate", "empty"])
+    def test_a_duplicate_or_empty_method_list_fails_before_any_draw(
+        self, methods, message, monkeypatch
+    ):
+        # A duplicate used to pool its replications twice: n_used=10 of 5.
+        drawn = []
+        draw = simulation.generate_invalid_tcp_ocp_data
+        monkeypatch.setattr(simulation, "generate_invalid_tcp_ocp_data",
+                            lambda *args: drawn.append(args) or draw(*args))
+        config = SimConfig(n=300, p_z=5, s_z=1, reps=5, y_noise_sd=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_monte_carlo(config, methods)
+        assert drawn == []
+
     def test_systematic_failures_abort_the_run(self):
         # marking every TCP invalid leaves the oracle refit rank-deficient
         config = SimConfig(n=100, p_z=4, s_z=4, reps=5, y_noise_sd=1.0)

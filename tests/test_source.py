@@ -175,6 +175,35 @@ def test_the_guard_finds_a_hand_written_merge():
     assert ledger_writes(source) == ["line 6", "line 7", "line 8", "line 9"]
 
 
+def fail_readers(sources: Sequence[tuple[str, str]]) -> list[str]:
+    """The functions, as ``module.name``, that index a factor's per-dataset
+    first-stage failures (``core.fail[...]``): one function turns them into
+    a stack's error ledger, so every stage sees them in one order."""
+    return [
+        f"{module}.{fn.name}" for module, source in sources
+        for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fail" for node in ast.walk(fn))
+    ]
+
+
+def test_first_stage_failures_are_read_by_the_ledger_alone():
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert fail_readers(sources) == ["estimators._ledger"]
+
+
+def test_the_guard_finds_a_second_reader():
+    source = (
+        "def _ledger(core, ds):\n"
+        "    return [core.fail[d] for d in ds]\n"
+        "def stage(core, ds):\n"
+        "    n = len(core.fail)\n"
+        "def refit(self):\n"
+        "    first = self.fail[0]\n"
+    )
+    assert fail_readers([("m", source)]) == ["m._ledger", "m.refit"]
+
+
 def frozen_writes(source: str) -> list[str]:
     """Calls to ``object.__setattr__`` outside a ``__post_init__``: a frozen
     object is written only while it is being built."""
