@@ -67,11 +67,11 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (list, tu
 
 
 def _read_json(path: str, what: str) -> Any:
-    """The JSON document at ``path`` (a blank file reads as ``{}``). An
-    unreadable file is an :class:`IoError`; malformed JSON a
-    :class:`ConfigError`, or for a report a :class:`ParseError`."""
+    """The JSON document at ``path`` (a blank file reads as ``{}``; a UTF-8
+    byte-order mark is skipped). An unreadable file is an :class:`IoError`;
+    malformed JSON a :class:`ConfigError`, or for a report a :class:`ParseError`."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise IoError(f"cannot open {path!r}: {exc}") from exc
@@ -202,12 +202,13 @@ def load_csv(
     a mapped column, or a mapped cell that is missing, non-finite or not a
     plain ASCII number is read again, row by row, from the start. The
     arrays, row counts and errors are the same either way. A ``delimiter``
-    that is not exactly one character is a :class:`ConfigError`.
+    that is not exactly one character is a :class:`ConfigError`. A UTF-8
+    byte-order mark, as spreadsheets export, is skipped.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ConfigError(f"delimiter must be exactly one character, got {delimiter!r}")
     try:
-        handle = open(path, "r", newline="", encoding="utf-8")
+        handle = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot open {path!r}: {exc}") from exc
     with handle:

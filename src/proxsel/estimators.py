@@ -364,10 +364,6 @@ def _check(error: ProxselError | None) -> None:
         raise error
 
 
-def _one(index: int) -> np.ndarray:
-    return np.array([int(index)])
-
-
 def _ledger(core: _Core, ds: np.ndarray, config: EstimationConfig | None = None) -> list:
     """A stack's error ledger, seeded with the first two stages: each problem's
     first error, or None. Stages record into it with ``keep_first`` and skip
@@ -379,6 +375,13 @@ def _ledger(core: _Core, ds: np.ndarray, config: EstimationConfig | None = None)
     return [None if core.fail[d] is None else RankDeficient(core.fail[d]) for d in ds]
 
 
+def _problem(data: Dataset, ocp_index: int, config: EstimationConfig | None = None):
+    """OCP ``ocp_index`` of ``data`` as a stack of one problem: its factor,
+    dataset and OCP indices, and its :func:`_ledger` under ``config``."""
+    core, ds = _single(data, [ocp_index]), np.array([0])
+    return core, ds, np.array([int(ocp_index)]), _ledger(core, ds, config)
+
+
 def _what(data: Dataset, core: _Core, ocp_index: int) -> np.ndarray:
     # from C order: a column-major product rounds differently
     return np.ascontiguousarray(_augmented(data)[:, : core.m]) @ core.coef[0][:, ocp_index]
@@ -386,8 +389,8 @@ def _what(data: Dataset, core: _Core, ocp_index: int) -> np.ndarray:
 
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
-    core = _single(data, [ocp_index])
-    _check(_ledger(core, _one(0))[0])
+    core, _, _, errors = _problem(data, ocp_index)
+    _check(errors[0])
     coef = core.coef[0]
     return FirstStage(
         what=_what(data, core, ocp_index),
@@ -483,8 +486,7 @@ class _Reduced(NamedTuple):
     rows: Callable
 
     def lasso(self, on: np.ndarray, thresh: np.ndarray):
-        pick = slice(None) if on.size == len(self.gram) else on  # no copy
-        return lasso_gram(self.gram[pick], self.xty[pick], self.yy[pick], thresh,
+        return lasso_gram(self.gram[on], self.xty[on], self.yy[on], thresh,
                           lambda i: self.rows(on[i]))
 
 
@@ -567,10 +569,10 @@ def _penalty(core: _Core, ds: np.ndarray, config, red, errors: list) -> np.ndarr
 
 
 def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, errors: list):
-    """The selection stage for a stack of (dataset, OCP) problems: the
-    pilots and their relevance, the reduced design, the penalty, the
-    weights and the weighted lasso, each recording into the ledger
-    ``errors`` (:func:`_ledger`'s order). Returns the lasso coefficients."""
+    """The selection stage for a stack of (dataset, OCP) problems: the pilots
+    and their relevance, the reduced design, the penalty, the weights and the
+    weighted lasso, each recording into the ledger ``errors`` (:func:`_ledger`'s
+    order). Returns the lasso coefficients and the penalties."""
     bad, weak, _, alpha_m = _pilots(core.coef[ds, : core.p_z, -1],
                                     core.coef[ds, : core.p_z, ocp])
     flagged = np.flatnonzero(bad.any(axis=1))
@@ -584,7 +586,7 @@ def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, er
     alpha = np.zeros((ds.size, core.p_z))
     alpha[on], lasso_errors = red.lasso(on, lam[on, None] * weights)
     keep_first(errors, lasso_errors, at=on)
-    return alpha
+    return alpha, lam
 
 
 def lasso_proximal(
@@ -601,12 +603,11 @@ def lasso_proximal(
     minimizer of the jointly penalized regression at the same penalty, which
     must not be negative or NaN (:class:`InvalidBound`).
     """
-    core = _single(data, [ocp_index])
+    core, ds, ocp, errors = _problem(data, ocp_index)
     lam = EstimationConfig(lambda_n=float(lam)).lambda_n  # InvalidBound unless >= 0
-    errors = _ledger(core, _one(0))
-    red = _reduced_design(core, _one(0), _one(ocp_index), errors)
+    red = _reduced_design(core, ds, ocp, errors)
     _check(errors[0])
-    alpha, lasso_errors = red.lasso(_one(0), np.full((1, data.p_z), lam))
+    alpha, lasso_errors = red.lasso(ds, np.full((1, data.p_z), lam))
     _check(lasso_errors[0])
     top, d_tilde = core.r[0, : core.m], red.d_tilde[0]
     resid = top[:, core.m + core.p_w] - top[:, : data.p_z] @ alpha[0]
@@ -628,10 +629,9 @@ def adaptive_lasso_proximal(
     A negative or NaN ``lambda_n`` is an :class:`InvalidBound`. Returns the
     penalized coefficient vector and its support.
     """
-    core = _single(data, [ocp_index])
+    core, ds, ocp, errors = _problem(data, ocp_index)
     config = EstimationConfig(lambda_n=float(lambda_n), adaptive_floor=adaptive_floor)
-    errors = _ledger(core, _one(0))
-    alpha = _select(core, _one(0), _one(ocp_index), config, True, errors)
+    alpha, _ = _select(core, ds, ocp, config, True, errors)
     _check(errors[0])
     return alpha[0], _support(alpha[0])
 
@@ -818,7 +818,7 @@ def ols_baseline(data: Dataset, alpha_level: float = 0.05) -> ProxyEstimate:
 def _pipeline(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool) -> _Refit:
     """Selection and post-selection refit for a stack of problems, on one ledger."""
     errors = _ledger(core, ds, config)
-    alpha = _select(core, ds, ocp, config, warn, errors)
+    alpha, _ = _select(core, ds, ocp, config, warn, errors)
     every = np.flatnonzero(np.all(alpha != 0, axis=1))
     setting = (f"lambda_mode={config.lambda_mode!r}" if config.lambda_n is None
                else f"lambda_n={config.lambda_n}")
@@ -842,8 +842,8 @@ def estimate_invalid_tcp(
     dataset's ``R``.
     """
     config = config or EstimationConfig()
-    core = _single(data, [ocp_index])
-    fit = _pipeline(core, _one(0), _one(ocp_index), config, True)
+    core, ds, ocp, _ = _problem(data, ocp_index)
+    fit = _pipeline(core, ds, ocp, config, True)
     _check(fit.errors[0])
     return _estimate(fit, 0, data.n, config.alpha_level, "post_adaptive_2sls")
 
@@ -1016,12 +1016,11 @@ def subsample_ci(
 def _reduced_rows(data: Dataset, ocp_index: int):
     """The n-row reduced design ``(g, d_tilde)`` of one OCP, by :func:`_n_rows`,
     and the fitted OCP ``what`` of :func:`first_stage`, on one factor."""
-    core = _single(data, [ocp_index])
-    errors = _ledger(core, _one(0))
-    red = _reduced_design(core, _one(0), _one(ocp_index), errors)
+    core, ds, ocp, errors = _problem(data, ocp_index)
+    red = _reduced_design(core, ds, ocp, errors)
     _check(errors[0])
-    coords = np.concatenate([red.rows(_one(0))[0], red.d_tilde[:, :, None]], axis=2)
-    x = _n_rows(core, _one(0), coords)[0][0]
+    coords = np.concatenate([red.rows(ds)[0], red.d_tilde[:, :, None]], axis=2)
+    x = _n_rows(core, ds, coords)[0][0]
     return x[:, :-1], x[:, -1], _what(data, core, ocp_index)
 
 
@@ -1030,7 +1029,7 @@ def select_lambda(
     ocp_index: int = 0,
     mode: str = "cv",
 ) -> float:
-    """Penalty level for the selection stage.
+    """The pipeline's own selection-stage penalty, on OCP ``ocp_index`` alone.
 
     ``rate`` mode returns ``std(Y) * sqrt(n) / log(n)`` — a deterministic
     schedule that diverges while remaining ``o(sqrt(n))``, the growth regime
@@ -1040,14 +1039,12 @@ def select_lambda(
     log-spaced penalties, from the smallest with an all-zero solution down
     to ``CV_GRID_MIN_RATIO`` times it; folds are contiguous row blocks (no
     RNG) and ties prefer the larger penalty. The folds take the reduced
-    design of the selection stage back to n rows as ``A_M R_MM^-1 g``, from
-    the data's ``A`` and its factor. A failed first stage raises in either
-    mode.
+    design back to n rows as ``A_M R_MM^-1 g``. The selection stage runs in
+    full, weighted lasso included, so this fails where and as the pipeline
+    does, in :func:`_ledger`'s order.
     """
     config = EstimationConfig(lambda_mode=mode)
-    core = _single(data, [ocp_index])
-    errors = _ledger(core, _one(0), config)
-    red = _reduced_design(core, _one(0), _one(ocp_index), errors) if mode == "cv" else None
-    lam = _penalty(core, _one(0), config, red, errors)
+    core, ds, ocp, errors = _problem(data, ocp_index, config)
+    _, lam = _select(core, ds, ocp, config, False, errors)
     _check(errors[0])
     return float(lam[0])

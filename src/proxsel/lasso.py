@@ -151,9 +151,8 @@ def lasso_gram(gram, xty, yy, thresh, rows, start=None, max_sweeps=DEFAULT_MAX_S
         alpha[i] = np.linalg.lstsq(x, y, rcond=None)[0]
     keep_first(errors, _certify(gram[ls], xty[ls], None, thresh[ls], alpha[ls]), at=ls)
     if cd.size:
-        pick = cd if ls.size else slice(None)  # no copy when every problem is a lasso
-        alpha[pick], cd_errors = _coordinate_descent(
-            gram[pick], xty[pick], yy[pick], thresh[pick], alpha[pick], max_sweeps
+        alpha[cd], cd_errors = _coordinate_descent(
+            gram[cd], xty[cd], yy[cd], thresh[cd], alpha[cd], max_sweeps
         )
         keep_first(errors, cd_errors, at=cd)
     return alpha, errors
@@ -297,9 +296,10 @@ def cv_penalty(x: np.ndarray, y: np.ndarray, lam_max: np.ndarray):
     ``CV_GRID_SIZE`` log-spaced penalties from ``lam_max = max |x'y|`` (as
     the caller computes it: the smallest penalty with an all-zero solution)
     down to ``CV_GRID_MIN_RATIO`` times it, solved in descending order with
-    warm starts; ties prefer the larger penalty. Every fold of every
-    problem is solved in one stack. Returns the penalties (0 where
-    ``lam_max`` is 0) and each problem's first solver error, or None.
+    warm starts; ties prefer the larger penalty. A fold's ``X'X``, ``X'y``
+    and ``y'y`` are the full sums less its validation block's, and every
+    fold of every problem is solved in one stack. Returns the penalties (0
+    where ``lam_max`` is 0) and each problem's first solver error, or None.
     """
     lam, errors = np.zeros(len(x)), [None] * len(x)
     todo = np.flatnonzero(lam_max > 0.0)
@@ -310,10 +310,9 @@ def cv_penalty(x: np.ndarray, y: np.ndarray, lam_max: np.ndarray):
     )[:, ::-1]
     bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
     vals = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    trains = [np.r_[0 : v.start, v.stop : n] for v in vals]
-    gram = np.stack([swap(x[:, t]) @ x[:, t] for t in trains])
-    xty = np.stack([matvec(swap(x[:, t]), y[:, t]) for t in trains])
-    yy = np.stack([inner(y[:, t], y[:, t]) for t in trains])
+    blocks = [(swap(x[:, v]) @ x[:, v], matvec(swap(x[:, v]), y[:, v]), inner(y[:, v], y[:, v]))
+              for v in vals]
+    gram, xty, yy = (np.sum(s, axis=0) - s for s in map(np.stack, zip(*blocks)))
     a = np.zeros((CV_FOLDS, todo.size, p))
     mse = np.zeros((todo.size, CV_GRID_SIZE))
     for gi in range(CV_GRID_SIZE):

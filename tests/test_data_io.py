@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import json
@@ -457,6 +458,40 @@ class TestLoadCsvMatchesRowReader:
         assert expected[:2] == (500, 0)
 
 
+def marked(path):
+    """A twin of the file at ``path`` that starts with a UTF-8 byte-order mark,
+    as spreadsheets export; every reader takes it as if the mark were absent."""
+    twin = path.with_name("marked-" + path.name)
+    twin.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return twin
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "cell, counts",
+        [(None, (200, 0)), ("", (200, 1)), ("forty", None)],
+        ids=["clean", "blank-cell", "unparseable"],
+    )
+    def test_a_csv_loads_as_its_twin_without_the_mark(self, tmp_path, cell, counts):
+        rows = sample_rows(200)
+        if cell is not None:
+            rows[7][2] = cell
+        plain = tmp_path / "data.csv"
+        write_rows(plain, ["y", "d", "z1", "z2", "w1"], rows)
+        outcome = load_outcome(load_csv, marked(plain), SCHEMA)
+        assert outcome == load_outcome(load_csv, plain, SCHEMA)
+        if counts is None:
+            assert outcome[:4] == (ParseError, "row 8, column 'z1': cannot parse 'forty' "
+                                   "as a number", 8, "z1")
+        else:
+            assert outcome[:2] == counts
+
+    def test_a_schema_parses_as_its_twin_without_the_mark(self, tmp_path):
+        plain = tmp_path / "schema.json"
+        plain.write_text(json.dumps(SCHEMA.to_dict()), encoding="utf-8")
+        assert parse_config(str(marked(plain)), "schema") == SCHEMA
+
+
 def config_file(tmp_path, text, name="config.json"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -597,6 +632,12 @@ class TestReports:
         path = tmp_path / "report.json"
         write_report(report, str(path))
         assert read_report(str(path)) == report
+
+    def test_a_report_with_a_byte_order_mark_reads_back(self, tmp_path):
+        report = self.make_report()
+        path = tmp_path / "report.json"
+        write_report(report, str(path))
+        assert read_report(str(marked(path))) == report
 
     def test_writes_are_byte_identical(self, tmp_path):
         report = self.make_report()

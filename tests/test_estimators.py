@@ -399,16 +399,18 @@ class TestErrorPrecedence:
     # the design (what is constant, so (what, X, 1) has rank 1) at once; an
     # OCP equal to the treatment up to 1e-14 fails relevance and leaves the
     # treatment degenerate.
+    failing_columns = pytest.mark.parametrize(
+        "column",
+        [lambda b: np.ones(b.n), lambda b: b.D + 1e-14 * b.Z[:, 0]],
+        ids=["constant", "treatment"],
+    )
+
     @pytest.mark.parametrize(
         "config",
         [EstimationConfig(), EstimationConfig(lambda_n=1.0), EstimationConfig(lambda_mode="cv")],
         ids=["rate", "fixed", "cv"],
     )
-    @pytest.mark.parametrize(
-        "column",
-        [lambda b: np.ones(b.n), lambda b: b.D + 1e-14 * b.Z[:, 0]],
-        ids=["constant", "treatment"],
-    )
+    @failing_columns
     def test_a_column_failing_two_stages_reports_the_first(self, column, config):
         fits = estimate_invalid_tcp_ocp(self.with_ocp_1(column), config).per_ocp_fits
         assert type(fits[1]) is AssumptionViolation
@@ -417,6 +419,17 @@ class TestErrorPrecedence:
         with pytest.raises(AssumptionViolation) as single:
             estimate_invalid_tcp(self.with_ocp_1(column), 1, config)
         assert str(single.value) == str(fits[1])
+
+    @pytest.mark.parametrize("mode", ["rate", "cv"])
+    @failing_columns
+    def test_select_lambda_fails_as_the_pipeline_does(self, column, mode):
+        data = self.with_ocp_1(column)
+        with pytest.raises(ProxselError) as pipeline:
+            estimate_invalid_tcp(data, 1, EstimationConfig(lambda_mode=mode))
+        with pytest.raises(ProxselError) as penalty:
+            select_lambda(data, 1, mode)
+        assert type(penalty.value) is type(pipeline.value) is AssumptionViolation
+        assert str(penalty.value) == str(pipeline.value)
 
     @pytest.mark.parametrize(
         "call",
@@ -648,6 +661,24 @@ class TestFactor:
         a_bytes = estimators_module._augmented(datasets[0]).nbytes
         assert peak < 4 * a_bytes
         assert all(2500 not in f.shape for f in core if isinstance(f, np.ndarray))
+
+    def test_cv_folds_keep_a_small_working_set(self):
+        # The median-ci design in cv mode: every fold's training sums come
+        # from the validation blocks, not from copies of the training rows.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0
+        )
+        config = EstimationConfig(lambda_mode="cv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakProxyWarning)
+            estimate_invalid_tcp_ocp(data, config)  # warm-up
+            tracemalloc.start()
+            try:
+                estimate_invalid_tcp_ocp(data, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 6.5e6
 
     def test_cv_folds_rebuild_the_reduced_rows_from_a(self):
         data = generate_invalid_tcp_ocp_data(

@@ -204,6 +204,38 @@ def test_the_guard_finds_a_second_reader():
     assert fail_readers([("m", source)]) == ["m._ledger", "m.refit"]
 
 
+def referrers(sources: Sequence[tuple[str, str]], name: str) -> list[str]:
+    """The functions, as ``module.name``, whose body refers to ``name``, as a
+    name or an attribute."""
+    return [
+        f"{module}.{fn.name}" for module, source in sources
+        for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+        and any(getattr(node, "id", getattr(node, "attr", None)) == name
+                for node in ast.walk(fn) if isinstance(node, (ast.Name, ast.Attribute)))
+    ]
+
+
+def test_the_penalty_is_set_by_the_selection_stage_alone():
+    # One penalty path: select_lambda and the pipeline both reach _penalty
+    # through _select, so they cannot fail in different orders.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert referrers(sources, "_penalty") == ["estimators._select"]
+
+
+def test_the_guard_finds_a_second_penalty_path():
+    source = (
+        "def _select(core):\n"
+        "    return _penalty(core)\n"
+        "def select_lambda(core):\n"
+        "    return estimators._penalty(core)\n"
+        "def stage(core):\n"
+        "    pick = _penalty\n"
+        "def _penalty(core):\n"
+        "    return penalty(core)\n"
+    )
+    assert referrers([("m", source)], "_penalty") == ["m._select", "m.select_lambda", "m.stage"]
+
+
 def frozen_writes(source: str) -> list[str]:
     """Calls to ``object.__setattr__`` outside a ``__post_init__``: a frozen
     object is written only while it is being built."""
