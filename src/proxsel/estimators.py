@@ -475,19 +475,17 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 
 class _Reduced(NamedTuple):
     """A stack's reduced design in covariance form (``gram = g'g``, ``xty =
-    g'Y``, ``yy = Y'Y``), ``d_tilde``, and ``rows(i) -> (g, Y)`` of problems
+    g'Y``), ``d_tilde``, and ``rows(i) -> (g, Y)`` of problems
     ``i`` in M's ``m`` coordinates. ``lasso(on, thresh)`` solves the lassos of
     problems ``on``."""
 
     gram: np.ndarray
     xty: np.ndarray
-    yy: np.ndarray
     d_tilde: np.ndarray
     rows: Callable
 
     def lasso(self, on: np.ndarray, thresh: np.ndarray):
-        return lasso_gram(self.gram[on], self.xty[on], self.yy[on], thresh,
-                          lambda i: self.rows(on[i]))
+        return lasso_gram(self.gram[on], self.xty[on], thresh, lambda i: self.rows(on[i]))
 
 
 def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) -> _Reduced:
@@ -511,7 +509,7 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     qb, rb = np.linalg.qr(top[:, :, np.r_[p_z + 1 : m, p_z]])  # (X, 1), then D
     qx, dx = qb[:, :, :-1], qb[:, :, -1] * rb[:, -1:, -1]
     zp = top[:, :, :p_z] - qb @ (swap(qb) @ top[:, :, :p_z])
-    s, y, y_all = swap(zp) @ zp, top[:, :, m + core.p_w], core.r[:, :, m + core.p_w]
+    s, y = swap(zp) @ zp, top[:, :, m + core.p_w]
     zy = matvec(swap(zp), y)
     f = top[ds, :, core.fitted(ocp)]
     qf = matvec(swap(qx[ds]), f)
@@ -532,8 +530,7 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
         g = zp[ds[i]]
         return g - matvec(g, t[i])[:, :, None] * v[i, None, :], y[ds[i]]
 
-    return _Reduced(gram, zy[ds] - v * inner(t, zy[ds])[:, None],
-                    inner(y_all, y_all)[ds], d_tilde, rows)
+    return _Reduced(gram, zy[ds] - v * inner(t, zy[ds])[:, None], d_tilde, rows)
 
 
 def _positive(x: np.ndarray) -> np.ndarray:
@@ -1037,8 +1034,9 @@ def select_lambda(
     :func:`proxsel.lasso.cv_penalty`: ``CV_FOLDS``-fold cross-validation of
     the plain lasso on the residualized TCP design over ``CV_GRID_SIZE``
     log-spaced penalties, from the smallest with an all-zero solution down
-    to ``CV_GRID_MIN_RATIO`` times it; folds are contiguous row blocks (no
-    RNG) and ties prefer the larger penalty. The folds take the reduced
+    to ``CV_GRID_MIN_RATIO`` times it, all read off each fold's exact lasso
+    path; folds are contiguous row blocks (no RNG) and ties prefer the
+    larger penalty. The folds take the reduced
     design back to n rows as ``A_M R_MM^-1 g``. The selection stage runs in
     full, weighted lasso included, so this fails where and as the pipeline
     does, in :func:`_ledger`'s order.

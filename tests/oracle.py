@@ -16,14 +16,19 @@ each method through the library's public single-dataset entry point.
 ``rank_errors`` is ``proxsel.linalg.rank_errors`` before it bounded the
 condition number first: one SVD of every factor. ``support_solve`` is
 ``proxsel.lasso._support_solve`` before it solved the support blocks alone:
-one p x p system per problem, padded with the identity.
-``coordinate_descent_sweep_first`` is ``proxsel.lasso._coordinate_descent``
-before a zero start was polished ahead of the first sweep. Tests compare the
-library against these functions.
+one p x p system per problem, padded with the identity. The ``cd_``
+functions are ``proxsel.lasso``'s batched coordinate descent, unchanged but
+for the prefix, as it was before every lasso was solved along its exact
+path: ``cd_lasso_gram`` solved the selection stacks, polishing a zero start
+on its KKT support before the first sweep and each sweep's iterate after
+it, with a duality-gap and a stationarity certificate; ``cd_grid`` is the
+warm-started loop with which ``cv_penalty`` solved its grid. Tests compare
+the library against these functions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -34,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from proxsel import estimators as library
-from proxsel import lasso, simulation
+from proxsel import simulation
 from proxsel.data_io import MISSING_TOKENS, LoadResult, SchemaMap
 from proxsel.estimators import (
     STREAM_SUBSAMPLE,
@@ -59,8 +64,11 @@ from proxsel.exceptions import (
 )
 from proxsel.linalg import (
     RANK_TOL,
+    alive,
     as_matrix,
     as_vector,
+    inner,
+    keep_first,
     matvec,
     ols,
     orthonormal_basis,
@@ -1035,24 +1043,155 @@ def support_solve(gram, xty, thresh, on, sign):
     return sol, np.all(ok, axis=1)
 
 
-def coordinate_descent_sweep_first(gram, xty, yy, thresh, a, max_sweeps):
-    """``proxsel.lasso._coordinate_descent`` polishing only after each
-    sweep, never before the first."""
+def cd_kkt(grad: np.ndarray, a: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Row-wise stationarity excess given ``grad = X'(X a - y)``."""
+    on = a != 0
+    viol = np.where(on, np.abs(grad + thresh * np.sign(a)), np.abs(grad) - thresh)
+    return np.max(np.maximum(viol, 0.0), axis=-1, initial=0.0)
+
+
+def cd_lasso_gram(gram, xty, yy, thresh, rows, start=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """Weighted lassos ``0.5*||y_i - X_i a||^2 + sum_j thresh_ij |a_j|``, one
+    per problem ``i``, in covariance form (``gram = X'X``, ``xty = X'y``,
+    ``yy = y'y``). All-zero rows of ``thresh`` are least squares, solved on
+    the designs ``rows(i) -> (X_i, y_i)`` of those problems ``i``. Returns
+    the solutions and each problem's error, or None."""
+    alpha = np.zeros(xty.shape) if start is None else np.array(start, dtype=float)
+    errors: list = [None] * len(alpha)
+    lasso = np.any(thresh > 0, axis=1)
+    ls, cd = np.flatnonzero(~lasso), np.flatnonzero(lasso)
+    for i, x, y in zip(ls, *rows(ls)):
+        alpha[i] = np.linalg.lstsq(x, y, rcond=None)[0]
+    keep_first(errors, cd_certify(gram[ls], xty[ls], None, thresh[ls], alpha[ls]), at=ls)
+    if cd.size:
+        alpha[cd], cd_errors = cd_coordinate_descent(
+            gram[cd], xty[cd], yy[cd], thresh[cd], alpha[cd], max_sweeps
+        )
+        keep_first(errors, cd_errors, at=cd)
+    return alpha, errors
+
+
+def cd_certify(gram, xty, yy, thresh, a, sweeps=None) -> list:
+    """Each problem's certificate failure, or None: the stationarity excess
+    against ``KKT_TOL`` and, given the ``sweeps`` used when the iteration
+    did not settle, first the duality gap against ``DUAL_GAP_TOL * y'y``.
+    The gap scales the residual onto the dual-feasible set ``{nu : |X_j'
+    nu| <= thresh_j}`` and evaluates the Fenchel dual there; it is zero
+    exactly at the optimum."""
+    g_a = matvec(gram, a)
+    grad = g_a - xty
+    errors: list = [
+        None if v <= KKT_TOL else NoConvergence(
+            f"terminal iterate fails the stationarity certificate: "
+            f"violation {v:.3e} > {KKT_TOL:g}"
+        )
+        for v in cd_kkt(grad, a, thresh)
+    ]
+    if sweeps is None:
+        return errors
+    a_xty = inner(a, xty)
+    rr = yy - 2.0 * a_xty + inner(a, g_a)
+    s = 1.0 / np.maximum(1.0, np.max(np.abs(grad) / thresh, axis=1, initial=0.0))
+    gap = 0.5 * rr + inner(thresh, np.abs(a)) - s * (yy - a_xty) + 0.5 * s * s * rr
+    target = DUAL_GAP_TOL * yy
+    return [
+        NoConvergence(
+            f"coordinate descent used {sweeps} sweeps but the duality gap "
+            f"{g:.3e} still exceeds {t:.3e}"
+        ) if g > t else e
+        for g, t, e in zip(gap, target, errors)
+    ]
+
+
+def cd_support_solve(gram, xty, thresh, on, sign):
+    """Exact solution of the stationarity system on supports ``on`` with
+    signs ``sign``, and whether it solves the lasso: signs kept on the
+    support, ``|X_j' r| <= thresh_j`` off it. Problems are grouped by
+    support size ``k``; each group makes one solve of its k x k blocks."""
+    rhs, sol, size = xty - thresh * sign, np.zeros(on.shape), on.sum(axis=1)
+    for k in np.unique(size[size > 0]):
+        rows = np.flatnonzero(size == k)
+        cols = np.nonzero(on[rows])[1].reshape(rows.size, k)
+        h = gram[rows[:, None, None], cols[:, :, None], cols[:, None, :]]
+        b = np.take_along_axis(rhs[rows], cols, axis=1)
+        try:
+            x = np.linalg.solve(h, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # screen the systems one by one; the
+            x = np.full(b.shape, math.nan)  # singular ones keep sweeping
+            for i in range(rows.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    x[i] = np.linalg.solve(h[i], b[i])
+        sol[rows[:, None], cols] = x
+    grad = xty - matvec(gram, sol)
+    ok = np.where(on, np.sign(sol) == sign, np.abs(grad) <= thresh)
+    return sol, np.all(ok, axis=1)
+
+
+def cd_polish(gram, xty, thresh, a):
+    """Candidate solutions from the supports and signs of the iterates ``a``.
+
+    A coordinate still on its way to zero keeps a support one too large
+    (for thousands of sweeps where the Gram is singular along it), so a
+    failed support is retried without the coordinate of smallest
+    ``|a_j| * ||X_j||``.
+    """
+    on, sign = a != 0, np.sign(a)
+    sol, ok = cd_support_solve(gram, xty, thresh, on, sign)
+    retry = np.flatnonzero(~ok & on.any(axis=1))
+    if retry.size:
+        size = np.abs(a[retry]) * np.sqrt(np.diagonal(gram[retry], axis1=1, axis2=2))
+        fewer = on[retry]
+        smallest = np.argmin(np.where(fewer, size, np.inf), axis=1)
+        fewer[np.arange(retry.size), smallest] = False
+        sol[retry], ok[retry] = cd_support_solve(
+            gram[retry], xty[retry], thresh[retry], fewer, sign[retry]
+        )
+    return sol, ok
+
+
+def cd_sweep(gram, xty, thresh, diag, a) -> np.ndarray:
+    """One cyclic sweep of each problem's ``a``, in place; returns its largest move."""
+    v = matvec(gram, a)  # refresh to avoid drift in the incremental updates
+    move = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        a_j = a[:, j]
+        rho = xty[:, j] - v[:, j] + diag[:, j] * a_j
+        mag = np.abs(rho) - thresh[:, j]
+        live = diag[:, j] > 0.0  # coordinates with a zero column stay put
+        new = np.copysign(mag, rho) / np.where(live, diag[:, j], 1.0)
+        d = np.where(live, np.where(mag > 0.0, new, 0.0), a_j) - a_j
+        a[:, j] += d
+        v += gram[:, :, j] * d[:, None]
+        move = np.maximum(move, np.abs(d))
+    return move
+
+
+def cd_coordinate_descent(gram, xty, yy, thresh, a, max_sweeps):
+    """Lassos in covariance form (``gram = X'X``, ``xty = X'y``, ``yy =
+    y'y``, every ``thresh`` positive) from the starts ``a``: a zero start is
+    polished on the KKT check at zero (``|X'y|_j > thresh_j``, ``sign(X'y)``),
+    and what that leaves runs batched cyclic coordinate descent with the
+    support polish. Returns the solutions and each problem's error, or None;
+    every problem is certified, or fails with NoConvergence, on its own."""
     a = np.array(a, dtype=float)
     out, errors = a.copy(), [None] * len(a)
     idx = np.arange(len(a))
     diag = np.diagonal(gram, axis1=1, axis2=2).copy()
-    for sweep in range(1, max_sweeps + 1):
-        move = lasso._sweep(gram, xty, thresh, diag, a)
-        sol, ok = lasso._polish(gram, xty, thresh, a)
-        certified = lasso._certify(gram[ok], xty[ok], yy[ok], thresh[ok], sol[ok], sweep)
+    for sweep in range(max_sweeps + 1):
+        if sweep:
+            move = cd_sweep(gram, xty, thresh, diag, a)
+            sol, ok = cd_polish(gram, xty, thresh, a)
+        else:  # sweep 0: the polish of a zero start
+            zero, move = ~a.any(axis=1), np.full(len(a), np.inf)
+            on = (np.abs(xty) > thresh) & zero[:, None]
+            sol, ok = cd_support_solve(gram, xty, thresh, on, np.sign(xty))
+            ok &= zero
+        certified = cd_certify(gram[ok], xty[ok], yy[ok], thresh[ok], sol[ok], sweep)
         ok[ok] = [e is None for e in certified]
         stalled = ~ok & (move <= 1e-13 * np.maximum(1.0, np.max(np.abs(a), axis=1)))
         out[idx[ok]], out[idx[stalled]] = sol[ok], a[stalled]
-        at_rest = lasso._certify(gram[stalled], xty[stalled], None, thresh[stalled],
-                                 a[stalled])
-        for i, e in zip(idx[stalled], at_rest):
-            errors[i] = e
+        at_rest = cd_certify(gram[stalled], xty[stalled], None, thresh[stalled], a[stalled])
+        keep_first(errors, at_rest, at=idx[stalled])
         keep = ~(ok | stalled)
         idx, a, gram, xty, yy, thresh, diag = (
             z[keep] for z in (idx, a, gram, xty, yy, thresh, diag)
@@ -1060,6 +1199,25 @@ def coordinate_descent_sweep_first(gram, xty, yy, thresh, a, max_sweeps):
         if not idx.size:
             return out, errors
     out[idx] = a
-    for i, e in zip(idx, lasso._certify(gram, xty, yy, thresh, a, max_sweeps)):
-        errors[i] = e
+    return out, keep_first(errors, cd_certify(gram, xty, yy, thresh, a, max_sweeps), at=idx)
+
+
+def cd_grid(gram, xty, yy, thresh):
+    """``proxsel.lasso.cv_penalty``'s warm-started grid loop before the
+    path: the penalties ``thresh[:, k]`` in turn by
+    :func:`cd_coordinate_descent`, each from the solutions at the last; a
+    problem stops at its first failure. Returns the solutions, shaped as
+    ``thresh``, and each problem's first error, or None."""
+    n, m, p = thresh.shape
+    a, errors = np.zeros((n, p)), [None] * n
+    out = np.zeros(thresh.shape)
+    for k in range(m):
+        on = alive(errors)
+        if not on.size:
+            break
+        sol, errs = cd_coordinate_descent(
+            gram[on], xty[on], yy[on], thresh[on, k], a[on], DEFAULT_MAX_SWEEPS
+        )
+        a[on] = out[on, k] = sol
+        keep_first(errors, errs, at=on)
     return out, errors

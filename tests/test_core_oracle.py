@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 import oracle
 from proxsel import estimators as est
+from proxsel.lasso import lasso_gram
 from proxsel.estimators import Dataset, EstimationConfig, ProxyEstimate
 from proxsel.exceptions import AssumptionViolation, ProxselError
 from proxsel.simulation import SimConfig, generate_invalid_tcp_ocp_data
+from test_lasso import _recorded_stacks, assert_same_lassos, oracle_lassos
 
 RTOL = 1e-10
 
@@ -200,13 +202,33 @@ def subsample_problems(data, n_subsamples, seed, config=None):
                 yield new, outcome(oracle.estimate_invalid_tcp, sub, j, config)
 
 
-def test_every_subsample_problem_of_the_benchmark_design_matches():
-    # 200 subsamples x 10 OCPs: the subsampling work of one median-ci run.
-    count = 0
-    for new, old in subsample_problems(median_design(), 200, seed=1):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_subsample_problem_of_the_benchmark_design_matches(seed, monkeypatch):
+    # 200 subsamples x 10 OCPs: the subsampling work of one median-ci run at
+    # this seed. Each block's weighted lassos also match the
+    # coordinate-descent oracle: the same supports, values within 1e-12.
+    data, pairs = median_design(seed), []
+    stacks = _recorded_stacks(
+        monkeypatch, lambda: pairs.extend(subsample_problems(data, 200, seed=seed))
+    )
+    for new, old in pairs:
         assert_same_outcome(new, old)
-        count += 1
-    assert count == 2000
+    assert len(pairs) == 2000
+    assert [len(xty) for _, xty, _, _ in stacks] == [200] * 10
+    for stack in stacks:
+        assert_same_lassos(lasso_gram(*stack), oracle_lassos(*stack))
+
+
+def test_every_cv_fold_problem_of_the_cv_median_matches(monkeypatch):
+    # The cv median of the median-ci design: 10 OCPs x 10 folds, each with
+    # 50 grid penalties read off one path, then each OCP's weighted lasso.
+    config = EstimationConfig(lambda_mode="cv")
+    stacks = _recorded_stacks(
+        monkeypatch, lambda: outcome(est.estimate_invalid_tcp_ocp, median_design(), config)
+    )
+    assert [t.shape for _, _, t, _ in stacks] == [(100, 50, 10), (10, 10)]
+    for stack in stacks:
+        assert_same_lassos(lasso_gram(*stack), oracle_lassos(*stack))
 
 
 @settings(max_examples=60, deadline=None)

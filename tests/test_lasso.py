@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxsel.estimators as estimators
 from proxsel import lasso
@@ -156,14 +159,6 @@ class TestLassoSolve:
         sol = lasso_solve(x, y, lam, w)
         assert kkt_violation(x, y, sol, lam, w) <= 1e-6
 
-    def test_warm_start_does_not_change_the_solution(self):
-        x, y, lam, _ = random_instance(3)
-        cold = lasso_solve(x, y, lam)
-        warm = lasso_solve(
-            x, y, lam, start=np.random.default_rng(4).standard_normal(12)
-        )
-        np.testing.assert_allclose(warm, cold, atol=1e-8)
-
     def test_response_and_penalty_scaling_scales_solution(self):
         x, y, lam, w = random_instance(5, weighted=True)
         base = lasso_solve(x, y, lam, w)
@@ -171,13 +166,28 @@ class TestLassoSolve:
             scaled = lasso_solve(x, c * y, abs(c) * lam, w)
             np.testing.assert_allclose(scaled, c * base, atol=1e-8 * abs(c))
 
-    def test_insufficient_sweeps_raise(self):
+    def test_a_path_past_its_step_cap_raises(self, monkeypatch):
+        # The zero-start guess fails on this design, so the path must run;
+        # with no steps allowed it fails by name.
         rng = np.random.default_rng(6)
         x = rng.standard_normal((60, 30))
         x[:, 1] = 0.95 * x[:, 0] + 0.05 * x[:, 1]
         y = x @ (np.arange(30) % 3 == 0).astype(float)
-        with pytest.raises(NoConvergence):
-            lasso_solve(x, y, 1.0, max_sweeps=1)
+        assert kkt_violation(x, y, lasso_solve(x, y, 1.0), 1.0) <= KKT_TOL
+        monkeypatch.setattr(lasso, "PATH_STEPS_PER_COLUMN", 0)
+        with pytest.raises(NoConvergence, match="did not reach its penalty"):
+            lasso_solve(x, y, 1.0)
+
+    def test_a_singular_block_on_the_path_fails_its_problem_alone(self):
+        # Problem 0's second column has X'X = 0 but X'y = 1, so the path
+        # enters it into a singular block; problem 1 is regular.
+        gram = np.array([[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.5], [0.5, 1.0]]])
+        xty = np.array([[1.0, 1.0], [1.0, -1.0]])
+        sols, errors = lasso_gram(gram, xty, np.full((2, 2), 0.1), None)
+        assert isinstance(errors[0], NoConvergence) and "singular" in str(errors[0])
+        assert errors[1] is None
+        want = np.linalg.solve(gram[1], xty[1] - 0.1 * np.sign(xty[1]))
+        np.testing.assert_allclose(sols[1], want, rtol=1e-14)
 
     def test_a_duplicated_column_problem_fails_or_passes_on_its_own(self):
         # Problem 0 has two identical columns, so its polishing systems are
@@ -187,8 +197,8 @@ class TestLassoSolve:
         dup[:, 1] = dup[:, 0]
         thresh = lam * np.stack([np.ones(12), w])
         xs, ys = np.stack([dup, x]), np.stack([y, y])
-        sols, errors = lasso_gram(swap(xs) @ xs, matvec(swap(xs), ys), inner(ys, ys),
-                                  thresh, lambda i: (xs[i], ys[i]))
+        sols, errors = lasso_gram(swap(xs) @ xs, matvec(swap(xs), ys), thresh,
+                                  lambda i: (xs[i], ys[i]))
         for i, design in enumerate((dup, x)):
             if errors[i] is None:
                 assert kkt_violation(design, y, sols[i], 1.0, thresh[i]) <= KKT_TOL
@@ -205,9 +215,25 @@ class TestLassoSolve:
         np.testing.assert_array_equal(polished != 0, fixed_point != 0)
         np.testing.assert_allclose(polished, fixed_point, rtol=0, atol=1e-10)
 
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            lasso_solve(np.eye(3), np.ones(3), -0.1)
+    @pytest.mark.parametrize("lam", [-0.1, math.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_penalty_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            lasso_solve(np.eye(3), np.ones(3), lam)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_the_certificate_rejects_a_negative_or_nan_penalty(self, lam):
+        x, y, _, _ = random_instance(8)
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            kkt_violation(x, y, np.zeros(12), lam)
+
+    def test_an_infinite_penalty_gives_zeros_without_warnings(self):
+        x, y, _, w = random_instance(9, weighted=True)
+        x[:, 4] = 0.0  # a zero column: X'y = 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = lasso_solve(x, y, math.inf, w)
+            assert kkt_violation(x, y, sol, math.inf, w) == 0.0
+        assert np.all(sol == 0.0)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -282,6 +308,15 @@ class TestAdaptiveLasso:
             adaptive_lasso_proximal(data, 0, lam)
         with pytest.raises(InvalidBound, match="lambda_n"):
             EstimationConfig(lambda_n=lam)
+
+    def test_an_infinite_penalty_selects_nothing_without_warnings(self):
+        data, _ = make_exact_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, selected = adaptive_lasso_proximal(data, 0, math.inf)
+            est = estimate_invalid_tcp(data, 0, EstimationConfig(lambda_n=math.inf))
+        assert selected == () and np.all(alpha == 0.0)
+        assert est.selected_invalid_tcps == () and np.all(est.alpha_hat == 0.0)
 
     def test_zero_penalty_ignores_weights(self):
         data, _ = make_exact_dataset()
@@ -413,7 +448,7 @@ def _stack(seeds, p=12, n=40):
     x = np.stack([i[0] for i in inst])
     y = np.stack([i[1] for i in inst])
     thresh = np.stack([i[2] * i[3] for i in inst])
-    return x, y, swap(x) @ x, matvec(swap(x), y), inner(y, y), thresh
+    return x, y, swap(x) @ x, matvec(swap(x), y), thresh
 
 
 class TestSupportSolve:
@@ -422,8 +457,8 @@ class TestSupportSolve:
         # Half the supports and signs are each problem's lasso solution (the
         # polish succeeds), half are random (it mostly fails).
         rng = np.random.default_rng(seed)
-        x, y, gram, xty, yy, thresh = _stack(range(10 * seed, 10 * seed + 40))
-        sols, _ = lasso_gram(gram, xty, yy, thresh, lambda i: (x[i], y[i]))
+        x, y, gram, xty, thresh = _stack(range(10 * seed, 10 * seed + 40))
+        sols, _ = lasso_gram(gram, xty, thresh, lambda i: (x[i], y[i]))
         on, sign = sols != 0, np.sign(sols)
         rand = rng.random(on.shape) < rng.uniform(0.0, 1.0, (len(on), 1))
         on[::2], sign[::2] = rand[::2], np.where(rng.random(on.shape) < 0.5, -1.0, 1.0)[::2]
@@ -454,30 +489,50 @@ class TestSupportSolve:
 
 
 def _recorded_stacks(monkeypatch, run):
-    """The inputs of every ``_coordinate_descent`` call that ``run`` makes."""
+    """The inputs of every ``lasso_gram`` call that ``run`` makes."""
     stacks = []
-    solve = lasso._coordinate_descent
+    solve = lasso.lasso_gram
 
-    def recording(gram, xty, yy, thresh, a, max_sweeps):
-        stacks.append(tuple(np.array(z, dtype=float) for z in (gram, xty, yy, thresh, a)))
-        return solve(gram, xty, yy, thresh, a, max_sweeps)
+    def recording(gram, xty, thresh, rows):
+        stacks.append((np.array(gram), np.array(xty), np.array(thresh), rows))
+        return solve(gram, xty, thresh, rows)
 
-    monkeypatch.setattr(lasso, "_coordinate_descent", recording)
+    monkeypatch.setattr(lasso, "lasso_gram", recording)
+    monkeypatch.setattr(estimators, "lasso_gram", recording)
     run()
     monkeypatch.undo()
     return stacks
 
 
+def oracle_lassos(gram, xty, thresh, rows, max_sweeps=oracle.DEFAULT_MAX_SWEEPS):
+    """The coordinate-descent oracle on one ``lasso_gram`` stack: one
+    penalty per problem, or a grid solved with warm starts. Its duality gap
+    needs ``y'y``, which the covariance form leaves out; ``y'P y``, the part
+    of it that the design explains, takes its place (at a solution the gap
+    does not depend on it)."""
+    yy = inner(xty, matvec(np.linalg.pinv(gram, hermitian=True), xty))
+    if thresh.ndim == 3:
+        return oracle.cd_grid(gram, xty, yy, thresh)
+    return oracle.cd_lasso_gram(gram, xty, yy, thresh, rows, max_sweeps=max_sweeps)
+
+
+def assert_same_lassos(new, old, rtol=1e-12):
+    """Two solvers' outputs on one stack: the same problems fail, and the
+    others have the same supports and signs, with values within ``rtol`` of
+    each problem's largest magnitude."""
+    (sol, errors), (want, want_errors) = new, old
+    assert [e is None for e in errors] == [e is None for e in want_errors]
+    for i in np.flatnonzero([e is None for e in errors]):
+        np.testing.assert_array_equal(np.sign(sol[i]), np.sign(want[i]))
+        scale = np.max(np.abs(want[i]), initial=0.0)
+        assert np.max(np.abs(sol[i] - want[i]), initial=0.0) <= rtol * scale
+
+
 class TestPolishFirst:
     def _same_supports(self, stacks):
-        for gram, xty, yy, thresh, a in stacks:
-            sol, errors = lasso._coordinate_descent(gram, xty, yy, thresh, a, 100_000)
-            want, want_errors = oracle.coordinate_descent_sweep_first(
-                gram, xty, yy, thresh, a, 100_000
-            )
-            assert [e is None for e in errors] == [e is None for e in want_errors]
-            np.testing.assert_array_equal(np.sign(sol), np.sign(want))
-            np.testing.assert_allclose(sol, want, rtol=1e-9, atol=1e-12)
+        for gram, xty, thresh, rows in stacks:
+            assert_same_lassos(lasso_gram(gram, xty, thresh, rows),
+                               oracle_lassos(gram, xty, thresh, rows))
 
     @pytest.mark.filterwarnings("ignore::proxsel.exceptions.WeakProxyWarning")
     def test_selection_and_cv_stacks_keep_their_supports_and_signs(self, monkeypatch):
@@ -488,22 +543,57 @@ class TestPolishFirst:
             estimators.subsample_ci(data, n_subsamples=40, seed=2),
             select_lambda(data, 0, "cv"),
         ))
-        assert len(stacks) > 50  # two subsample blocks and the cv grid
+        # two subsample blocks, then the cv grid and the weighted lasso
+        assert [t.ndim for _, _, t, _ in stacks] == [2, 2, 3, 2]
         self._same_supports(stacks)
 
     def test_random_weighted_lassos_keep_their_supports_and_signs(self):
-        _, _, gram, xty, yy, thresh = _stack(range(100, 140))
-        self._same_supports([(gram, xty, yy, thresh, np.zeros(xty.shape))])
+        x, y, gram, xty, thresh = _stack(range(100, 140))
+        self._same_supports([(gram, xty, thresh, lambda i: (x[i], y[i]))])
 
-    def test_the_polish_before_the_first_sweep_certifies_most_problems(self, monkeypatch):
-        _, _, gram, xty, yy, thresh = _stack(range(200, 240))
-        swept = []
-        sweep = lasso._sweep
+    def test_the_zero_start_guess_settles_most_problems(self, monkeypatch):
+        _, _, gram, xty, thresh = _stack(range(200, 240))
+        walked = []
+        path = lasso._path
 
-        def counting(gram, xty, thresh, diag, a):
-            swept.append(len(a))
-            return sweep(gram, xty, thresh, diag, a)
+        def counting(gram, xty, thresh, stops):
+            walked.append(len(xty))
+            return path(gram, xty, thresh, stops)
 
-        monkeypatch.setattr(lasso, "_sweep", counting)
-        lasso._coordinate_descent(gram, xty, yy, thresh, np.zeros(xty.shape), 100_000)
-        assert swept[0] < len(xty) / 2  # 13 of 40 on these seeds
+        monkeypatch.setattr(lasso, "_path", counting)
+        lasso_gram(gram, xty, thresh, None)
+        assert walked[0] < len(xty) / 2  # 13 of 40 on these seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 12),
+    scale=st.floats(-7.5, 7.5),
+)
+def test_random_stacks_match_the_coordinate_descent_oracle(seed, p, scale):
+    # Eight weighted lassos: problem 0 has a duplicated column, problem 1 a
+    # zero column, and each problem's thresholds spread over a decade around
+    # 10**scale times its own max |X'y|, so over 1e-8 to 1e8 in all.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((8, 30, p))
+    x[0, :, 1] = x[0, :, 0]
+    x[1, :, 2] = 0.0
+    y = x[:, :, : p // 2] @ rng.uniform(0.5, 2.0, p // 2) + rng.standard_normal((8, 30))
+    gram, xty = swap(x) @ x, matvec(swap(x), y)
+    exponents = scale + rng.uniform(-0.5, 0.5, (8, p))
+    thresh = np.max(np.abs(xty), axis=1, keepdims=True) * 10.0 ** exponents
+
+    def rows(i):
+        return x[i], y[i]
+
+    sols, errors = lasso_gram(gram, xty, thresh, rows)
+    want, want_errors = oracle_lassos(gram, xty, thresh, rows, max_sweeps=300)
+    for i in range(8):
+        assert errors[i] is None
+        assert kkt_violation(x[i], y[i], sols[i], 1.0, thresh[i]) <= KKT_TOL
+        if want_errors[i] is None:
+            assert_same_lassos((sols[i:i + 1], [None]), (want[i:i + 1], [None]), rtol=1e-9)
+        else:  # the oracle's sweeps crawl, as along the duplicated column
+            assert objective(x[i], y[i], sols[i], 1.0, thresh[i]) <= objective(
+                x[i], y[i], want[i], 1.0, thresh[i]) * (1.0 + 1e-12)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from typing import Sequence
 import pytest
 
 import proxsel
+from proxsel import lasso
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "proxsel").glob("*.py"))
 
@@ -234,6 +236,59 @@ def test_the_guard_finds_a_second_penalty_path():
         "    return penalty(core)\n"
     )
     assert referrers([("m", source)], "_penalty") == ["m._select", "m.select_lambda", "m.stage"]
+
+
+def test_lasso_solve_and_cv_penalty_reach_the_solver_through_lasso_gram():
+    # One solver: the guess, the path and the support solves sit behind
+    # lasso_gram, which every lasso of the package goes through.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert referrers(sources, "_path") == ["lasso.lasso_gram"]
+    assert referrers(sources, "_support_solve") == ["lasso.lasso_gram"]
+    assert referrers(sources, "_block_solve") == ["lasso._path", "lasso._support_solve"]
+    assert {"lasso.lasso_solve", "lasso.cv_penalty"} <= set(referrers(sources, "lasso_gram"))
+
+
+#: The coordinate-descent solver's names, gone with it.
+COORDINATE_DESCENT = (
+    "max_sweeps", "DEFAULT_MAX_SWEEPS", "DUAL_GAP_TOL", "_sweep", "_coordinate_descent", "_polish",
+)
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name ``source`` defines or uses: names, attributes, functions,
+    classes, parameters and keyword arguments."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_coordinate_descent_name_is_left(path):
+    assert identifiers(path.read_text(encoding="utf-8")) & set(COORDINATE_DESCENT) == set()
+
+
+def test_the_lasso_entry_points_take_no_start():
+    for fn in (lasso.lasso_solve, lasso.lasso_gram):
+        assert not {"start", "max_sweeps"} & set(inspect.signature(fn).parameters)
+
+
+def test_the_guard_finds_a_coordinate_descent_name():
+    source = (
+        "DUAL_GAP_TOL = 1e-8\n"
+        "def solve(x, max_sweeps=10):\n"
+        "    return lasso._sweep(x), run(x, max_sweeps=1)\n"
+    )
+    assert identifiers(source) & set(COORDINATE_DESCENT) == {
+        "DUAL_GAP_TOL", "max_sweeps", "_sweep"
+    }
 
 
 def frozen_writes(source: str) -> list[str]:
