@@ -23,15 +23,18 @@ known about validity:
   the pipeline once per OCP column and taking the median;
   :func:`subsample_ci` supplies its confidence interval.
 
-Every stage depends on the data only through ``A = [Z, D, X, 1, W, Y]``.
+Every stage depends on the data only through ``A = [X, 1, Z, D, W, Y]``.
 Each dataset (and each subsample) takes one thin QR ``A = Q R`` and keeps
 only the small factor ``R``; since ``A L = Q (R L)``, every stage runs on ``R``
 with the inner products, residual norms and rank certificates of the n-row
 design, on stacks of (dataset, OCP) problems: one problem for
 :func:`estimate_invalid_tcp`, ``p_w`` for the median, blocks of subsamples
-times ``p_w`` for :func:`subsample_ci`. The selection lasso runs in
-covariance form: a dataset's OCPs share one Gram matrix of the TCP block
-residualized on ``(D, X, 1)``, and each OCP takes a rank-one downdate of it.
+times ``p_w`` for :func:`subsample_ci`. As ``(X, 1)`` lead, ``R = [[R11,
+R12], [0, R22]]`` and every stage after the factor reads ``R22``, the factor
+of ``(Z, D, W, Y)`` with ``(X, 1)`` partialled out (Frisch-Waugh-Lovell).
+The selection lasso runs in covariance form: a dataset's OCPs share one Gram
+matrix of the TCP block residualized on ``(D, X, 1)``, and each OCP takes a
+rank-one downdate of it.
 
 Everything is deterministic given its inputs; the only randomness is the
 subsample draw in :func:`subsample_ci`, driven by an explicit seed.
@@ -273,9 +276,9 @@ def _solve(a: np.ndarray, b: np.ndarray, ok) -> np.ndarray:
 
 
 def _augmented(data: Dataset) -> np.ndarray:
-    """``A = [Z, D, X, 1, W, Y]``, column-major as LAPACK takes it: every
+    """``A = [X, 1, Z, D, W, Y]``, column-major as LAPACK takes it: every
     stage depends on the data only through it, a subsample on its rows."""
-    a = np.column_stack([data.Z, data.D, data.X, np.ones(data.n), data.W, data.Y])
+    a = np.column_stack([data.X, np.ones(data.n), data.Z, data.D, data.W, data.Y])
     return np.asfortranarray(a)
 
 
@@ -286,15 +289,16 @@ class _Core(NamedTuple):
     ``A L = Q (R L)`` for every column combination ``L``, so the inner
     products, residual norms and singular values of any sub-design of ``A``
     are those of ``R L``. ``r`` appends the fitted OCP columns in the same
-    coordinates: the fit of ``W_j`` on ``M = (Z, D, X, 1)``, of width ``m``,
-    is the top ``m`` rows of ``W_j``'s column of ``R``. Nothing n-row is
-    kept: ``design(i)`` rebuilds dataset ``i``'s ``A`` from what the caller
-    holds, for the stages that need n rows (:func:`_n_rows`).
+    coordinates: the fit of ``W_j`` on ``M = (X, 1, Z, D)``, of width ``m``,
+    is the top ``m`` rows of ``W_j``'s column of ``R``; ``cols`` reads rows
+    ``h:``, those of ``R22``. Nothing n-row is kept: ``design(i)`` rebuilds
+    dataset ``i``'s ``A`` from what the caller holds, for :func:`_n_rows`.
     """
 
     n: int
     p_z: int
     p_w: int
+    h: int  # the columns of (X, 1)
     m: int
     r: np.ndarray  # (B, rows, k + p_w): R of A's k columns, then the fits
     coef: np.ndarray  # (B, m, p_w + 1): first-stage coefficients of W, Y
@@ -306,8 +310,12 @@ class _Core(NamedTuple):
         """Sub-design ``cols[i]`` (or the same ``cols`` for every problem)
         of problem ``i``'s dataset ``ds[i]``."""
         cols = np.asarray(cols)
-        picked = self.r[ds[:, None], :, cols if cols.ndim == 2 else cols[None]]
+        picked = self.r[ds[:, None], self.h :, cols if cols.ndim == 2 else cols[None]]
         return np.ascontiguousarray(swap(picked))
+
+    @property
+    def tcps(self) -> slice:
+        return slice(self.h, self.m - 1)
 
     def fitted(self, ocp: np.ndarray) -> np.ndarray:
         return self.m + self.p_w + 1 + ocp
@@ -323,12 +331,12 @@ def _factor(data: Dataset, design: Callable, size: int) -> _Core:
         rs.append(np.linalg.qr(a, mode="r"))
         y_sd.append(np.std(a[:, -1], ddof=1))
     r, k = np.stack(rs), rs[0].shape[1]
-    m = data.p_z + data.p_x + 2
+    h, m = data.p_x + 1, data.p_x + data.p_z + 2
     fail = tuple(e if e is None else str(e) for e in rank_errors(r[:, :m, :m]))
     ext = np.concatenate([r, r[:, :, m : k - 1]], axis=2)
     ext[:, m:, k:] = 0.0
     coef = _solve(r[:, :m, :m], r[:, :m, m:], [f is None for f in fail])
-    return _Core(a.shape[0], data.p_z, data.p_w, m, ext, coef, fail, np.array(y_sd), design)
+    return _Core(a.shape[0], data.p_z, data.p_w, h, m, ext, coef, fail, np.array(y_sd), design)
 
 
 def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
@@ -346,11 +354,11 @@ def _single(data: Dataset, ocps=()) -> _Core:
 
 
 def _n_rows(core: _Core, ds: np.ndarray, coords: np.ndarray):
-    """Each problem's n-row design ``Q_M @ coords[i]`` (``coords`` in M's
-    coordinates) and outcome ``A[:, -1]``, one ``A`` rebuilt per dataset: M's
-    columns lead ``A``, so ``Q_M = A_M R_MM^-1`` on the rank-certified ``R_MM``."""
+    """Each problem's n-row design ``Q_M @ coords[i]`` (``coords`` on M's rows
+    of ``R22``, padded for ``(X, 1)``) and outcome ``A[:, -1]``, one ``A`` per
+    dataset: M's columns lead ``A``, so ``Q_M = A_M R_MM^-1`` (rank-certified)."""
     m = core.m
-    coef = np.linalg.solve(core.r[ds, :m, :m], coords)
+    coef = np.linalg.solve(core.r[ds, :m, :m], np.pad(coords, ((0, 0), (core.h, 0), (0, 0))))
     x, y = np.empty((ds.size, core.n, coords.shape[-1])), np.empty((ds.size, core.n))
     for d in np.unique(ds):
         at = np.flatnonzero(ds == d)
@@ -391,12 +399,9 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
     """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
     core, _, _, errors = _problem(data, ocp_index)
     _check(errors[0])
-    coef = core.coef[0]
-    return FirstStage(
-        what=_what(data, core, ocp_index),
-        gamma_hat_vec=coef[: data.p_z, -1].copy(),
-        delta_hat_vec=coef[: data.p_z, ocp_index].copy(),
-    )
+    tcp = core.coef[0, core.tcps]
+    return FirstStage(what=_what(data, core, ocp_index), gamma_hat_vec=tcp[:, -1].copy(),
+                      delta_hat_vec=tcp[:, ocp_index].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +481,7 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 class _Reduced(NamedTuple):
     """A stack's reduced design in covariance form (``gram = g'g``, ``xty =
     g'Y``), ``d_tilde``, and ``rows(i) -> (g, Y)`` of problems
-    ``i`` in M's ``m`` coordinates. ``lasso(on, thresh)`` solves the lassos of
+    ``i`` on M's rows of ``R22``. ``lasso(on, thresh)`` solves the lassos of
     problems ``on``."""
 
     gram: np.ndarray
@@ -497,30 +502,27 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     ``what`` is ``Z delta`` (``delta``: the OCP's first-stage TCP
     coefficients) plus terms in ``(D, X, 1)``, ``g`` is ``Zp`` residualized
     on ``Zp delta``, with ``Zp`` the TCP block residualized on ``(D, X, 1)``.
-    So ``Zp``, ``S = Zp'Zp`` and ``Zp'Y`` are formed once per dataset, and
-    each problem takes rank-one downdates of ``S`` and ``Zp'Y``. ``g`` has
-    rank ``p_z - 1`` with null direction ``delta``, which is why selection
-    needs a majority or plurality of valid TCPs. Records in the ledger
-    ``errors`` a rank-deficient ``(what, X, 1)`` (certified on the dataset's
-    ``(X, 1)`` factor bordered by the residual of ``what``: same singular
-    values), else a degenerate treatment.
+    On ``R22``, ``Zp`` is one rank-one step off D; so ``Zp``, ``S = Zp'Zp``
+    and ``Zp'Y`` are formed once per dataset, and each problem takes rank-one
+    downdates of ``S`` and ``Zp'Y``. ``g`` has rank ``p_z - 1`` with null
+    direction ``delta``, which is why selection needs a majority or plurality
+    of valid TCPs. Records in the ledger ``errors`` a rank-deficient ``(what,
+    X, 1)`` (certified on ``R11`` bordered by the fitted OCP's column, its
+    ``R22`` rows folded into their norm), else a degenerate treatment.
     """
-    p_z, m, top = core.p_z, core.m, core.r[:, : core.m]
-    qb, rb = np.linalg.qr(top[:, :, np.r_[p_z + 1 : m, p_z]])  # (X, 1), then D
-    qx, dx = qb[:, :, :-1], qb[:, :, -1] * rb[:, -1:, -1]
-    zp = top[:, :, :p_z] - qb @ (swap(qb) @ top[:, :, :p_z])
+    h, m, top = core.h, core.m, core.r[:, core.h : core.m]  # top: M's rows of R22
+    z, dx = top[:, :, core.tcps], top[:, :, m - 1]
+    zp = z - dx[:, :, None] * (matvec(swap(z), dx) / _positive(inner(dx, dx))[:, None])[:, None]
     s, y = swap(zp) @ zp, top[:, :, m + core.p_w]
     zy = matvec(swap(zp), y)
-    f = top[ds, :, core.fitted(ocp)]
-    qf = matvec(swap(qx[ds]), f)
-    fx = f - matvec(qx[ds], qf)
-    tri = rb[ds]  # the (X, 1) factor bordered by the residual of what
-    tri[:, :-1, -1], tri[:, -1, -1] = qf, np.sqrt(inner(fx, fx))
+    fx = top[ds, :, core.fitted(ocp)]
+    tri = core.r[ds, : h + 1, : h + 1]  # R11, bordered by the fitted OCP below
+    tri[:, :h, h], tri[:, h, h] = core.r[ds, :h, core.fitted(ocp)], np.sqrt(inner(fx, fx))
     keep_first(errors, rank_errors(tri))
     d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
-    _degenerate(errors, d_tilde, top[ds, :, p_z], DegenerateTreatment,
+    _degenerate(errors, d_tilde, core.r[ds, :, m - 1], DegenerateTreatment,
                 "the fitted OCP and covariates")
-    delta, gram = core.coef[ds, :p_z, ocp], s[ds]
+    delta, gram = core.coef[ds, core.tcps, ocp], s[ds]
     s_delta = matvec(gram, delta)
     scale = 1.0 / np.sqrt(_positive(inner(delta, s_delta)))[:, None]
     t, v = delta * scale, s_delta * scale  # g = Zp - Zp t v', g'g = S - v v'
@@ -570,8 +572,7 @@ def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, er
     and their relevance, the reduced design, the penalty, the weights and the
     weighted lasso, each recording into the ledger ``errors`` (:func:`_ledger`'s
     order). Returns the lasso coefficients and the penalties."""
-    bad, weak, _, alpha_m = _pilots(core.coef[ds, : core.p_z, -1],
-                                    core.coef[ds, : core.p_z, ocp])
+    bad, weak, _, alpha_m = _pilots(core.coef[ds, core.tcps, -1], core.coef[ds, core.tcps, ocp])
     flagged = np.flatnonzero(bad.any(axis=1))
     keep_first(errors, [_relevance_error(bad[i]) for i in flagged], at=flagged)
     for i in alive(errors) if warn else ():
@@ -606,8 +607,8 @@ def lasso_proximal(
     _check(errors[0])
     alpha, lasso_errors = red.lasso(ds, np.full((1, data.p_z), lam))
     _check(lasso_errors[0])
-    top, d_tilde = core.r[0, : core.m], red.d_tilde[0]
-    resid = top[:, core.m + core.p_w] - top[:, : data.p_z] @ alpha[0]
+    top, d_tilde = core.r[0, core.h : core.m], red.d_tilde[0]
+    resid = top[:, core.m + core.p_w] - top[:, core.tcps] @ alpha[0]
     return alpha[0], float(d_tilde @ resid / (d_tilde @ d_tilde))
 
 
@@ -659,20 +660,19 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
     """Refit on (treatment, selected TCPs, fitted OCPs, X, 1), per problem.
 
     ``sel`` (N, p_z) masks each problem's selected TCPs and ``ocps`` (N, q)
-    lists its OCP columns; the problems the ledger ``errors`` holds alive are
+    lists its OCP columns; the problems alive in the ledger ``errors`` are
     refitted, stacked by selection size, and their refit errors recorded. One
-    least-squares pass regresses ``Y`` and ``D`` on the non-treatment
-    regressors; with residuals ``r_Y`` and ``r_D`` the effect is the ratio
-    form ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the other
-    coefficients follow by Frisch-Waugh as ``c_Y - beta * c_D``, and the
+    least-squares pass on ``R22``, with ``(X, 1)`` partialled out, regresses
+    ``Y`` and ``D`` on the other regressors; with residuals ``r_Y`` and
+    ``r_D``, ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the
+    other coefficients are ``c_Y - beta * c_D`` (Frisch-Waugh), and the
     plug-in variance of ``sqrt(n) * (beta_hat - beta)`` is ``sigma2_eps /
     (r_D'r_D / n)``. All closed-form methods funnel through here, so
-    estimators that agree on the selected set agree on every output
-    bit-for-bit. ``sigma2_eps`` follows the standard two-stage convention:
-    the coefficients are applied to the *raw* OCP columns, not the fitted
-    ones — fitted-value residuals would cancel the OCP's own measurement
-    noise against the fit and understate the error variance (increasingly
-    so as the proxy count grows).
+    estimators that agree on the selected set agree bit for bit.
+    ``sigma2_eps`` applies the coefficients to the *raw* OCP columns, as
+    two-stage least squares does: residuals of the fitted ones would cancel
+    the OCP's own noise against the fit and understate the error variance,
+    the more so the more proxies there are.
     """
     n_prob, q = ocps.shape
     out = _Refit(np.full(n_prob, math.nan), np.full(n_prob, math.nan),
@@ -682,16 +682,15 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
     for k in np.unique(counts):
         rows = on[counts == k]
         tcps, dsr = np.nonzero(sel[rows])[1].reshape(rows.size, k), ds[rows]
-        tail = np.tile(np.arange(core.p_z + 1, core.m), (rows.size, 1))  # X, 1
-        x = core.cols(dsr, np.column_stack([tcps, core.fitted(ocps[rows]), tail]))
+        x = core.cols(dsr, np.column_stack([core.h + tcps, core.fitted(ocps[rows])]))
         qx, rx = np.linalg.qr(x)
         failed = rank_errors(rx)
-        rhs = core.cols(dsr, [core.m + core.p_w, core.p_z])  # Y and D
+        rhs = core.cols(dsr, [core.m + core.p_w, core.m - 1])  # Y and D
         coef = _solve(rx, swap(qx) @ rhs, [e is None for e in failed])
         del qx  # the largest array of a stack; free it before the residuals
         resid = rhs - x @ coef
         r_y, r_d = (np.ascontiguousarray(resid[:, :, c]) for c in (0, 1))
-        bad = _degenerate(failed, r_d, core.r[dsr, :, core.p_z], RankDeficient,
+        bad = _degenerate(failed, r_d, core.r[dsr, :, core.m - 1], RankDeficient,
                           "the other refit regressors")
         d_sq = np.where(bad, 1.0, inner(r_d, r_d))
         beta = inner(r_d, r_y) / d_sq

@@ -129,7 +129,7 @@ def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     / RANK_TOL`` certifies full rank; otherwise the SVD decides. Returns,
     per factor, the error to raise or ``None`` when it is full rank.
     """
-    doubt = np.arange(len(r))
+    doubt = np.arange(len(r) if r.shape[-1] else 0)  # no columns: full rank
     if r.shape[-2] == r.shape[-1] > 0:
         doubt = doubt[~_bounded(r)]
     sv = np.linalg.svd(r[doubt], compute_uv=False) if doubt.size else ()

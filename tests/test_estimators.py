@@ -588,7 +588,8 @@ class TestPipelineComposition:
 
 class TestSelectionStage:
     def test_qr_factorizations_do_not_grow_with_the_ocp_count(self, monkeypatch):
-        # The reduced design is factored once per dataset, not per OCP.
+        # The reduced design takes no QR: (X, 1) are partialled out in R22,
+        # and D leaves the TCP block by a rank-one step.
         factored = {}
         qr = np.linalg.qr
         for p_w in (1, 3, 9):
@@ -609,7 +610,7 @@ class TestSelectionStage:
             monkeypatch.undo()
             assert errors == [None] * p_w
             factored[p_w] = sum(matrices)
-        assert factored[1] == factored[3] == factored[9] == 1
+        assert factored[1] == factored[3] == factored[9] == 0
 
 
 class TestFactor:

@@ -198,3 +198,8 @@ class TestRankErrors:
         rank_errors(r[:3, :4])  # trapezoidal: no bound applies
         rank_errors(np.array([[[2.0, 1.0], [1.0, 2.0]]]))  # square, not triangular
         assert svd_calls == [(3, 4, 5), (1, 2, 2)]
+
+    def test_factors_without_columns_are_full_rank(self):
+        # The refit design of ols_baseline once (X, 1) are partialled out.
+        assert rank_errors(np.zeros((3, 5, 0))) == [None] * 3
+        assert rank_errors(np.zeros((2, 0, 0))) == [None] * 2

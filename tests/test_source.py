@@ -238,6 +238,24 @@ def test_the_guard_finds_a_second_penalty_path():
     assert referrers([("m", source)], "_penalty") == ["m._select", "m.select_lambda", "m.stage"]
 
 
+def test_estimators_take_a_qr_only_in_the_factor_and_the_refit():
+    # With (X, 1) leading A, every other stage reads R22 and needs no QR.
+    source = (SOURCES[0].parent / "estimators.py").read_text(encoding="utf-8")
+    assert referrers([("estimators", source)], "qr") == ["estimators._factor", "estimators._refit"]
+
+
+def test_the_guard_finds_a_qr_in_another_stage():
+    source = (
+        "def _factor(a):\n"
+        "    return np.linalg.qr(a, mode='r')\n"
+        "def _reduced_design(top):\n"
+        "    q, r = linalg.qr(top)\n"
+        "def _refit(x):\n"
+        "    return np.linalg.qr(x)\n"
+    )
+    assert referrers([("m", source)], "qr") == ["m._factor", "m._reduced_design", "m._refit"]
+
+
 def test_lasso_solve_and_cv_penalty_reach_the_solver_through_lasso_gram():
     # One solver: the guess, the path and the support solves sit behind
     # lasso_gram, which every lasso of the package goes through.
