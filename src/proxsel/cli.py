@@ -18,7 +18,7 @@ the wall-clock seconds under ``--timing``, writes the report to ``--out``
 and announces the path. Commands run serially and all randomness is
 counter-keyed by (seed, index), so reports are byte-identical across
 repeated runs; ``simulate --jobs`` and ``estimate --jobs`` are accepted for
-compatibility and have no effect.
+compatibility, must be at least 1, and have no other effect.
 """
 
 from __future__ import annotations
@@ -112,9 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--subsample-b", type=int, help="subsample size (default: floor(n^0.8))"
     )
-    sim.add_argument(
-        "--jobs", type=int, default=1, help="accepted; has no effect"
-    )
+    sim.add_argument("--jobs", type=int, default=1, help="accepted (>= 1); has no effect")
     sim.add_argument(
         "--timing", action="store_true", help="record wall-clock seconds"
     )
@@ -154,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--format", default="structured", choices=("structured", "table")
     )
-    est.add_argument(
-        "--jobs", type=int, default=1, help="accepted; has no effect"
-    )
+    est.add_argument("--jobs", type=int, default=1, help="accepted (>= 1); has no effect")
     est.add_argument("--timing", action="store_true")
 
     ide = sub.add_parser(
@@ -504,6 +500,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"--subsample-n must be >= 0, got {args.subsample_n}")
         if (getattr(args, "seed", None) or 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if getattr(args, "subsample_b", None) is not None and args.subsample_n == 0:
             raise ConfigError("--subsample-b needs --subsample-n > 0 (got --subsample-n 0)")
         run = _COMMANDS[args.command](args)

@@ -187,11 +187,13 @@ def load_csv(
 
     Complete-case analysis: rows with a missing value (see
     :data:`MISSING_TOKENS`) in any mapped column are dropped and counted.
-    Unmapped columns are ignored entirely. In strict mode a non-missing cell
-    that does not parse as a number raises :class:`ParseError` locating the
-    row and column; once every cell has parsed, so does the first cell of a
-    complete row that parses to a non-finite float (``inf``, ``-nan``,
-    ``1e400``). In lenient mode (``strict=False``) such cells are treated as
+    Unmapped columns are ignored entirely, repeated names among them
+    included; a mapped column named twice in the header is a
+    :class:`ParseError`. In strict mode a non-missing cell that does not
+    parse as a number raises :class:`ParseError` locating the row and
+    column; once every cell has parsed, so does the first cell of a complete
+    row that parses to a non-finite float (``inf``, ``-nan``, ``1e400``).
+    In lenient mode (``strict=False``) such cells are treated as
     missing and the row is dropped. Short rows (fewer fields than the
     header) follow the same rule. Too few complete rows for a
     :class:`Dataset` (at most ``p_z + p_w + p_x + 1``) raise
@@ -219,18 +221,17 @@ def load_csv(
             raise ParseError(f"{path!r} is empty (no header row)") from None
         header = [h.strip() for h in header]
         names = schema.all_columns()  # distinct: SchemaMap checks
-        positions: dict[str, int] = {}
-        missing_names = []
-        for name in names:
-            try:
-                positions[name] = header.index(name)
-            except ValueError:
-                missing_names.append(name)
+        positions = {name: header.index(name) for name in names if name in header}
+        missing_names = [name for name in names if name not in positions]
         if missing_names:
             raise MissingColumn(
                 "column(s) not found in header: " + ", ".join(missing_names),
                 columns=missing_names,
             )
+        repeated = [name for name in names if header.count(name) > 1]
+        if repeated:
+            raise ParseError("mapped column(s) named more than once in the header: "
+                             + ", ".join(repeated), column=repeated[0])
         n_lines = 0
 
         def lines():

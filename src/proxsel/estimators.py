@@ -24,8 +24,9 @@ known about validity:
   :func:`subsample_ci` supplies its confidence interval.
 
 Every stage depends on the data only through ``A = [X, 1, Z, D, W, Y]``.
-Each dataset (and each subsample) takes one thin QR ``A = Q R`` and keeps
-only the small factor ``R``; since ``A L = Q (R L)``, every stage runs on ``R``
+Each dataset (and each subsample) takes one thin QR ``A = Q R`` in mode
+``"r"``, as does the refit of its small design: no stage forms or keeps a
+``Q``. Since ``A L = Q (R L)``, every stage runs on ``R``
 with the inner products, residual norms and rank certificates of the n-row
 design, on stacks of (dataset, OCP) problems: one problem for
 :func:`estimate_invalid_tcp`, ``p_w`` for the median, blocks of subsamples
@@ -520,7 +521,8 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     tri[:, :h, h], tri[:, h, h] = core.r[ds, :h, core.fitted(ocp)], np.sqrt(inner(fx, fx))
     keep_first(errors, rank_errors(tri))
     d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
-    _degenerate(errors, d_tilde, core.r[ds, :, m - 1], DegenerateTreatment,
+    d = core.r[ds, :, m - 1]
+    _degenerate(errors, inner(d_tilde, d_tilde), inner(d, d), DegenerateTreatment,
                 "the fitted OCP and covariates")
     delta, gram = core.coef[ds, core.tcps, ocp], s[ds]
     s_delta = matvec(gram, delta)
@@ -540,11 +542,11 @@ def _positive(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 1.0)
 
 
-def _degenerate(errors: list, resid: np.ndarray, d: np.ndarray, kind, others: str):
-    """The problems whose treatment residual ``resid`` keeps at most
-    ``DEGENERATE_TREATMENT_RTOL`` of ``d'd``; each records a ``kind`` error
-    (a treatment collinear with ``others``) in the ledger ``errors``."""
-    bad = inner(resid, resid) <= DEGENERATE_TREATMENT_RTOL * inner(d, d)
+def _degenerate(errors: list, resid_sq: np.ndarray, d_sq: np.ndarray, kind, others: str):
+    """The problems whose squared treatment residual ``resid_sq`` is at most
+    ``DEGENERATE_TREATMENT_RTOL`` times ``d_sq = D'D``; each records a ``kind``
+    error (a treatment collinear with ``others``) in the ledger ``errors``."""
+    bad = resid_sq <= DEGENERATE_TREATMENT_RTOL * d_sq
     at = np.flatnonzero(bad)
     keep_first(errors, [kind(f"treatment is numerically collinear with {others}; no "
                              "variation left to identify the effect") for _ in at], at=at)
@@ -661,15 +663,16 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
 
     ``sel`` (N, p_z) masks each problem's selected TCPs and ``ocps`` (N, q)
     lists its OCP columns; the problems alive in the ledger ``errors`` are
-    refitted, stacked by selection size, and their refit errors recorded. One
-    least-squares pass on ``R22``, with ``(X, 1)`` partialled out, regresses
-    ``Y`` and ``D`` on the other regressors; with residuals ``r_Y`` and
-    ``r_D``, ``beta = r_D'r_Y / r_D'r_D = D' P_perp Y / D' P_perp D``, the
-    other coefficients are ``c_Y - beta * c_D`` (Frisch-Waugh), and the
-    plug-in variance of ``sqrt(n) * (beta_hat - beta)`` is ``sigma2_eps /
-    (r_D'r_D / n)``. All closed-form methods funnel through here, so
-    estimators that agree on the selected set agree bit for bit.
-    ``sigma2_eps`` applies the coefficients to the *raw* OCP columns, as
+    refitted, stacked by selection size, and their refit errors recorded.
+    Each stack takes one QR, in mode ``"r"``, of the ``R22`` columns (x | D,
+    Y, raw OCPs), x the ``p`` selected TCPs and fitted OCPs (``(X, 1)`` is
+    partialled out already). Its leading ``p x p`` block certifies x's rank,
+    ``r[p, p]**2`` is ``r_D'r_D``, D's residual on x, and one triangular
+    solve of Y on (x, D) gives the other coefficients and ``beta = D' P_perp
+    Y / D' P_perp D``; the plug-in variance of ``sqrt(n) * (beta_hat -
+    beta)`` is ``sigma2_eps / (r_D'r_D / n)``. All closed-form methods funnel
+    through here, so estimators that agree on the selected set agree bit for
+    bit. ``sigma2_eps`` applies the coefficients to the *raw* OCP columns, as
     two-stage least squares does: residuals of the fitted ones would cancel
     the OCP's own noise against the fit and understate the error variance,
     the more so the more proxies there are.
@@ -680,30 +683,27 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
     on = alive(errors)
     counts = sel[on].sum(axis=1)
     for k in np.unique(counts):
-        rows = on[counts == k]
-        tcps, dsr = np.nonzero(sel[rows])[1].reshape(rows.size, k), ds[rows]
-        x = core.cols(dsr, np.column_stack([core.h + tcps, core.fitted(ocps[rows])]))
-        qx, rx = np.linalg.qr(x)
-        failed = rank_errors(rx)
-        rhs = core.cols(dsr, [core.m + core.p_w, core.m - 1])  # Y and D
-        coef = _solve(rx, swap(qx) @ rhs, [e is None for e in failed])
-        del qx  # the largest array of a stack; free it before the residuals
-        resid = rhs - x @ coef
-        r_y, r_d = (np.ascontiguousarray(resid[:, :, c]) for c in (0, 1))
-        bad = _degenerate(failed, r_d, core.r[dsr, :, core.m - 1], RankDeficient,
-                          "the other refit regressors")
-        d_sq = np.where(bad, 1.0, inner(r_d, r_d))
-        beta = inner(r_d, r_y) / d_sq
-        c = coef[:, :, 0] - beta[:, None] * coef[:, :, 1]
-        raw = core.cols(dsr, core.fitted(ocps[rows])) - core.cols(dsr, core.m + ocps[rows])
-        eps = r_y - beta[:, None] * r_d + matvec(raw, c[:, k : k + q])
-        sigma2 = (inner(eps, eps) / core.n) / (d_sq / core.n)
+        rows, p = on[counts == k], k + q
+        tcps, dsr, w = np.nonzero(sel[rows])[1].reshape(rows.size, k), ds[rows], ocps[rows]
+        dy = np.tile([core.m - 1, core.m + core.p_w], (rows.size, 1))  # D and Y
+        r = np.linalg.qr(core.cols(dsr, np.column_stack(
+            [core.h + tcps, core.fitted(w), dy, core.m + w])), mode="r")
+        failed, d, d_sq = rank_errors(r[:, :p, :p]), core.r[dsr, :, core.m - 1], r[:, p, p] ** 2
+        bad = _degenerate(failed, d_sq, inner(d, d), RankDeficient, "the other refit regressors")
+        d_sq[bad] = 1.0
+        coef = _solve(r[:, : p + 1, : p + 1], r[:, : p + 1, p + 1, None],
+                      [e is None for e in failed])[:, :, 0]  # Y on (x, D): (c, beta)
+        # R L with A L = Y - beta D - (selected TCPs, raw OCPs) c: the fitted OCPs weigh 0
+        lin = np.concatenate([-coef, np.ones((rows.size, 1)), -coef[:, k:p]], axis=1)
+        lin[:, k:p] = 0.0
+        eps = matvec(r, lin)
+        sigma2 = inner(eps, eps) / d_sq
         keep_first(errors, failed, at=rows)
         ok = alive(failed)
         good = rows[ok]
-        out.beta[good], out.variance[good] = beta[ok], sigma2[ok]
-        out.alpha[good[:, None], tcps[ok]] = c[ok, :k]
-        out.gamma[good] = c[ok, k] if q else math.nan
+        out.beta[good], out.variance[good] = coef[ok, p], sigma2[ok]
+        out.alpha[good[:, None], tcps[ok]] = coef[ok, :k]
+        out.gamma[good] = coef[ok, k] if q else math.nan
     return out
 
 

@@ -538,6 +538,33 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestJobsBelowOne:
+    """Both subcommands with ``--jobs`` refuse a count below 1 up front;
+    ``estimate`` used to accept it and ``simulate`` to fail with the bare
+    ``ValueError`` of :func:`~proxsel.simulation.run_monte_carlo`."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_exits_with_a_config_error_naming_the_flag(
+        self, command, jobs, multi_ocp_csv, tmp_path, capsys
+    ):
+        data_path, schema_path, _ = multi_ocp_csv
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"n": 200, "p_z": 4, "s_z": 1, "reps": 3}), encoding="utf-8")
+        inputs = {
+            "estimate": ["--data", str(data_path), "--schema", str(schema_path),
+                         "--subsample-n", "20"],
+            "simulate": ["--config", str(sim), "--methods", "ols"],
+        }
+        out = tmp_path / "never.json"
+        code = main([command, *inputs[command], "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: --jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestSubsampleSizeWithoutInterval:
     """``--subsample-b`` while ``--subsample-n`` is 0 is refused: ``estimate``
     used to write the unchecked size into its report and ``simulate`` to drop

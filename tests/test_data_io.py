@@ -139,6 +139,29 @@ class TestLoadCsv:
         result = load_csv(str(path), SCHEMA)
         assert result.dataset.n == 8
 
+    @pytest.mark.parametrize("blank_line", [False, True], ids=["c-parser", "row-reader"])
+    def test_a_mapped_column_named_twice_is_a_parse_error(self, tmp_path, blank_line):
+        # A blank line sends the file to the row-by-row reader.
+        rows = [row + [9.0] for row in sample_rows()]
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1", "y"], rows)
+        if blank_line:
+            path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="named more than once in the header: y$") as err:
+            load_csv(str(path), SCHEMA)
+        assert err.value.column == "y"
+
+    @pytest.mark.parametrize("blank_line", [False, True], ids=["c-parser", "row-reader"])
+    def test_unmapped_columns_may_share_a_name(self, tmp_path, blank_line):
+        rows = [row + ["a", "b"] for row in sample_rows()]
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1", "note", "note"], rows)
+        if blank_line:
+            path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        result = load_csv(str(path), SCHEMA)
+        assert result.dataset.n == 8
+        np.testing.assert_array_equal(result.dataset.Y, np.asarray(sample_rows())[:, 0])
+
     def test_missing_columns_listed_together(self, tmp_path):
         path = tmp_path / "data.csv"
         write_rows(path, ["y", "d", "z1"], [[1, 2, 3]])

@@ -312,27 +312,36 @@ class TestOracleReduction:
         with pytest.raises(RankDeficient):
             oracle_p2sls(data, (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("sel, refit", [
+        ((), ols_baseline),
+        ((0, 2), lambda data: oracle_p2sls(data, (0, 2))),
+        ((), lambda data: naive_p2sls(data, ocp_index=None)),
+    ], ids=["ols", "oracle-two-tcps", "naive-every-ocp"])
     @pytest.mark.parametrize("gap, degenerate", [(1e-7, True), (1e-5, False)])
-    def test_refit_gate_is_on_the_residual_treatment(self, gap, degenerate):
+    def test_refit_gate_is_on_the_residual_treatment(self, gap, degenerate, sel, refit):
         # The refit refuses a treatment whose residual on the other
         # regressors has squared norm at most DEGENERATE_TREATMENT_RTOL
         # (1e-12) of D'D, i.e. ||P_perp D|| / ||D|| <= 1e-6: the same gate
-        # the selection stage applies.
-        base = generate_invalid_tcp_data(
-            SimConfig(n=300, p_z=4, s_z=1, y_noise_sd=1.0), 0
+        # the selection stage applies. D lies `gap` (relative) off the span
+        # of (the selected TCPs, X, 1), along a direction orthogonal to
+        # (Z, X, 1), which the fitted OCPs take almost none of; the first
+        # stage stays full rank.
+        base = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=4, s_z=1, p_w=3, s_w=1, y_noise_sd=1.0), 0
         )
         rng = np.random.default_rng(1)
         x = rng.normal(size=(base.n, 2))
-        others = np.column_stack([x, np.ones(base.n)])
-        span = others @ np.array([1.0, -2.0, 0.5])
-        noise = residual_project(others, rng.normal(size=base.n))
+        others = np.column_stack([base.Z[:, list(sel)], x, np.ones(base.n)])
+        span = others @ rng.normal(size=others.shape[1])
+        noise = residual_project(np.column_stack([base.Z, x, np.ones(base.n)]),
+                                 rng.normal(size=base.n))
         d = span + gap * np.linalg.norm(span) / np.linalg.norm(noise) * noise
         data = Dataset(Y=base.Y, D=d, Z=base.Z, W=base.W, X=x)
         if degenerate:
-            with pytest.raises(RankDeficient):
-                ols_baseline(data)
+            with pytest.raises(RankDeficient, match="collinear with the other refit regressors"):
+                refit(data)
         else:
-            est = ols_baseline(data)
+            est = refit(data)
             assert math.isfinite(est.beta_hat)
             assert math.isfinite(est.variance) and est.variance > 0
 

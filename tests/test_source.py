@@ -256,6 +256,37 @@ def test_the_guard_finds_a_qr_in_another_stage():
     assert referrers([("m", source)], "qr") == ["m._factor", "m._reduced_design", "m._refit"]
 
 
+def qr_calls_without_mode_r(source: str) -> list[str]:
+    """The ``qr`` calls of ``source``, as ``line N``, that do not pass
+    ``mode="r"``: each of them forms a ``Q``."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "qr"
+        and not any(kw.arg == "mode" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value == "r" for kw in node.keywords)
+    ]
+
+
+def test_estimators_form_no_q():
+    # Every factor and the refit read the R factor alone, as A L = Q (R L).
+    source = (SOURCES[0].parent / "estimators.py").read_text(encoding="utf-8")
+    assert "qr(" in source
+    assert qr_calls_without_mode_r(source) == []
+
+
+def test_the_guard_finds_a_reduced_mode_qr():
+    source = (
+        "def _factor(a):\n"
+        "    return np.linalg.qr(a, mode='r')\n"
+        "def _refit(x):\n"
+        "    q, r = np.linalg.qr(x)\n"
+        "    q, r = np.linalg.qr(x, mode='reduced')\n"
+        "    return qr(x, mode=mode)\n"
+    )
+    assert qr_calls_without_mode_r(source) == ["line 4", "line 5", "line 6"]
+
+
 def test_lasso_solve_and_cv_penalty_reach_the_solver_through_lasso_gram():
     # One solver: the guess, the path and the support solves sit behind
     # lasso_gram, which every lasso of the package goes through.
