@@ -63,7 +63,8 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import alive, as_matrix, as_vector, inner, keep_first, matvec, rank_errors, swap
+from .linalg import (alive, as_matrix, as_vector, inner, keep_first, matvec, rank_errors,
+                     solve_upper, swap)
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -147,18 +148,14 @@ class Dataset:
         x = np.zeros((n, 0)) if self.X is None else as_matrix(self.X, "X")
         for name, arr in (("D", d), ("Z", z), ("W", w), ("X", x)):
             if arr.shape[0] != n:
-                raise ValueError(
-                    f"{name} has {arr.shape[0]} rows but Y has {n}"
-                )
+                raise ValueError(f"{name} has {arr.shape[0]} rows but Y has {n}")
         if z.shape[1] < 1:
             raise ValueError("Z must contain at least one TCP column")
         if w.shape[1] < 1:
             raise ValueError("W must contain at least one OCP column")
         min_n = z.shape[1] + w.shape[1] + x.shape[1] + 1
         if n <= min_n:
-            raise ValueError(
-                f"need n > p_z + p_w + p_x + 1 = {min_n}, got n = {n}"
-            )
+            raise ValueError(f"need n > p_z + p_w + p_x + 1 = {min_n}, got n = {n}")
         for name, arr in (("Y", y), ("D", d), ("Z", z), ("W", w), ("X", x)):
             # Copy (keeping the memory layout): np.asarray above does not,
             # and a later write to the caller's array must not reach the fit.
@@ -255,13 +252,9 @@ class EstimationConfig:
         if self.lambda_n is not None and not self.lambda_n >= 0:
             raise InvalidBound(f"lambda_n must be >= 0, got {self.lambda_n}")
         if self.lambda_mode not in ("rate", "cv"):
-            raise InvalidBound(
-                f"lambda_mode must be 'rate' or 'cv', got {self.lambda_mode!r}"
-            )
+            raise InvalidBound(f"lambda_mode must be 'rate' or 'cv', got {self.lambda_mode!r}")
         if not 0.0 < self.alpha_level < 1.0:
-            raise InvalidBound(
-                f"alpha_level must lie in (0, 1), got {self.alpha_level}"
-            )
+            raise InvalidBound(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
         if not 0 < self.adaptive_floor < math.inf:
             raise InvalidBound("adaptive_floor must be positive and finite")
 
@@ -269,12 +262,6 @@ class EstimationConfig:
 # ---------------------------------------------------------------------------
 # One R-factor per dataset and call
 # ---------------------------------------------------------------------------
-
-def _solve(a: np.ndarray, b: np.ndarray, ok) -> np.ndarray:
-    """Stacked solve; slices not ``ok`` (already failed) solve against I."""
-    ok = np.asarray(ok, dtype=bool)[:, None, None]
-    return np.linalg.solve(np.where(ok, a, np.eye(a.shape[-1])), b)
-
 
 def _augmented(data: Dataset) -> np.ndarray:
     """``A = [X, 1, Z, D, W, Y]``, column-major as LAPACK takes it: every
@@ -333,10 +320,10 @@ def _factor(data: Dataset, design: Callable, size: int) -> _Core:
         y_sd.append(np.std(a[:, -1], ddof=1))
     r, k = np.stack(rs), rs[0].shape[1]
     h, m = data.p_x + 1, data.p_x + data.p_z + 2
-    fail = tuple(e if e is None else str(e) for e in rank_errors(r[:, :m, :m]))
+    coef, errors = solve_upper(r[:, :m, :m], r[:, :m, m:])
+    fail = tuple(e if e is None else str(e) for e in errors)
     ext = np.concatenate([r, r[:, :, m : k - 1]], axis=2)
     ext[:, m:, k:] = 0.0
-    coef = _solve(r[:, :m, :m], r[:, :m, m:], [f is None for f in fail])
     return _Core(a.shape[0], data.p_z, data.p_w, h, m, ext, coef, fail, np.array(y_sd), design)
 
 
@@ -359,7 +346,7 @@ def _n_rows(core: _Core, ds: np.ndarray, coords: np.ndarray):
     of ``R22``, padded for ``(X, 1)``) and outcome ``A[:, -1]``, one ``A`` per
     dataset: M's columns lead ``A``, so ``Q_M = A_M R_MM^-1`` (rank-certified)."""
     m = core.m
-    coef = np.linalg.solve(core.r[ds, :m, :m], np.pad(coords, ((0, 0), (core.h, 0), (0, 0))))
+    coef = solve_upper(core.r[ds, :m, :m], np.pad(coords, ((0, 0), (core.h, 0), (0, 0))))[0]
     x, y = np.empty((ds.size, core.n, coords.shape[-1])), np.empty((ds.size, core.n))
     for d in np.unique(ds):
         at = np.flatnonzero(ds == d)
@@ -666,11 +653,12 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
     refitted, stacked by selection size, and their refit errors recorded.
     Each stack takes one QR, in mode ``"r"``, of the ``R22`` columns (x | D,
     Y, raw OCPs), x the ``p`` selected TCPs and fitted OCPs (``(X, 1)`` is
-    partialled out already). Its leading ``p x p`` block certifies x's rank,
-    ``r[p, p]**2`` is ``r_D'r_D``, D's residual on x, and one triangular
-    solve of Y on (x, D) gives the other coefficients and ``beta = D' P_perp
-    Y / D' P_perp D``; the plug-in variance of ``sqrt(n) * (beta_hat -
-    beta)`` is ``sigma2_eps / (r_D'r_D / n)``. All closed-form methods funnel
+    partialled out already). ``r[p, p]**2`` is ``r_D'r_D``, D's residual on
+    x, ``beta = D' P_perp Y / D' P_perp D`` is ``r[p, p + 1] / r[p, p]``, and
+    one :func:`~proxsel.linalg.solve_upper` on the leading ``p x p`` block
+    certifies x's rank and gives the other coefficients; the plug-in
+    variance of ``sqrt(n) * (beta_hat - beta)`` is ``sigma2_eps / (r_D'r_D /
+    n)``. All closed-form methods funnel
     through here, so estimators that agree on the selected set agree bit for
     bit. ``sigma2_eps`` applies the coefficients to the *raw* OCP columns, as
     two-stage least squares does: residuals of the fitted ones would cancel
@@ -688,22 +676,27 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
         dy = np.tile([core.m - 1, core.m + core.p_w], (rows.size, 1))  # D and Y
         r = np.linalg.qr(core.cols(dsr, np.column_stack(
             [core.h + tcps, core.fitted(w), dy, core.m + w])), mode="r")
-        failed, d, d_sq = rank_errors(r[:, :p, :p]), core.r[dsr, :, core.m - 1], r[:, p, p] ** 2
-        bad = _degenerate(failed, d_sq, inner(d, d), RankDeficient, "the other refit regressors")
-        d_sq[bad] = 1.0
-        coef = _solve(r[:, : p + 1, : p + 1], r[:, : p + 1, p + 1, None],
-                      [e is None for e in failed])[:, :, 0]  # Y on (x, D): (c, beta)
+        d, degenerate = core.r[dsr, :, core.m - 1], [None] * rows.size
+        bad = _degenerate(degenerate, r[:, p, p] ** 2, inner(d, d), RankDeficient,
+                          "the other refit regressors")
+        # Y on (x, D) by back-substitution: beta, then c = R_pp^-1 (r_Y - r_D beta)
+        r_d = np.where(bad, 1.0, r[:, p, p])
+        beta = r[:, p, p + 1] / r_d
+        rhs = r[:, :p, p + 1 : p + 2] - r[:, :p, p : p + 1] * beta[:, None, None]
+        c, failed = solve_upper(r[:, :p, :p], rhs)
+        keep_first(failed, degenerate)  # x's rank error first
         # R L with A L = Y - beta D - (selected TCPs, raw OCPs) c: the fitted OCPs weigh 0
-        lin = np.concatenate([-coef, np.ones((rows.size, 1)), -coef[:, k:p]], axis=1)
+        c = c[:, :, 0]
+        lin = np.concatenate([-c, -beta[:, None], np.ones((rows.size, 1)), -c[:, k:]], axis=1)
         lin[:, k:p] = 0.0
         eps = matvec(r, lin)
-        sigma2 = inner(eps, eps) / d_sq
+        sigma2 = inner(eps, eps) / r_d**2
         keep_first(errors, failed, at=rows)
         ok = alive(failed)
         good = rows[ok]
-        out.beta[good], out.variance[good] = coef[ok, p], sigma2[ok]
-        out.alpha[good[:, None], tcps[ok]] = coef[ok, :k]
-        out.gamma[good] = coef[ok, k] if q else math.nan
+        out.beta[good], out.variance[good] = beta[ok], sigma2[ok]
+        out.alpha[good[:, None], tcps[ok]] = c[ok, :k]
+        out.gamma[good] = c[ok, k] if q else math.nan
     return out
 
 
@@ -736,9 +729,7 @@ def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
     """:func:`_refit` on ``data`` alone, for the public refit entry points."""
     sel = sorted(set(int(j) for j in selected))
     if sel and (sel[0] < 0 or sel[-1] >= data.p_z):
-        raise IndexError(
-            f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}"
-        )
+        raise IndexError(f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}")
     fit = _given(_single(data, ocps), sel, ocps)
     _check(fit.errors[0])
     return _estimate(fit, 0, data.n, alpha_level, method)
@@ -757,9 +748,7 @@ def post_adaptive_2sls(
     closed-form interval uses the collapsed plug-in variance
     ``sigma2_eps / mean(d_res^2)``, ``d_res = P_perp D``.
     """
-    return _second_stage(
-        data, [ocp_index], selected_set, alpha_level, "post_adaptive_2sls"
-    )
+    return _second_stage(data, [ocp_index], selected_set, alpha_level, "post_adaptive_2sls")
 
 
 def oracle_p2sls(
@@ -775,9 +764,7 @@ def oracle_p2sls(
     same code path exactly); reported separately because it anchors the
     simulation studies.
     """
-    return _second_stage(
-        data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls"
-    )
+    return _second_stage(data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls")
 
 
 def naive_p2sls(

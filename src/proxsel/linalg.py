@@ -67,21 +67,20 @@ def orthonormal_basis(design) -> np.ndarray:
     :class:`~proxsel.exceptions.RankDeficient` otherwise.
     """
     x = as_matrix(design, "design")
-    if x.shape[1] == 0:
-        return np.zeros((x.shape[0], 0))
-    return _full_rank_qr(x)[0]
+    return _qr_fit(x, x[:, :0])[0]
 
 
-def _full_rank_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of a design with at least one column, certified full rank."""
+def _qr_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR ``Q`` of a design certified full rank, and the least-squares
+    coefficients of each column of ``y`` on it."""
     n, p = x.shape
     if p > n:
         raise RankDeficient(f"design has more columns ({p}) than rows ({n})")
     q, r = np.linalg.qr(x)
-    error = rank_errors(r[None])[0]
-    if error is not None:
-        raise error
-    return q, r
+    coef, errors = solve_upper(r[None], (q.T @ y)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return q, coef[0]
 
 
 # Stacked forms: one problem per slice of the leading axis, each slice
@@ -130,8 +129,9 @@ def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     per factor, the error to raise or ``None`` when it is full rank.
     """
     doubt = np.arange(len(r) if r.shape[-1] else 0)  # no columns: full rank
-    if r.shape[-2] == r.shape[-1] > 0:
-        doubt = doubt[~_bounded(r)]
+    if doubt.size and r.shape[-2] == r.shape[-1]:
+        upper = ~np.any(r[:, np.tri(r.shape[-1], k=-1, dtype=bool)], axis=1)
+        doubt = doubt[~(upper & _back_substitute(r, r[:, :, :0])[1])]
     sv = np.linalg.svd(r[doubt], compute_uv=False) if doubt.size else ()
     return keep_first([None] * len(r), [
         RankDeficient(
@@ -142,18 +142,41 @@ def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
     ], at=doubt)
 
 
-def _bounded(r: np.ndarray) -> np.ndarray:
-    """Which square factors are triangular with ``100 kappa_F < 1 / RANK_TOL``."""
-    p, eye = r.shape[-1], np.eye(r.shape[-1])
-    upper = ~np.any(r[:, np.tri(p, k=-1, dtype=bool)], axis=1)
+def solve_upper(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
+    """``R^-1 B`` and the :func:`rank_errors` verdict for each upper-triangular
+    ``R`` of a stack ``(N, p, p)`` (its lower part is not read), ``B`` ``(N, p,
+    k)``, from the one back-substitution that bounds ``kappa_F``. A factor
+    with non-finite entries, which no SVD certifies, is rank deficient; a
+    rank-deficient factor's solution is the finite placeholder 0."""
+    x, bounded = _back_substitute(r, b)
+    errors, doubt = [None] * len(r), np.flatnonzero(~bounded)
+    if doubt.size:  # near the cutoff, or defective
+        finite = np.all(np.isfinite(r[doubt]), axis=(1, 2))
+        keep_first(errors, [RankDeficient("design is rank deficient: its factor has non-finite "
+                                          "entries") for _ in doubt[~finite]], at=doubt[~finite])
+        keep_first(errors, rank_errors(r[doubt[finite]]), at=doubt[finite])
+        x[[e is not None for e in errors]] = 0.0
+    return x, errors
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R^-1 B`` for each upper-triangular factor of a stack, by stacked
+    back-substitution on ``[I | B]`` (the ``I`` block gives ``R^-1``), and
+    which factors have ``100 kappa_F < 1 / RANK_TOL``."""
+    n, p = r.shape[:2]
+    if p == 0:
+        return np.zeros(b.shape), np.ones(n, dtype=bool)
     with np.errstate(all="ignore"):  # non-finite bounds fail the test below
-        r = r / np.max(np.abs(r), axis=(1, 2), keepdims=True)  # no underflow
-        inv = np.zeros_like(r)
-        for i in range(p - 1, -1, -1):  # R^-1 by stacked back-substitution
-            rest = (r[:, i, None, i + 1 :] @ inv[:, i + 1 :])[:, 0]
-            inv[:, i] = (eye[i] - rest) / r[:, i, i, None]
+        # by 2^-e, 2^e > max|R|: an exact scaling, which cannot underflow
+        e = np.frexp(np.max(np.abs(r), axis=(1, 2), keepdims=True))[1]
+        r, x = np.ldexp(r, -e), np.zeros((n, p, p + b.shape[2]))
+        x[:, :, :p], x[:, :, p:] = np.eye(p), np.ldexp(b, -e)
+        for i in range(p - 1, -1, -1):
+            rest = (r[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]
+            x[:, i] = (x[:, i] - rest) / r[:, i, i, None]
+        inv = x[:, :, :p]
         kappa_sq = np.einsum("nij,nij->n", r, r) * np.einsum("nij,nij->n", inv, inv)
-    return upper & (1e4 * kappa_sq < RANK_TOL**-2)
+    return x[:, :, p:].copy(), 1e4 * kappa_sq < RANK_TOL**-2
 
 
 def project(design, target) -> np.ndarray:
@@ -168,9 +191,7 @@ def project(design, target) -> np.ndarray:
     tm = as_matrix(t, "target")
     q = orthonormal_basis(design)
     if tm.shape[0] != q.shape[0]:
-        raise ValueError(
-            f"target has {tm.shape[0]} rows but design has {q.shape[0]}"
-        )
+        raise ValueError(f"target has {tm.shape[0]} rows but design has {q.shape[0]}")
     out = q @ (q.T @ tm)
     return out[:, 0] if squeeze else out
 
@@ -207,14 +228,8 @@ def ols(design, response) -> OlsFit:
     ym = as_matrix(y, "response")
     if ym.shape[0] != x.shape[0]:
         raise ValueError(f"response has {ym.shape[0]} rows but design has {x.shape[0]}")
-    if x.shape[1] == 0:
-        coef = np.zeros((0, ym.shape[1]))
-        resid = ym.copy()
-    else:
-        q, r = _full_rank_qr(x)
-        coef = np.linalg.solve(r, q.T @ ym)
-        resid = ym - x @ coef
+    coef = _qr_fit(x, ym)[1]
+    resid = ym - x @ coef
     if squeeze:
         return OlsFit(coef[:, 0], resid[:, 0])
     return OlsFit(coef, resid)
-

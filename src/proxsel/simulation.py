@@ -124,20 +124,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidBound(f"n must be >= 1, got {self.n}")
         if self.p_z < 1 or self.p_w < 1:
+            raise InvalidBound(f"need p_z >= 1 and p_w >= 1, got p_z={self.p_z}, p_w={self.p_w}")
+        if self.n <= self.p_z + self.p_w + 1:  # below it, no draw is a Dataset
             raise InvalidBound(
-                f"need p_z >= 1 and p_w >= 1, got p_z={self.p_z}, p_w={self.p_w}"
-            )
+                f"need n > p_z + p_w + 1 = {self.p_z + self.p_w + 1}, got n = {self.n}")
         if not 0 <= self.s_z <= self.p_z:
-            raise InvalidBound(
-                f"need 0 <= s_z <= p_z, got s_z={self.s_z}, p_z={self.p_z}"
-            )
+            raise InvalidBound(f"need 0 <= s_z <= p_z, got s_z={self.s_z}, p_z={self.p_z}")
         if not 0 <= self.s_w <= self.p_w:
-            raise InvalidBound(
-                f"need 0 <= s_w <= p_w, got s_w={self.s_w}, p_w={self.p_w}"
-            )
+            raise InvalidBound(f"need 0 <= s_w <= p_w, got s_w={self.s_w}, p_w={self.p_w}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidBound(f"{name} must be finite, got {value}")

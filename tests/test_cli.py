@@ -144,6 +144,15 @@ class TestSimulateCommand:
         assert report.config["sim"]["n"] == 200
         assert report.timing is None
 
+    def test_too_few_rows_exit_with_a_config_error(self, tmp_path, capsys):
+        config, out = tmp_path / "small.json", tmp_path / "never.json"
+        config.write_text(json.dumps({"n": 12}), encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {config}: need n > p_z + p_w + 1 = 12, got n = 12\n")
+        assert not out.exists()
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         _, a = self.run(tmp_path, "a.json")
         _, b = self.run(tmp_path, "b.json")

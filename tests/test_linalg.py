@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxsel.exceptions import RankDeficient
-from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, rank_errors
+from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, rank_errors, solve_upper
 
 import oracle
 
@@ -115,6 +115,13 @@ class TestOls:
         with pytest.raises(RankDeficient, match="more columns"):
             ols(design, np.ones(3))
 
+    def test_a_design_without_columns_fits_nothing(self):
+        y = np.array([1.0, -0.0, 2.5])
+        fit = ols(np.zeros((3, 0)), y)
+        assert fit.coefficients.shape == (0,)
+        np.testing.assert_array_equal(fit.residuals, y)
+        assert orthonormal_basis(np.zeros((3, 0))).shape == (3, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -203,3 +210,72 @@ class TestRankErrors:
         # The refit design of ols_baseline once (X, 1) are partialled out.
         assert rank_errors(np.zeros((3, 5, 0))) == [None] * 3
         assert rank_errors(np.zeros((2, 0, 0))) == [None] * 2
+
+
+def _qr_factors(seed, n, p):
+    """R factors of ``n`` random 15 x ``p`` designs."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 15, p)), mode="r")
+
+
+class TestSolveUpper:
+    @pytest.mark.parametrize("p", [1, 2, 5, 9])
+    def test_solution_and_inverse_match_lapack(self, p):
+        r = _qr_factors(p, 30, p)
+        b = np.random.default_rng(100 + p).standard_normal((30, p, 3))
+        x, errors = solve_upper(r, b)
+        inv = solve_upper(r, np.broadcast_to(np.eye(p), r.shape))[0]
+        assert errors == [None] * 30
+        for got, want in ((x, np.linalg.solve(r, b)), (inv, np.linalg.inv(r))):
+            err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+            assert np.max(err) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=triangular_stacks())
+    def test_verdicts_are_those_of_rank_errors_on_finite_factors(self, r):
+        assume(r.shape[1] == r.shape[2])
+        finite = np.all(np.isfinite(r), axis=(1, 2))
+        x, errors = solve_upper(r, np.ones(r.shape[:2] + (2,)))
+        assert np.all(np.isfinite(x))
+        assert _verdicts(lambda f: solve_upper(f, f[:, :, :0])[1], r[finite]) == _verdicts(
+            rank_errors, r[finite])
+        for i in np.flatnonzero(~finite):
+            assert str(errors[i]).endswith("non-finite entries")
+
+    @pytest.mark.parametrize("defect", ["zero", "nan", "inf"])
+    def test_a_defective_factor_gets_a_finite_placeholder(self, defect):
+        r = _qr_factors(3, 4, 3)
+        if defect == "zero":
+            r[2, 1, 1] = 0.0
+        else:
+            r[2, 0, 2] = np.nan if defect == "nan" else np.inf
+        b = np.ones((4, 3, 2))
+        x, errors = solve_upper(r, b)
+        assert isinstance(errors[2], RankDeficient)
+        assert [e is None for e in errors] == [True, True, False, True]
+        np.testing.assert_array_equal(x[2], 0.0)
+        keep = [0, 1, 3]
+        np.testing.assert_array_equal(x[keep], solve_upper(r[keep], b[keep])[0])
+
+    def test_factors_without_columns(self):
+        x, errors = solve_upper(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)))
+        assert x.shape == (3, 0, 2) and errors == [None] * 3
+        x, errors = solve_upper(np.zeros((0, 4, 4)), np.zeros((0, 4, 1)))
+        assert x.shape == (0, 4, 1) and errors == []
+
+    def test_a_slice_solves_as_it_does_alone(self):
+        r = _qr_factors(5, 12, 6)
+        r[4] *= 1e-200  # scaled far from the rest: still the same bits
+        r[7, 3, 3] = 0.0
+        b = np.random.default_rng(6).standard_normal((12, 6, 4))
+        x, errors = solve_upper(r, b)
+        for i in range(12):
+            alone, error = solve_upper(r[i : i + 1], b[i : i + 1])
+            np.testing.assert_array_equal(x[i], alone[0])
+            assert str(errors[i]) == str(error[0])
+
+    def test_scaling_a_factor_and_its_right_side_by_a_power_of_two_changes_no_bit(self):
+        r, b = _qr_factors(7, 5, 4), np.random.default_rng(8).standard_normal((5, 4, 2))
+        x = solve_upper(r, b)[0]
+        for k in (-600, -30, 40, 600):
+            np.testing.assert_array_equal(solve_upper(np.ldexp(r, k), np.ldexp(b, k))[0], x)
+

@@ -55,6 +55,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidBound):
             SimConfig(reps=0)
 
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_too_few_rows_for_a_dataset_is_an_invalid_bound(self, n):
+        # It used to be accepted and fail at the first draw with a ValueError.
+        with pytest.raises(InvalidBound, match=rf"need n > p_z \+ p_w \+ 1 = 12, got n = {n}$"):
+            SimConfig(n=n, p_z=10, p_w=1)
+
+    def test_the_fewest_rows_a_dataset_takes_are_accepted(self):
+        report = run_monte_carlo(SimConfig(n=13, p_z=10, p_w=1, reps=2), ("ols",))
+        assert report.methods["ols"].n_used == 2
+
     def test_a_negative_seed_is_an_invalid_bound(self):
         # numpy's stream keys refuse it too, but only at the first draw
         with pytest.raises(InvalidBound, match="seed must be >= 0, got -2"):

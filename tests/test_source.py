@@ -287,6 +287,39 @@ def test_the_guard_finds_a_reduced_mode_qr():
     assert qr_calls_without_mode_r(source) == ["line 4", "line 5", "line 6"]
 
 
+def general_solves(source: str) -> list[str]:
+    """The references of ``source``, as ``line N``, to a general ``solve``
+    (``np.linalg.solve``, or ``solve`` imported by name) or to the stacked
+    LU helper ``_solve``: a triangular factor needs neither."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        in ("solve", "_solve")
+    ]
+
+
+@pytest.mark.parametrize("name", ["estimators.py", "linalg.py"])
+def test_triangular_factors_are_solved_by_the_one_back_substitution(name):
+    # Every R factor is certified and solved by linalg.solve_upper; the
+    # symmetric Gram blocks of lasso and identification are not factors.
+    source = (SOURCES[0].parent / name).read_text(encoding="utf-8")
+    assert "solve_upper(" in source
+    assert general_solves(source) == []
+
+
+def test_the_guard_finds_a_general_solve():
+    source = (
+        "from numpy.linalg import solve\n"
+        "def _factor(r, b):\n"
+        "    coef = np.linalg.solve(r, b)\n"
+        "    return _solve(r, b, ok), solve_upper(r, b), lasso._block_solve(r, b)\n"
+        "def _refit(r, b):\n"
+        "    return solve(r, b), linalg.solve_upper(r, b)\n"
+    )
+    assert general_solves(source) == ["line 1", "line 3", "line 4", "line 6"]
+
+
 def test_lasso_solve_and_cv_penalty_reach_the_solver_through_lasso_gram():
     # One solver: the guess, the path and the support solves sit behind
     # lasso_gram, which every lasso of the package goes through.
