@@ -63,8 +63,7 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import (alive, as_matrix, as_vector, inner, keep_first, matvec, rank_errors,
-                     solve_upper, swap)
+from .linalg import alive, as_matrix, as_vector, inner, keep_first, matvec, solve_upper, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -265,9 +264,9 @@ class EstimationConfig:
 
 def _augmented(data: Dataset) -> np.ndarray:
     """``A = [X, 1, Z, D, W, Y]``, column-major as LAPACK takes it: every
-    stage depends on the data only through it, a subsample on its rows."""
-    a = np.column_stack([data.X, np.ones(data.n), data.Z, data.D, data.W, data.Y])
-    return np.asfortranarray(a)
+    stage depends on the data only through it, a subsample on its rows.
+    Its columns are the rows of one C-order stack, so it takes one copy."""
+    return np.vstack([data.X.T, np.ones(data.n), data.Z.T, data.D, data.W.T, data.Y]).T
 
 
 class _Core(NamedTuple):
@@ -313,18 +312,20 @@ def _factor(data: Dataset, design: Callable, size: int) -> _Core:
     """One thin QR, in mode ``"r"``, per ``A = design(i)`` for ``i < size``
     (row subsets of ``data``, built one at a time), and the first stage on
     each ``R``."""
-    rs, y_sd = [], []
+    rs, ys = [], []
     for i in range(size):
         a = design(i)
         rs.append(np.linalg.qr(a, mode="r"))
-        y_sd.append(np.std(a[:, -1], ddof=1))
+        ys.append(a[:, -1].copy())
+        del a  # freed before the next A is built: room for Y's rows
     r, k = np.stack(rs), rs[0].shape[1]
     h, m = data.p_x + 1, data.p_x + data.p_z + 2
     coef, errors = solve_upper(r[:, :m, :m], r[:, :m, m:])
     fail = tuple(e if e is None else str(e) for e in errors)
     ext = np.concatenate([r, r[:, :, m : k - 1]], axis=2)
     ext[:, m:, k:] = 0.0
-    return _Core(a.shape[0], data.p_z, data.p_w, h, m, ext, coef, fail, np.array(y_sd), design)
+    y_sd = np.std(np.stack(ys), axis=1, ddof=1)
+    return _Core(ys[0].size, data.p_z, data.p_w, h, m, ext, coef, fail, y_sd, design)
 
 
 def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
@@ -495,8 +496,11 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     downdates of ``S`` and ``Zp'Y``. ``g`` has rank ``p_z - 1`` with null
     direction ``delta``, which is why selection needs a majority or plurality
     of valid TCPs. Records in the ledger ``errors`` a rank-deficient ``(what,
-    X, 1)`` (certified on ``R11`` bordered by the fitted OCP's column, its
-    ``R22`` rows folded into their norm), else a degenerate treatment.
+    X, 1)``, else a degenerate treatment. The rank is certified by
+    :func:`~proxsel.linalg.solve_upper` on ``R11`` bordered by the fitted
+    OCP's column, its ``R22`` rows folded into their norm: a factor upper
+    triangular by construction, rank deficient too when an entry is not
+    finite.
     """
     h, m, top = core.h, core.m, core.r[:, core.h : core.m]  # top: M's rows of R22
     z, dx = top[:, :, core.tcps], top[:, :, m - 1]
@@ -506,7 +510,7 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     fx = top[ds, :, core.fitted(ocp)]
     tri = core.r[ds, : h + 1, : h + 1]  # R11, bordered by the fitted OCP below
     tri[:, :h, h], tri[:, h, h] = core.r[ds, :h, core.fitted(ocp)], np.sqrt(inner(fx, fx))
-    keep_first(errors, rank_errors(tri))
+    keep_first(errors, solve_upper(tri, tri[:, :, :0])[1])
     d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
     d = core.r[ds, :, m - 1]
     _degenerate(errors, inner(d_tilde, d_tilde), inner(d, d), DegenerateTreatment,
@@ -902,11 +906,13 @@ def _subsample_size(b: int | None, n: int, min_b: int) -> int:
 
 
 # Subsamples factored and fitted in one stack by subsample_ci (and
-# replications by simulation.run_monte_carlo). On 200 subsamples of
-# n = 2500 rows with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4,
-# 2 vCPUs), blocks of 20 take 101 ms and peak at 1.45 MB of Python heap;
-# blocks of 10 take 117 ms (1.00 MB), one at a time 401 ms (0.94 MB) and
-# one stack of all 200 72 ms (9.8 MB).
+# replications by simulation.run_monte_carlo): a bigger block saves numpy
+# call overhead and holds more heap. On 200 subsamples of n = 2500 rows
+# with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4, 2 vCPUs; medians
+# of 8 interleaved rounds), blocks of 20 take 62 ms and peak at 1.56 MB of
+# Python heap; blocks of 10 take 73 ms (1.02 MB), of 40 56 ms (2.64 MB),
+# of 100 48 ms (5.86 MB), one at a time 264 ms (0.92 MB) and one stack of
+# all 200 48 ms (10.8 MB).
 _SUBSAMPLE_BLOCK = 20
 
 

@@ -12,6 +12,13 @@ only if it has full column rank at a relative singular-value cutoff
 :class:`~proxsel.exceptions.RankDeficient` rather than silently regularizing,
 because a rank-deficient moment matrix means the identification assumptions
 have failed on the sample at hand.
+
+:func:`solve_upper` is the one rank certificate, for every triangular factor
+of the package. Its back-substitution bounds ``kappa_F = ||R||_F ||R^-1||_F
+>= s_max / s_min`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 8), and a bound a hundredfold below ``1 / RANK_TOL`` certifies full rank.
+Only the factors the bound leaves in doubt take an SVD, and a factor with
+non-finite entries is rank deficient without one.
 """
 
 from __future__ import annotations
@@ -118,43 +125,28 @@ def alive(errors) -> np.ndarray:
     return np.flatnonzero([e is None for e in errors])
 
 
-def rank_errors(r: np.ndarray) -> list[RankDeficient | None]:
-    """Rank certificate of each triangular factor in a stack ``(N, rows, p)``.
-
-    ``|diag(R)|`` alone is not a reliable rank certificate; the singular
-    values of ``R``, which are those of the design it factors, are. A square
-    upper-triangular ``R`` is bounded first (Higham, ch. 8): ``kappa_F =
-    ||R||_F ||R^-1||_F >= s_max / s_min``, so a bound a hundredfold below ``1
-    / RANK_TOL`` certifies full rank; otherwise the SVD decides. Returns,
-    per factor, the error to raise or ``None`` when it is full rank.
-    """
-    doubt = np.arange(len(r) if r.shape[-1] else 0)  # no columns: full rank
-    if doubt.size and r.shape[-2] == r.shape[-1]:
-        upper = ~np.any(r[:, np.tri(r.shape[-1], k=-1, dtype=bool)], axis=1)
-        doubt = doubt[~(upper & _back_substitute(r, r[:, :, :0])[1])]
-    sv = np.linalg.svd(r[doubt], compute_uv=False) if doubt.size else ()
-    return keep_first([None] * len(r), [
-        RankDeficient(
-            "design is rank deficient: smallest/largest singular value "
-            f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
-        ) if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
-        for s in sv
-    ], at=doubt)
-
-
 def solve_upper(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
-    """``R^-1 B`` and the :func:`rank_errors` verdict for each upper-triangular
-    ``R`` of a stack ``(N, p, p)`` (its lower part is not read), ``B`` ``(N, p,
-    k)``, from the one back-substitution that bounds ``kappa_F``. A factor
-    with non-finite entries, which no SVD certifies, is rank deficient; a
-    rank-deficient factor's solution is the finite placeholder 0."""
+    """``R^-1 B`` and the rank certificate of each upper-triangular ``R`` of a
+    stack ``(N, p, p)``, ``B`` ``(N, p, k)``: per factor, the
+    :class:`~proxsel.exceptions.RankDeficient` to raise, or ``None`` when it is
+    full rank. The one back-substitution that solves bounds ``kappa_F``; a
+    factor the bound leaves in doubt is rank deficient if it has non-finite
+    entries, which no SVD certifies, or if its singular values, those of the
+    design it factors, fall below the cutoff. A rank-deficient factor's
+    solution is the finite placeholder 0."""
     x, bounded = _back_substitute(r, b)
     errors, doubt = [None] * len(r), np.flatnonzero(~bounded)
     if doubt.size:  # near the cutoff, or defective
         finite = np.all(np.isfinite(r[doubt]), axis=(1, 2))
         keep_first(errors, [RankDeficient("design is rank deficient: its factor has non-finite "
                                           "entries") for _ in doubt[~finite]], at=doubt[~finite])
-        keep_first(errors, rank_errors(r[doubt[finite]]), at=doubt[finite])
+        keep_first(errors, [
+            RankDeficient(
+                "design is rank deficient: smallest/largest singular value "
+                f"= {s[-1]:.3e}/{s[0]:.3e} at cutoff {RANK_TOL:g}"
+            ) if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0] else None
+            for s in np.linalg.svd(r[doubt[finite]], compute_uv=False)
+        ], at=doubt[finite])
         x[[e is not None for e in errors]] = 0.0
     return x, errors
 

@@ -13,8 +13,8 @@ subset and annihilator the library no longer needs.
 ``run_monte_carlo_serial`` is ``proxsel.simulation.run_monte_carlo`` as it
 was before replications were fitted in blocks: one replication at a time,
 each method through the library's public single-dataset entry point.
-``rank_errors`` is ``proxsel.linalg.rank_errors`` before it bounded the
-condition number first: one SVD of every factor. ``support_solve`` is
+``rank_errors`` is the rank certificate of ``proxsel.linalg.solve_upper``
+before it bounded the condition number first: one SVD of every factor. ``support_solve`` is
 ``proxsel.lasso._support_solve`` before it solved the support blocks alone:
 one p x p system per problem, padded with the identity. The ``cd_``
 functions are ``proxsel.lasso``'s batched coordinate descent, unchanged but
@@ -1009,8 +1009,8 @@ def run_monte_carlo_serial(
 
 
 def rank_errors(r: np.ndarray) -> list:
-    """``proxsel.linalg.rank_errors`` certifying every factor from its
-    singular values, one stacked SVD."""
+    """The rank certificate of ``proxsel.linalg.solve_upper`` read off every
+    factor's singular values, one stacked SVD."""
     sv = np.linalg.svd(r, compute_uv=False)
     return [
         RankDeficient(

@@ -458,6 +458,23 @@ class TestErrorPrecedence:
             call(data)
         assert str(refit.value) == str(first.value)
 
+    def test_an_overflowing_ocp_fails_its_reduced_design(self):
+        # OCP 1 scaled by 1e307 overflows its fitted column, so the bordered
+        # R11 of its reduced design has non-finite entries: rank deficient,
+        # not a lasso that fails its certificate on NaN.
+        base = generate_invalid_tcp_ocp_data(SimConfig(n=400, p_z=6, s_z=2, p_w=3, seed=0), 0)
+        w = base.W.copy()
+        w[:, 1] *= 1e307
+        data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
+        with np.errstate(over="ignore", invalid="ignore"):  # the failed problem's arithmetic
+            with pytest.raises(RankDeficient, match="non-finite entries$") as single:
+                estimate_invalid_tcp(data, 1)
+            fits = estimate_invalid_tcp_ocp(data).per_ocp_fits
+        assert type(fits[1]) is RankDeficient and str(fits[1]) == str(single.value)
+        clean = estimate_invalid_tcp_ocp(base).per_ocp_fits
+        for k in (0, 2):  # the other OCPs keep their bits
+            assert_same_fit(fits[k], clean[k])
+
     def test_a_zero_penalty_fails_naming_it_not_the_refit(self):
         # Least squares selects every TCP, and the refit on all of them and
         # the fitted OCP would leave no treatment variation.

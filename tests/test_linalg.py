@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsel.exceptions import RankDeficient
-from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, rank_errors, solve_upper
+from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, solve_upper
 
 import oracle
 
@@ -146,21 +146,21 @@ class TestOls:
         assert scaled[0] == pytest.approx(base[0], rel=1e-8, abs=1e-12)
 
 
-def _verdicts(certify, r):
-    """Each factor's error message (None when full rank), or the type of
-    the exception the whole stack raised."""
-    try:
-        return [None if e is None else str(e) for e in certify(r)]
-    except np.linalg.LinAlgError as exc:  # an SVD of non-finite entries
-        return type(exc)
+def _verdicts(errors):
+    """Each factor's error message, or None when it is full rank."""
+    return [None if e is None else str(e) for e in errors]
+
+
+def _certify(r):
+    """The rank certificate of each factor of ``r``, solving nothing."""
+    return solve_upper(r, r[:, :, :0])[1]
 
 
 @st.composite
 def triangular_stacks(draw):
-    """Upper-triangular (or, with fewer rows than columns, trapezoidal) QR
-    factors with prescribed singular-value ratios, some of them defective."""
+    """Upper-triangular QR factors with prescribed singular-value ratios,
+    some of them defective."""
     p = draw(st.integers(1, 7))
-    rows = draw(st.integers(1, p - 1)) if p > 1 and draw(st.booleans()) else p
     ratios = draw(st.lists(st.one_of(
         st.floats(-14.0, 0.0).map(lambda e: 10.0**e),
         st.floats(-1e-3, 1e-3).map(lambda d: RANK_TOL * (1.0 + d)),  # the cutoff
@@ -169,25 +169,33 @@ def triangular_stacks(draw):
     scale = 10.0 ** draw(st.floats(-8.0, 8.0))
     factors = []
     for ratio in ratios:
-        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        u = np.linalg.qr(rng.standard_normal((p, p)))[0]
         v = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        s = scale * np.geomspace(1.0, ratio, rows)
-        r = np.linalg.qr((u * s) @ v[:rows], mode="r")
+        s = scale * np.geomspace(1.0, ratio, p)
+        r = np.linalg.qr((u * s) @ v, mode="r")
         defect = draw(st.sampled_from(["none"] * 4 + ["zero", "nan", "inf"]))
-        i, j = rng.integers(rows), rng.integers(p)
+        i, j = rng.integers(p), rng.integers(p)
         if defect == "zero":
             r[i, i] = 0.0
         elif defect != "none":  # an entry on or above the diagonal
             r[min(i, j), j] = np.nan if defect == "nan" else rng.choice([-np.inf, np.inf])
         factors.append(r)
-    return np.array(factors).reshape(len(factors), rows, p)
+    return np.array(factors).reshape(len(factors), p, p)
 
 
 class TestRankErrors:
+    """The rank certificate of :func:`solve_upper` against one SVD of every
+    factor (``oracle.rank_errors``)."""
+
     @settings(max_examples=300, deadline=None)
     @given(r=triangular_stacks())
     def test_same_verdicts_and_messages_as_the_svd(self, r):
-        assert _verdicts(rank_errors, r) == _verdicts(oracle.rank_errors, r)
+        finite = np.all(np.isfinite(r), axis=(1, 2))
+        verdicts = _verdicts(_certify(r))
+        assert [v for v, f in zip(verdicts, finite) if f] == _verdicts(
+            oracle.rank_errors(r[finite]))
+        for i in np.flatnonzero(~finite):
+            assert verdicts[i].endswith("non-finite entries")
 
     def test_well_conditioned_triangular_factors_take_no_svd(self, monkeypatch):
         r = np.linalg.qr(np.random.default_rng(1).standard_normal((200, 15, 5)), mode="r")
@@ -199,17 +207,16 @@ class TestRankErrors:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert rank_errors(r) == [None] * 200
-        assert rank_errors(r[:0]) == []
+        assert _certify(r) == [None] * 200
+        assert _certify(r[:0]) == []
         assert svd_calls == []
-        rank_errors(r[:3, :4])  # trapezoidal: no bound applies
-        rank_errors(np.array([[[2.0, 1.0], [1.0, 2.0]]]))  # square, not triangular
-        assert svd_calls == [(3, 4, 5), (1, 2, 2)]
+        r[1, 2, 2], r[3, 0, 4] = 0.0, np.inf  # in doubt: one SVD, of the finite factor
+        assert [e is None for e in _certify(r[:4])] == [True, False, True, False]
+        assert svd_calls == [(1, 5, 5)]
 
     def test_factors_without_columns_are_full_rank(self):
         # The refit design of ols_baseline once (X, 1) are partialled out.
-        assert rank_errors(np.zeros((3, 5, 0))) == [None] * 3
-        assert rank_errors(np.zeros((2, 0, 0))) == [None] * 2
+        assert _certify(np.zeros((2, 0, 0))) == [None] * 2
 
 
 def _qr_factors(seed, n, p):
@@ -232,12 +239,11 @@ class TestSolveUpper:
     @settings(max_examples=200, deadline=None)
     @given(r=triangular_stacks())
     def test_verdicts_are_those_of_rank_errors_on_finite_factors(self, r):
-        assume(r.shape[1] == r.shape[2])
         finite = np.all(np.isfinite(r), axis=(1, 2))
         x, errors = solve_upper(r, np.ones(r.shape[:2] + (2,)))
         assert np.all(np.isfinite(x))
-        assert _verdicts(lambda f: solve_upper(f, f[:, :, :0])[1], r[finite]) == _verdicts(
-            rank_errors, r[finite])
+        assert _verdicts(errors[i] for i in np.flatnonzero(finite)) == _verdicts(
+            oracle.rank_errors(r[finite]))
         for i in np.flatnonzero(~finite):
             assert str(errors[i]).endswith("non-finite entries")
 

@@ -320,6 +320,28 @@ def test_the_guard_finds_a_general_solve():
     assert general_solves(source) == ["line 1", "line 3", "line 4", "line 6"]
 
 
+def test_the_one_rank_certificate_is_solve_upper():
+    # The kappa_F bound, then the SVD on the factors it leaves in doubt:
+    # every rank verdict of the package is linalg.solve_upper's.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert not any("rank_errors" in source for _, source in sources)
+    assert referrers(sources, "svd") == ["linalg.solve_upper"]
+
+
+def test_the_guard_finds_a_second_rank_certificate():
+    source = (
+        "def solve_upper(r, b):\n"
+        "    return np.linalg.svd(r, compute_uv=False)\n"
+        "def rank_errors(r):\n"
+        "    return [s for s in linalg.svd(r)]\n"
+        "def _reduced_design(tri):\n"
+        "    certify = svd\n"
+    )
+    assert referrers([("linalg", source)], "svd") == [
+        "linalg.solve_upper", "linalg.rank_errors", "linalg._reduced_design"
+    ]
+
+
 def test_lasso_solve_and_cv_penalty_reach_the_solver_through_lasso_gram():
     # One solver: the guess, the path and the support solves sit behind
     # lasso_gram, which every lasso of the package goes through.
