@@ -30,7 +30,9 @@ Each dataset (and each subsample) takes one thin QR ``A = Q R`` in mode
 with the inner products, residual norms and rank certificates of the n-row
 design, on stacks of (dataset, OCP) problems: one problem for
 :func:`estimate_invalid_tcp`, ``p_w`` for the median, blocks of subsamples
-times ``p_w`` for :func:`subsample_ci`. As ``(X, 1)`` lead, ``R = [[R11,
+times ``p_w`` for :func:`subsample_ci`. Each stage computes only the
+problems alive in the stack's error ledger when it runs, so a problem's
+first error is its only one. As ``(X, 1)`` lead, ``R = [[R11,
 R12], [0, R22]]`` and every stage after the factor reads ``R22``, the factor
 of ``(Z, D, W, Y)`` with ``(X, 1)`` partialled out (Frisch-Waugh-Lovell).
 The selection lasso runs in covariance form: a dataset's OCPs share one Gram
@@ -293,12 +295,9 @@ class _Core(NamedTuple):
     y_sd: np.ndarray  # (B,): std(Y, ddof=1)
     design: Callable  # i -> dataset i's A
 
-    def cols(self, ds: np.ndarray, cols) -> np.ndarray:
-        """Sub-design ``cols[i]`` (or the same ``cols`` for every problem)
-        of problem ``i``'s dataset ``ds[i]``."""
-        cols = np.asarray(cols)
-        picked = self.r[ds[:, None], self.h :, cols if cols.ndim == 2 else cols[None]]
-        return np.ascontiguousarray(swap(picked))
+    def cols(self, ds: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Sub-design ``cols[i]`` of problem ``i``'s dataset ``ds[i]``."""
+        return np.ascontiguousarray(swap(self.r[ds[:, None], self.h :, cols]))
 
     @property
     def tcps(self) -> slice:
@@ -363,10 +362,11 @@ def _check(error: ProxselError | None) -> None:
 
 def _ledger(core: _Core, ds: np.ndarray, config: EstimationConfig | None = None) -> list:
     """A stack's error ledger, seeded with the first two stages: each problem's
-    first error, or None. Stages record into it with ``keep_first`` and skip
-    failed problems, in one order for every penalty mode: ``n >= 20`` (cv
-    mode only), first stage, relevance, reduced design, folds (cv mode only),
-    lasso, every TCP selected, refit."""
+    first error, or None. Stages record into it with ``keep_first``, in one
+    order for every penalty mode: ``n >= 20`` (cv mode only), first stage,
+    relevance, reduced design, folds (cv mode only), lasso, every TCP selected,
+    refit. Each stage computes only the problems alive in the ledger when it
+    runs, so a problem's first error is its only one."""
     if config and config.lambda_n is None and config.lambda_mode == "cv" and core.n < 20:
         return [InvalidBound(f"cv mode needs n >= 20, got n = {core.n}") for _ in ds]
     return [None if core.fail[d] is None else RankDeficient(core.fail[d]) for d in ds]
@@ -399,18 +399,16 @@ def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
 
 
 def _pilots(gamma: np.ndarray, delta: np.ndarray):
-    """Relevance failures, weak-relevance flags and the pilots ``(gamma_m,
-    alpha_m)`` for rows of TCP outcome and OCP coefficients."""
-    bad = np.abs(delta) <= DELTA_FLOOR
-    weak = np.abs(delta) < 0.05 * np.median(np.abs(delta), axis=-1)[..., None]
-    gamma_m = np.median(gamma / np.where(bad, 1.0, delta), axis=-1)
-    return bad, weak, gamma_m, gamma - gamma_m[..., None] * delta
+    """The pilots ``(gamma_m, alpha_m)`` for rows of TCP outcome and OCP
+    coefficients that passed the relevance check, so every ratio is defined."""
+    gamma_m = np.median(gamma / delta, axis=-1)
+    return gamma_m, gamma - gamma_m[..., None] * delta
 
 
-def _relevance_error(bad: np.ndarray) -> AssumptionViolation | None:
+def _relevance_error(delta: np.ndarray) -> AssumptionViolation | None:
     # Both pilots divide by, or scale, the OCP coefficients, so a
     # numerically zero one is a relevance failure for either.
-    idx = [int(j) for j in np.nonzero(bad)[0]]
+    idx = [int(j) for j in np.flatnonzero(np.abs(delta) <= DELTA_FLOOR)]
     if not idx:
         return None
     return AssumptionViolation(
@@ -420,9 +418,10 @@ def _relevance_error(bad: np.ndarray) -> AssumptionViolation | None:
     )
 
 
-def _warn_weak(weak: np.ndarray) -> None:
-    """Warn of weak relevance at the line that called into the package,
-    however many of its frames lie between."""
+def _warn_weak(delta: np.ndarray) -> None:
+    """Warn of weak relevance in a live problem's OCP coefficients ``delta``,
+    at the line that called into the package, past any of the package's frames."""
+    weak = np.abs(delta) < 0.05 * np.median(np.abs(delta))
     if np.any(weak):
         frame, level = sys._getframe(), 1
         while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
@@ -444,10 +443,9 @@ def median_gamma(fs: FirstStage) -> float:
     TCPs are valid the median is a consistent pilot. Even counts average the
     two central order statistics.
     """
-    bad, weak, gamma_m, _ = _pilots(fs.gamma_hat_vec, fs.delta_hat_vec)
-    _check(_relevance_error(bad))
-    _warn_weak(weak)
-    return float(gamma_m)
+    _check(_relevance_error(fs.delta_hat_vec))
+    _warn_weak(fs.delta_hat_vec)
+    return float(_pilots(fs.gamma_hat_vec, fs.delta_hat_vec)[0])
 
 
 def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
@@ -458,7 +456,7 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
     ratios).
     """
     gamma, delta = fs.gamma_hat_vec, fs.delta_hat_vec
-    _check(_relevance_error(np.abs(delta) <= DELTA_FLOOR))
+    _check(_relevance_error(delta))
     return gamma - float(gamma_m) * delta
 
 
@@ -468,22 +466,23 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 
 
 class _Reduced(NamedTuple):
-    """A stack's reduced design in covariance form (``gram = g'g``, ``xty =
-    g'Y``), ``d_tilde``, and ``rows(i) -> (g, Y)`` of problems
-    ``i`` on M's rows of ``R22``. ``lasso(on, thresh)`` solves the lassos of
-    problems ``on``."""
+    """The reduced design of the problems ``on``, those of a stack alive after
+    it: in covariance form (``gram = g'g``, ``xty = g'Y``), ``d_tilde``, and
+    ``rows(at) -> (g, Y)`` on M's rows of ``R22``, each indexed by position
+    in ``on``. ``lasso(at, thresh)`` solves the lassos of problems ``on[at]``."""
 
+    on: np.ndarray
     gram: np.ndarray
     xty: np.ndarray
     d_tilde: np.ndarray
     rows: Callable
 
-    def lasso(self, on: np.ndarray, thresh: np.ndarray):
-        return lasso_gram(self.gram[on], self.xty[on], thresh, lambda i: self.rows(on[i]))
+    def lasso(self, at: np.ndarray, thresh: np.ndarray):
+        return lasso_gram(self.gram[at], self.xty[at], thresh, lambda i: self.rows(at[i]))
 
 
 def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) -> _Reduced:
-    """The selection stage's design, one problem per (dataset, OCP).
+    """The selection stage's design, per (dataset, OCP) problem alive in ``errors``.
 
     ``d_tilde`` is D residualized on ``(what, X, 1)`` and ``g`` the TCP
     block residualized on ``(what, X, 1, D)``; an L1 fit of Y on ``g`` gives
@@ -492,90 +491,93 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     coefficients) plus terms in ``(D, X, 1)``, ``g`` is ``Zp`` residualized
     on ``Zp delta``, with ``Zp`` the TCP block residualized on ``(D, X, 1)``.
     On ``R22``, ``Zp`` is one rank-one step off D; so ``Zp``, ``S = Zp'Zp``
-    and ``Zp'Y`` are formed once per dataset, and each problem takes rank-one
-    downdates of ``S`` and ``Zp'Y``. ``g`` has rank ``p_z - 1`` with null
-    direction ``delta``, which is why selection needs a majority or plurality
-    of valid TCPs. Records in the ledger ``errors`` a rank-deficient ``(what,
-    X, 1)``, else a degenerate treatment. The rank is certified by
-    :func:`~proxsel.linalg.solve_upper` on ``R11`` bordered by the fitted
+    and ``Zp'Y`` are formed once per dataset with a surviving problem, and
+    each problem takes rank-one downdates of ``S`` and ``Zp'Y``. ``g`` has
+    rank ``p_z - 1`` with null direction ``delta``, which is why selection
+    needs a majority or plurality of valid TCPs. Records in ``errors`` a
+    rank-deficient ``(what, X, 1)``, else a degenerate treatment, and
+    returns the design of the problems neither fails. The rank is certified
+    by :func:`~proxsel.linalg.solve_upper` on ``R11`` bordered by the fitted
     OCP's column, its ``R22`` rows folded into their norm: a factor upper
     triangular by construction, rank deficient too when an entry is not
     finite.
     """
     h, m, top = core.h, core.m, core.r[:, core.h : core.m]  # top: M's rows of R22
+    on = alive(errors)
+    fx = top[ds[on], :, core.fitted(ocp[on])]
+    tri = core.r[ds[on], : h + 1, : h + 1]  # R11, bordered by the fitted OCP below
+    tri[:, :h, h] = core.r[ds[on], :h, core.fitted(ocp[on])]
+    with np.errstate(over="ignore"):  # an overflow is what the certificate calls non-finite
+        tri[:, h, h] = np.sqrt(inner(fx, fx))
+    keep_first(errors, solve_upper(tri, tri[:, :, :0])[1], at=on)
+    on = alive(errors)
+    fx, dx = top[ds[on], :, core.fitted(ocp[on])], top[ds[on], :, m - 1]
+    d_tilde = dx - fx * (inner(fx, dx) / inner(fx, fx))[:, None]
+    d = core.r[ds[on], :, m - 1]
+    bad, degenerate = _degenerate(inner(d_tilde, d_tilde), inner(d, d), DegenerateTreatment,
+                                  "the fitted OCP and covariates")
+    keep_first(errors, degenerate, at=on[bad])
+    on, d_tilde = on[~bad], d_tilde[~bad]
+    u, inv = np.unique(ds[on], return_inverse=True)
+    top = top[u]  # the datasets with a surviving problem
     z, dx = top[:, :, core.tcps], top[:, :, m - 1]
-    zp = z - dx[:, :, None] * (matvec(swap(z), dx) / _positive(inner(dx, dx))[:, None])[:, None]
+    zp = z - dx[:, :, None] * (matvec(swap(z), dx) / inner(dx, dx)[:, None])[:, None]
     s, y = swap(zp) @ zp, top[:, :, m + core.p_w]
     zy = matvec(swap(zp), y)
-    fx = top[ds, :, core.fitted(ocp)]
-    tri = core.r[ds, : h + 1, : h + 1]  # R11, bordered by the fitted OCP below
-    tri[:, :h, h], tri[:, h, h] = core.r[ds, :h, core.fitted(ocp)], np.sqrt(inner(fx, fx))
-    keep_first(errors, solve_upper(tri, tri[:, :, :0])[1])
-    d_tilde = dx[ds] - fx * (inner(fx, dx[ds]) / _positive(inner(fx, fx)))[:, None]
-    d = core.r[ds, :, m - 1]
-    _degenerate(errors, inner(d_tilde, d_tilde), inner(d, d), DegenerateTreatment,
-                "the fitted OCP and covariates")
-    delta, gram = core.coef[ds, core.tcps, ocp], s[ds]
+    delta, gram = core.coef[ds[on], core.tcps, ocp[on]], s[inv]
     s_delta = matvec(gram, delta)
-    scale = 1.0 / np.sqrt(_positive(inner(delta, s_delta)))[:, None]
+    scale = 1.0 / np.sqrt(inner(delta, s_delta))[:, None]
     t, v = delta * scale, s_delta * scale  # g = Zp - Zp t v', g'g = S - v v'
     gram -= v[:, :, None] * v[:, None, :]
 
-    def rows(i):
-        g = zp[ds[i]]
-        return g - matvec(g, t[i])[:, :, None] * v[i, None, :], y[ds[i]]
+    def rows(at):
+        g = zp[inv[at]]
+        return g - matvec(g, t[at])[:, :, None] * v[at, None, :], y[inv[at]]
 
-    return _Reduced(gram, zy[ds] - v * inner(t, zy[ds])[:, None], d_tilde, rows)
-
-
-def _positive(x: np.ndarray) -> np.ndarray:
-    """``x`` with its non-positive entries (failed problems) set to 1."""
-    return np.where(x > 0.0, x, 1.0)
+    return _Reduced(on, gram, zy[inv] - v * inner(t, zy[inv])[:, None], d_tilde, rows)
 
 
-def _degenerate(errors: list, resid_sq: np.ndarray, d_sq: np.ndarray, kind, others: str):
-    """The problems whose squared treatment residual ``resid_sq`` is at most
-    ``DEGENERATE_TREATMENT_RTOL`` times ``d_sq = D'D``; each records a ``kind``
-    error (a treatment collinear with ``others``) in the ledger ``errors``."""
+def _degenerate(resid_sq: np.ndarray, d_sq: np.ndarray, kind, others: str):
+    """Which problems have a squared treatment residual ``resid_sq`` at most
+    ``DEGENERATE_TREATMENT_RTOL`` times ``d_sq = D'D``, and a ``kind`` error
+    (a treatment collinear with ``others``) for each of them."""
     bad = resid_sq <= DEGENERATE_TREATMENT_RTOL * d_sq
-    at = np.flatnonzero(bad)
-    keep_first(errors, [kind(f"treatment is numerically collinear with {others}; no "
-                             "variation left to identify the effect") for _ in at], at=at)
-    return bad
+    return bad, [kind(f"treatment is numerically collinear with {others}; no variation "
+                      "left to identify the effect") for _ in np.flatnonzero(bad)]
 
 
 def _penalty(core: _Core, ds: np.ndarray, config, red, errors: list) -> np.ndarray:
     """Each problem's penalty: ``config.lambda_n``, else the rate rule
     ``std(Y) * sqrt(n) / log(n)``, else :func:`cv_penalty` on :func:`_n_rows`'
-    ``g`` and ``Y`` of ``red``, for the problems alive in the ledger ``errors``."""
+    ``g`` and ``Y`` of ``red``, for its problems ``red.on``."""
     if config.lambda_n is not None:
         return np.full(ds.size, float(config.lambda_n))
     if config.lambda_mode == "rate":
         return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n)
-    lam, on = np.zeros(ds.size), alive(errors)
-    if on.size:
-        lam_max = np.max(np.abs(red.xty[on]), axis=1)
-        lam[on], cv_errors = cv_penalty(*_n_rows(core, ds[on], red.rows(on)[0]), lam_max)
-        keep_first(errors, cv_errors, at=on)
+    lam, g = np.zeros(ds.size), red.rows(np.arange(red.on.size))[0]
+    lam[red.on], cv_errors = cv_penalty(*_n_rows(core, ds[red.on], g),
+                                        np.max(np.abs(red.xty), axis=1))
+    keep_first(errors, cv_errors, at=red.on)
     return lam
 
 
 def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, errors: list):
-    """The selection stage for a stack of (dataset, OCP) problems: the pilots
-    and their relevance, the reduced design, the penalty, the weights and the
-    weighted lasso, each recording into the ledger ``errors`` (:func:`_ledger`'s
-    order). Returns the lasso coefficients and the penalties."""
-    bad, weak, _, alpha_m = _pilots(core.coef[ds, core.tcps, -1], core.coef[ds, core.tcps, ocp])
-    flagged = np.flatnonzero(bad.any(axis=1))
-    keep_first(errors, [_relevance_error(bad[i]) for i in flagged], at=flagged)
+    """The selection stage for a stack of (dataset, OCP) problems: relevance,
+    the reduced design, the penalty, the pilots' weights and the weighted
+    lasso, each on the problems alive in the ledger ``errors`` (:func:`_ledger`).
+    Returns the lasso coefficients and the penalties."""
+    gamma, delta = core.coef[ds, core.tcps, -1], core.coef[ds, core.tcps, ocp]
+    on = alive(errors)
+    flagged = on[np.any(np.abs(delta[on]) <= DELTA_FLOOR, axis=1)]
+    keep_first(errors, [_relevance_error(delta[i]) for i in flagged], at=flagged)
     for i in alive(errors) if warn else ():
-        _warn_weak(weak[i])
+        _warn_weak(delta[i])
     red = _reduced_design(core, ds, ocp, errors)
     lam = _penalty(core, ds, config, red, errors)
     on = alive(errors)
-    weights = 1.0 / np.maximum(np.abs(alpha_m[on]), config.adaptive_floor)
+    weights = 1.0 / np.maximum(np.abs(_pilots(gamma[on], delta[on])[1]), config.adaptive_floor)
     alpha = np.zeros((ds.size, core.p_z))
-    alpha[on], lasso_errors = red.lasso(on, lam[on, None] * weights)
+    alpha[on], lasso_errors = red.lasso(np.searchsorted(red.on, on), lam[on, None] * weights)
     keep_first(errors, lasso_errors, at=on)
     return alpha, lam
 
@@ -680,15 +682,16 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
         dy = np.tile([core.m - 1, core.m + core.p_w], (rows.size, 1))  # D and Y
         r = np.linalg.qr(core.cols(dsr, np.column_stack(
             [core.h + tcps, core.fitted(w), dy, core.m + w])), mode="r")
-        d, degenerate = core.r[dsr, :, core.m - 1], [None] * rows.size
-        bad = _degenerate(degenerate, r[:, p, p] ** 2, inner(d, d), RankDeficient,
-                          "the other refit regressors")
-        # Y on (x, D) by back-substitution: beta, then c = R_pp^-1 (r_Y - r_D beta)
+        d = core.r[dsr, :, core.m - 1]
+        bad, degenerate = _degenerate(r[:, p, p] ** 2, inner(d, d), RankDeficient,
+                                      "the other refit regressors")
+        # Y on (x, D) by back-substitution: beta, then c = R_pp^-1 (r_Y - r_D beta).
+        # A degenerate row keeps a finite r_D: x's rank error, certified below, comes first.
         r_d = np.where(bad, 1.0, r[:, p, p])
         beta = r[:, p, p + 1] / r_d
         rhs = r[:, :p, p + 1 : p + 2] - r[:, :p, p : p + 1] * beta[:, None, None]
         c, failed = solve_upper(r[:, :p, :p], rhs)
-        keep_first(failed, degenerate)  # x's rank error first
+        keep_first(failed, degenerate, at=np.flatnonzero(bad))  # x's rank error first
         # R L with A L = Y - beta D - (selected TCPs, raw OCPs) c: the fitted OCPs weigh 0
         c = c[:, :, 0]
         lin = np.concatenate([-c, -beta[:, None], np.ones((rows.size, 1)), -c[:, k:]], axis=1)
@@ -873,12 +876,9 @@ def _medians(core: _Core, config, warn: bool) -> tuple[_Refit, np.ndarray, list]
     fit = _pipeline(core, np.repeat(np.arange(n_ds), p_w), np.tile(np.arange(p_w), n_ds),
                     config, warn)
     failed = np.array([e is not None for e in fit.errors]).reshape(n_ds, p_w)
-    beta, clean = fit.beta.reshape(n_ds, p_w), ~failed.any(axis=1)
-    out = np.full(n_ds, math.nan)
-    out[clean] = np.median(beta[clean], axis=1)
     n_ok, need = p_w - failed.sum(axis=1), p_w // 2 + 1
-    for s in np.flatnonzero(~clean & (n_ok >= need)):
-        out[s] = np.median(beta[s, ~failed[s]])
+    out = np.full(n_ds, math.nan)  # a failed problem's beta is NaN already
+    out[n_ok >= need] = np.nanmedian(fit.beta.reshape(n_ds, p_w)[n_ok >= need], axis=1)
     errors = [None] * n_ds
     for s in np.flatnonzero(n_ok < need):
         j = int(np.argmax(failed[s]))

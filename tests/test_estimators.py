@@ -420,6 +420,7 @@ class TestErrorPrecedence:
         ids=["rate", "fixed", "cv"],
     )
     @failing_columns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a failed OCP is not computed on
     def test_a_column_failing_two_stages_reports_the_first(self, column, config):
         fits = estimate_invalid_tcp_ocp(self.with_ocp_1(column), config).per_ocp_fits
         assert type(fits[1]) is AssumptionViolation
@@ -461,15 +462,18 @@ class TestErrorPrecedence:
     def test_an_overflowing_ocp_fails_its_reduced_design(self):
         # OCP 1 scaled by 1e307 overflows its fitted column, so the bordered
         # R11 of its reduced design has non-finite entries: rank deficient,
-        # not a lasso that fails its certificate on NaN.
+        # not a lasso that fails its certificate on NaN. No later stage
+        # computes on it, so numpy does not warn.
         base = generate_invalid_tcp_ocp_data(SimConfig(n=400, p_z=6, s_z=2, p_w=3, seed=0), 0)
         w = base.W.copy()
         w[:, 1] *= 1e307
         data = Dataset(Y=base.Y, D=base.D, Z=base.Z, W=w)
-        with np.errstate(over="ignore", invalid="ignore"):  # the failed problem's arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(RankDeficient, match="non-finite entries$") as single:
                 estimate_invalid_tcp(data, 1)
             fits = estimate_invalid_tcp_ocp(data).per_ocp_fits
+            subsample_ci(data, n_subsamples=20, seed=0)
         assert type(fits[1]) is RankDeficient and str(fits[1]) == str(single.value)
         clean = estimate_invalid_tcp_ocp(base).per_ocp_fits
         for k in (0, 2):  # the other OCPs keep their bits

@@ -238,6 +238,41 @@ def test_the_guard_finds_a_second_penalty_path():
     assert referrers([("m", source)], "_penalty") == ["m._select", "m.select_lambda", "m.stage"]
 
 
+def definitions(sources: Sequence[tuple[str, str]], name: str) -> list[str]:
+    """The functions named ``name``, as ``module.name``."""
+    return [
+        f"{module}.{fn.name}" for module, source in sources
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name == name
+    ]
+
+
+def test_no_stage_silences_numpy_for_a_failed_problem():
+    # Each stage computes only the problems alive in its ledger, so no stage
+    # needs a placeholder or a silenced warning for a failed one. The two
+    # errstate blocks feed rank certificates, which report non-finite entries.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert referrers(sources, "errstate") == [
+        "estimators._reduced_design", "linalg._back_substitute"
+    ]
+    assert definitions(sources, "_positive") == []
+
+
+def test_the_guard_finds_a_silenced_stage_and_a_placeholder_helper():
+    source = (
+        "def _reduced_design(fx):\n"
+        "    with np.errstate(over='ignore'):\n"
+        "        return fx\n"
+        "def _select(x):\n"
+        "    with errstate(all='ignore'):\n"
+        "        return _positive(x)\n"
+        "def _positive(x):\n"
+        "    return np.where(x > 0.0, x, 1.0)\n"
+    )
+    assert referrers([("m", source)], "errstate") == ["m._reduced_design", "m._select"]
+    assert definitions([("m", source)], "_positive") == ["m._positive"]
+
+
 def test_estimators_take_a_qr_only_in_the_factor_and_the_refit():
     # With (X, 1) leading A, every other stage reads R22 and needs no QR.
     source = (SOURCES[0].parent / "estimators.py").read_text(encoding="utf-8")
