@@ -35,9 +35,9 @@ problems alive in the stack's error ledger when it runs, so a problem's
 first error is its only one. As ``(X, 1)`` lead, ``R = [[R11,
 R12], [0, R22]]`` and every stage after the factor reads ``R22``, the factor
 of ``(Z, D, W, Y)`` with ``(X, 1)`` partialled out (Frisch-Waugh-Lovell).
-The selection lasso runs in covariance form: a dataset's OCPs share one Gram
-matrix of the TCP block residualized on ``(D, X, 1)``, and each OCP takes a
-rank-one downdate of it.
+The selection lasso runs in covariance form, on each problem's TCP block
+residualized on ``(D, X, 1)`` and then on its fitted OCP, formed on M's rows
+of ``R22``.
 
 Everything is deterministic given its inputs; the only randomness is the
 subsample draw in :func:`subsample_ci`, driven by an explicit seed.
@@ -277,11 +277,11 @@ class _Core(NamedTuple):
 
     ``A L = Q (R L)`` for every column combination ``L``, so the inner
     products, residual norms and singular values of any sub-design of ``A``
-    are those of ``R L``. ``r`` appends the fitted OCP columns in the same
-    coordinates: the fit of ``W_j`` on ``M = (X, 1, Z, D)``, of width ``m``,
-    is the top ``m`` rows of ``W_j``'s column of ``R``; ``cols`` reads rows
-    ``h:``, those of ``R22``. Nothing n-row is kept: ``design(i)`` rebuilds
-    dataset ``i``'s ``A`` from what the caller holds, for :func:`_n_rows`.
+    are those of ``R L``. In the same coordinates the fit of ``W_j`` on ``M =
+    (X, 1, Z, D)``, of width ``m``, is the top ``m`` rows of ``W_j``'s column
+    ``m + j`` of ``R``; ``cols`` reads rows ``h:``, those of ``R22``. Nothing
+    n-row is kept: ``design(i)`` rebuilds dataset ``i``'s ``A`` from what the
+    caller holds, for :func:`_n_rows`.
     """
 
     n: int
@@ -289,7 +289,7 @@ class _Core(NamedTuple):
     p_w: int
     h: int  # the columns of (X, 1)
     m: int
-    r: np.ndarray  # (B, rows, k + p_w): R of A's k columns, then the fits
+    r: np.ndarray  # (B, rows, k): R of A's k columns
     coef: np.ndarray  # (B, m, p_w + 1): first-stage coefficients of W, Y
     fail: tuple  # per dataset: the rank error of M, or None
     y_sd: np.ndarray  # (B,): std(Y, ddof=1)
@@ -303,9 +303,6 @@ class _Core(NamedTuple):
     def tcps(self) -> slice:
         return slice(self.h, self.m - 1)
 
-    def fitted(self, ocp: np.ndarray) -> np.ndarray:
-        return self.m + self.p_w + 1 + ocp
-
 
 def _factor(data: Dataset, design: Callable, size: int) -> _Core:
     """One thin QR, in mode ``"r"``, per ``A = design(i)`` for ``i < size``
@@ -317,14 +314,12 @@ def _factor(data: Dataset, design: Callable, size: int) -> _Core:
         rs.append(np.linalg.qr(a, mode="r"))
         ys.append(a[:, -1].copy())
         del a  # freed before the next A is built: room for Y's rows
-    r, k = np.stack(rs), rs[0].shape[1]
+    r = np.stack(rs)
     h, m = data.p_x + 1, data.p_x + data.p_z + 2
     coef, errors = solve_upper(r[:, :m, :m], r[:, :m, m:])
     fail = tuple(e if e is None else str(e) for e in errors)
-    ext = np.concatenate([r, r[:, :, m : k - 1]], axis=2)
-    ext[:, m:, k:] = 0.0
     y_sd = np.std(np.stack(ys), axis=1, ddof=1)
-    return _Core(ys[0].size, data.p_z, data.p_w, h, m, ext, coef, fail, y_sd, design)
+    return _Core(ys[0].size, data.p_z, data.p_w, h, m, r, coef, fail, y_sd, design)
 
 
 def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
@@ -467,18 +462,20 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
 
 class _Reduced(NamedTuple):
     """The reduced design of the problems ``on``, those of a stack alive after
-    it: in covariance form (``gram = g'g``, ``xty = g'Y``), ``d_tilde``, and
-    ``rows(at) -> (g, Y)`` on M's rows of ``R22``, each indexed by position
-    in ``on``. ``lasso(at, thresh)`` solves the lassos of problems ``on[at]``."""
+    it: ``g`` and ``y`` on M's rows of ``R22``, its covariance form ``gram =
+    g'g`` and ``xty = g'y``, and ``d_tilde``, each indexed by position in
+    ``on``. ``lasso(at, thresh)`` solves the lassos of problems ``on[at]``."""
 
     on: np.ndarray
+    g: np.ndarray
+    y: np.ndarray
     gram: np.ndarray
     xty: np.ndarray
     d_tilde: np.ndarray
-    rows: Callable
 
     def lasso(self, at: np.ndarray, thresh: np.ndarray):
-        return lasso_gram(self.gram[at], self.xty[at], thresh, lambda i: self.rows(at[i]))
+        return lasso_gram(self.gram[at], self.xty[at], thresh,
+                          lambda i: (self.g[at[i]], self.y[at[i]]))
 
 
 def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) -> _Reduced:
@@ -489,12 +486,11 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     the TCP coefficients of the joint penalized regression exactly. Since
     ``what`` is ``Z delta`` (``delta``: the OCP's first-stage TCP
     coefficients) plus terms in ``(D, X, 1)``, ``g`` is ``Zp`` residualized
-    on ``Zp delta``, with ``Zp`` the TCP block residualized on ``(D, X, 1)``.
-    On ``R22``, ``Zp`` is one rank-one step off D; so ``Zp``, ``S = Zp'Zp``
-    and ``Zp'Y`` are formed once per dataset with a surviving problem, and
-    each problem takes rank-one downdates of ``S`` and ``Zp'Y``. ``g`` has
-    rank ``p_z - 1`` with null direction ``delta``, which is why selection
-    needs a majority or plurality of valid TCPs. Records in ``errors`` a
+    on ``w = Zp delta``, with ``Zp`` the TCP block residualized on ``(D, X,
+    1)``. On M's rows of ``R22``, ``Zp`` is one rank-one step off D's
+    column and ``g`` one more off ``w``, formed per problem. ``g`` has rank
+    ``p_z - 1`` with null direction ``delta``, which is why selection needs
+    a majority or plurality of valid TCPs. Records in ``errors`` a
     rank-deficient ``(what, X, 1)``, else a degenerate treatment, and
     returns the design of the problems neither fails. The rank is certified
     by :func:`~proxsel.linalg.solve_upper` on ``R11`` bordered by the fitted
@@ -504,37 +500,25 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     """
     h, m, top = core.h, core.m, core.r[:, core.h : core.m]  # top: M's rows of R22
     on = alive(errors)
-    fx = top[ds[on], :, core.fitted(ocp[on])]
+    fx = top[ds[on], :, m + ocp[on]]
     tri = core.r[ds[on], : h + 1, : h + 1]  # R11, bordered by the fitted OCP below
-    tri[:, :h, h] = core.r[ds[on], :h, core.fitted(ocp[on])]
+    tri[:, :h, h] = core.r[ds[on], :h, m + ocp[on]]
     with np.errstate(over="ignore"):  # an overflow is what the certificate calls non-finite
         tri[:, h, h] = np.sqrt(inner(fx, fx))
     keep_first(errors, solve_upper(tri, tri[:, :, :0])[1], at=on)
     on = alive(errors)
-    fx, dx = top[ds[on], :, core.fitted(ocp[on])], top[ds[on], :, m - 1]
+    fx, dx = top[ds[on], :, m + ocp[on]], top[ds[on], :, m - 1]
     d_tilde = dx - fx * (inner(fx, dx) / inner(fx, fx))[:, None]
     d = core.r[ds[on], :, m - 1]
     bad, degenerate = _degenerate(inner(d_tilde, d_tilde), inner(d, d), DegenerateTreatment,
                                   "the fitted OCP and covariates")
     keep_first(errors, degenerate, at=on[bad])
     on, d_tilde = on[~bad], d_tilde[~bad]
-    u, inv = np.unique(ds[on], return_inverse=True)
-    top = top[u]  # the datasets with a surviving problem
-    z, dx = top[:, :, core.tcps], top[:, :, m - 1]
-    zp = z - dx[:, :, None] * (matvec(swap(z), dx) / inner(dx, dx)[:, None])[:, None]
-    s, y = swap(zp) @ zp, top[:, :, m + core.p_w]
-    zy = matvec(swap(zp), y)
-    delta, gram = core.coef[ds[on], core.tcps, ocp[on]], s[inv]
-    s_delta = matvec(gram, delta)
-    scale = 1.0 / np.sqrt(inner(delta, s_delta))[:, None]
-    t, v = delta * scale, s_delta * scale  # g = Zp - Zp t v', g'g = S - v v'
-    gram -= v[:, :, None] * v[:, None, :]
-
-    def rows(at):
-        g = zp[inv[at]]
-        return g - matvec(g, t[at])[:, :, None] * v[at, None, :], y[inv[at]]
-
-    return _Reduced(on, gram, zy[inv] - v * inner(t, zy[inv])[:, None], d_tilde, rows)
+    g, dx, y = (core.r[ds[on], h:m, c] for c in (core.tcps, m - 1, m + core.p_w))
+    g -= dx[:, :, None] * (matvec(swap(g), dx) / inner(dx, dx)[:, None])[:, None]  # now Zp
+    w = matvec(g, core.coef[ds[on], core.tcps, ocp[on]])
+    g -= w[:, :, None] * (matvec(swap(g), w) / inner(w, w)[:, None])[:, None]
+    return _Reduced(on, g, y, swap(g) @ g, matvec(swap(g), y), d_tilde)
 
 
 def _degenerate(resid_sq: np.ndarray, d_sq: np.ndarray, kind, others: str):
@@ -554,8 +538,8 @@ def _penalty(core: _Core, ds: np.ndarray, config, red, errors: list) -> np.ndarr
         return np.full(ds.size, float(config.lambda_n))
     if config.lambda_mode == "rate":
         return core.y_sd[ds] * math.sqrt(core.n) / math.log(core.n)
-    lam, g = np.zeros(ds.size), red.rows(np.arange(red.on.size))[0]
-    lam[red.on], cv_errors = cv_penalty(*_n_rows(core, ds[red.on], g),
+    lam = np.zeros(ds.size)
+    lam[red.on], cv_errors = cv_penalty(*_n_rows(core, ds[red.on], red.g),
                                         np.max(np.abs(red.xty), axis=1))
     keep_first(errors, cv_errors, at=red.on)
     return lam
@@ -680,8 +664,9 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
         rows, p = on[counts == k], k + q
         tcps, dsr, w = np.nonzero(sel[rows])[1].reshape(rows.size, k), ds[rows], ocps[rows]
         dy = np.tile([core.m - 1, core.m + core.p_w], (rows.size, 1))  # D and Y
-        r = np.linalg.qr(core.cols(dsr, np.column_stack(
-            [core.h + tcps, core.fitted(w), dy, core.m + w])), mode="r")
+        x = core.cols(dsr, np.column_stack([core.h + tcps, core.m + w, dy, core.m + w]))
+        x[:, core.m - core.h :, k:p] = 0.0  # the fitted OCPs: W's columns on M's rows
+        r = np.linalg.qr(x, mode="r")
         d = core.r[dsr, :, core.m - 1]
         bad, degenerate = _degenerate(r[:, p, p] ** 2, inner(d, d), RankDeficient,
                                       "the other refit regressors")
@@ -709,7 +694,7 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
 
 def _given(core: _Core, sel: Sequence[int], ocps: Sequence[int]) -> _Refit:
     """:func:`_refit` of each dataset of ``core`` on the TCPs ``sel`` and OCPs ``ocps``."""
-    ds = np.arange(len(core.fail))
+    ds = np.arange(len(core.r))
     mask = np.zeros((ds.size, core.p_z), dtype=bool)
     mask[:, list(sel)] = True
     return _refit(core, ds, mask, np.tile(np.array(ocps, dtype=int), (ds.size, 1)),
@@ -872,13 +857,14 @@ def _medians(core: _Core, config, warn: bool) -> tuple[_Refit, np.ndarray, list]
     order, and each dataset's median effect over its succeeded OCPs with its
     error: NaN and an :class:`AggregateFailure` naming the first failed OCP
     unless a strict majority of the dataset's OCPs succeeded."""
-    n_ds, p_w = len(core.fail), core.p_w
+    n_ds, p_w = len(core.r), core.p_w
     fit = _pipeline(core, np.repeat(np.arange(n_ds), p_w), np.tile(np.arange(p_w), n_ds),
                     config, warn)
     failed = np.array([e is not None for e in fit.errors]).reshape(n_ds, p_w)
     n_ok, need = p_w - failed.sum(axis=1), p_w // 2 + 1
-    out = np.full(n_ds, math.nan)  # a failed problem's beta is NaN already
-    out[n_ok >= need] = np.nanmedian(fit.beta.reshape(n_ds, p_w)[n_ok >= need], axis=1)
+    beta, at = np.sort(fit.beta.reshape(n_ds, p_w), axis=1), np.arange(n_ds)  # failed: NaN, last
+    lo, hi = beta[at, (n_ok - 1) // 2], beta[at, n_ok // 2]  # the middle of the n_ok finite
+    out = np.where(n_ok >= need, (lo + hi) / 2, math.nan)  # the bits of np.nanmedian
     errors = [None] * n_ds
     for s in np.flatnonzero(n_ok < need):
         j = int(np.argmax(failed[s]))
@@ -909,10 +895,10 @@ def _subsample_size(b: int | None, n: int, min_b: int) -> int:
 # replications by simulation.run_monte_carlo): a bigger block saves numpy
 # call overhead and holds more heap. On 200 subsamples of n = 2500 rows
 # with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4, 2 vCPUs; medians
-# of 8 interleaved rounds), blocks of 20 take 62 ms and peak at 1.56 MB of
-# Python heap; blocks of 10 take 73 ms (1.02 MB), of 40 56 ms (2.64 MB),
-# of 100 48 ms (5.86 MB), one at a time 264 ms (0.92 MB) and one stack of
-# all 200 48 ms (10.8 MB).
+# of 8 interleaved rounds), blocks of 20 take 71 ms and peak at 1.69 MB of
+# Python heap; blocks of 10 take 103 ms (1.08 MB), of 40 63 ms (2.88 MB),
+# of 100 52 ms (6.46 MB), one at a time 317 ms (0.73 MB) and one stack of
+# all 200 56 ms (12.0 MB).
 _SUBSAMPLE_BLOCK = 20
 
 
@@ -1008,7 +994,7 @@ def _reduced_rows(data: Dataset, ocp_index: int):
     core, ds, ocp, errors = _problem(data, ocp_index)
     red = _reduced_design(core, ds, ocp, errors)
     _check(errors[0])
-    coords = np.concatenate([red.rows(ds)[0], red.d_tilde[:, :, None]], axis=2)
+    coords = np.concatenate([red.g, red.d_tilde[:, :, None]], axis=2)
     x = _n_rows(core, ds, coords)[0][0]
     return x[:, :-1], x[:, -1], _what(data, core, ocp_index)
 
@@ -1018,20 +1004,21 @@ def select_lambda(
     ocp_index: int = 0,
     mode: str = "cv",
 ) -> float:
-    """The pipeline's own selection-stage penalty, on OCP ``ocp_index`` alone.
+    """The selection stage's penalty in ``mode``, on OCP ``ocp_index`` alone.
 
-    ``rate`` mode returns ``std(Y) * sqrt(n) / log(n)`` — a deterministic
-    schedule that diverges while remaining ``o(sqrt(n))``, the growth regime
-    under which the adaptive selection is consistent. ``cv`` mode runs
+    ``mode`` defaults to ``"cv"``, the pipeline's
+    ``EstimationConfig.lambda_mode`` to ``"rate"``. ``rate`` mode returns
+    ``std(Y) * sqrt(n) / log(n)`` — a deterministic schedule that diverges
+    while remaining ``o(sqrt(n))``, the growth regime under which the
+    adaptive selection is consistent. ``cv`` mode runs
     :func:`proxsel.lasso.cv_penalty`: ``CV_FOLDS``-fold cross-validation of
     the plain lasso on the residualized TCP design over ``CV_GRID_SIZE``
-    log-spaced penalties, from the smallest with an all-zero solution down
-    to ``CV_GRID_MIN_RATIO`` times it, all read off each fold's exact lasso
-    path; folds are contiguous row blocks (no RNG) and ties prefer the
-    larger penalty. The folds take the reduced
-    design back to n rows as ``A_M R_MM^-1 g``. The selection stage runs in
-    full, weighted lasso included, so this fails where and as the pipeline
-    does, in :func:`_ledger`'s order.
+    log-spaced penalties, from the smallest with an all-zero solution down to
+    ``CV_GRID_MIN_RATIO`` times it, all read off each fold's exact lasso
+    path; folds are contiguous row blocks (no RNG) and ties prefer the larger
+    penalty. The folds rebuild the n-row reduced design as ``A_M R_MM^-1 g``.
+    The selection stage runs in full, weighted lasso included, so this fails
+    where and as the pipeline does, in :func:`_ledger`'s order.
     """
     config = EstimationConfig(lambda_mode=mode)
     core, ds, ocp, errors = _problem(data, ocp_index, config)

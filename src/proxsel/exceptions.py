@@ -41,7 +41,8 @@ class CombinatorialBlowup(ProxselError):
 
 
 class InvalidBound(ProxselError):
-    """The invalid-proxy upper bound lies outside its admissible range."""
+    """A parameter lies outside its admissible range: the invalid-proxy bound, a
+    penalty, level, seed, subsample count or size, a SimConfig field, or n < 20 in cv mode."""
 
 
 class AssumptionViolation(ProxselError):

@@ -262,7 +262,7 @@ def _closed_form(core, name: str, config: SimConfig, est_config: EstimationConfi
     ``oracle_p2sls`` with the true invalid set, ``naive_p2sls`` or
     ``ols_baseline``, with each problem's first error."""
     if name == "adaptive":
-        ds = np.arange(len(core.fail))
+        ds = np.arange(len(core.r))
         return _pipeline(core, ds, np.zeros_like(ds), est_config, True)
     if name == "oracle":
         return _given(core, range(config.s_z), [_oracle_ocp_index(config)])

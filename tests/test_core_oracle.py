@@ -303,3 +303,5 @@ def test_covariance_form_is_the_n_row_reduced_design(seed, p_x, near_x, near_d, 
             red.xty[at[j]], g.T @ data.Y, rtol=0,
             atol=1e-10 * math.sqrt(s_norm) * np.linalg.norm(data.Y),
         )
+        g_rows = est._n_rows(core, ds[:1], red.g[at[j]][None])[0][0]  # Q_M g, n rows
+        np.testing.assert_allclose(g_rows, g, rtol=0, atol=1e-10 * math.sqrt(s_norm))

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -830,6 +831,24 @@ class TestMedianOverOcps:
             "only 4 of 10 per-OCP runs succeeded; need at least 6; OCP 4 failed with "
             "AssumptionViolation: OCP reduced-form coefficient is numerically zero")
         assert (err.value.n_failed, err.value.n_total) == (6, 10)
+
+    @pytest.mark.parametrize("p_w", [3, 4, 10, 24])
+    def test_the_median_has_the_bits_of_nanmedian(self, p_w, monkeypatch):
+        # Effects over ten orders of magnitude, each failed OCP's NaN: every
+        # dataset a strict majority of its OCPs backs gets np.nanmedian's bits.
+        rng = np.random.default_rng(p_w)
+        beta = rng.standard_normal((500, p_w)) * 10.0 ** rng.uniform(-5, 5, (500, 1))
+        beta[rng.random(beta.shape) < rng.random((500, 1))] = math.nan
+        errors = [None if np.isfinite(b) else RankDeficient("failed") for b in beta.flat]
+        refit = estimators_module._Refit(beta.ravel(), beta.ravel(), np.zeros((beta.size, 1)),
+                                         beta.ravel(), errors)
+        monkeypatch.setattr(estimators_module, "_pipeline", lambda *args: refit)
+        core = SimpleNamespace(r=np.zeros((500, 0, 0)), p_w=p_w)
+        medians = estimators_module._medians(core, EstimationConfig(), False)[1]
+        kept = np.isfinite(beta).sum(axis=1) > p_w // 2
+        assert kept.any() and not kept.all() and np.isnan(beta[kept]).any()
+        assert medians[kept].tobytes() == np.nanmedian(beta[kept], axis=1).tobytes()
+        assert np.isnan(medians[~kept]).all()
 
 
 class TestSubsampleCi:
