@@ -23,10 +23,11 @@ known about validity:
   the pipeline once per OCP column and taking the median;
   :func:`subsample_ci` supplies its confidence interval.
 
-Every stage depends on the data only through ``A = [X, 1, Z, D, W, Y]``.
-Each dataset (and each subsample) takes one thin QR ``A = Q R`` in mode
-``"r"``, as does the refit of its small design: no stage forms or keeps a
-``Q``. Since ``A L = Q (R L)``, every stage runs on ``R``
+Every stage depends on the data only through ``A = [X, 1, Z, D, W, Y]``,
+which a :class:`Dataset` stores once, column-major, its fields views of it.
+Each dataset's ``A`` (and each subsample's rows of it) takes one thin QR ``A
+= Q R`` in mode ``"r"``, as does the refit of its small design: no stage
+forms or keeps a ``Q``. Since ``A L = Q (R L)``, every stage runs on ``R``
 with the inner products, residual norms and rank certificates of the n-row
 design, on stacks of (dataset, OCP) problems: one problem for
 :func:`estimate_invalid_tcp`, ``p_w`` for the median, blocks of subsamples
@@ -49,7 +50,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,7 +66,8 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import alive, as_matrix, as_vector, inner, keep_first, matvec, solve_upper, swap
+from .linalg import alive, as_index, as_matrix, as_vector, inner, keep_first, matvec
+from .linalg import solve_upper, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -115,23 +117,19 @@ _PACKAGE = os.path.dirname(__file__) + os.sep
 # ---------------------------------------------------------------------------
 
 
-def _read_only(owned: np.ndarray) -> np.ndarray:
-    """Freeze an array nothing else holds a writable reference to."""
-    owned.flags.writeable = False
-    return owned
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One sample: outcome, treatment, proxy blocks, optional covariates.
 
     ``X`` may be ``None`` or an ``n x 0`` matrix when there are no observed
     covariates. Requires ``n > p_z + p_w + p_x + 1`` so every second-stage
-    regression has positive degrees of freedom. The dataset stores read-only
-    copies of its arrays, so neither ``data.Y[...] = ...`` nor a write to
-    the caller's own array changes what a later estimate sees; fitting
-    stores nothing on it. Datasets, first stages and fits compare and hash
-    by identity: their arrays have no single truth value.
+    regression has positive degrees of freedom. The dataset stores one
+    read-only, column-major design ``A = [X, 1, Z, D, W, Y]``, the only
+    n-row array a fit reads, and its fields are read-only views of ``A``'s
+    columns: neither ``data.Y[...] = ...`` nor a write to the caller's own
+    array changes what a later estimate sees, and fitting stores nothing on
+    it. Datasets, first stages and fits compare and hash by identity: their
+    arrays have no single truth value.
     """
 
     Y: np.ndarray
@@ -139,6 +137,7 @@ class Dataset:
     Z: np.ndarray
     W: np.ndarray
     X: np.ndarray | None = None
+    A: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = as_vector(self.Y, "Y")
@@ -157,10 +156,19 @@ class Dataset:
         min_n = z.shape[1] + w.shape[1] + x.shape[1] + 1
         if n <= min_n:
             raise ValueError(f"need n > p_z + p_w + p_x + 1 = {min_n}, got n = {n}")
-        for name, arr in (("Y", y), ("D", d), ("Z", z), ("W", w), ("X", x)):
-            # Copy (keeping the memory layout): np.asarray above does not,
-            # and a later write to the caller's array must not reach the fit.
-            object.__setattr__(self, name, _read_only(arr.copy(order="K")))
+        # A copy no later write to the caller's arrays reaches, column-major as
+        # LAPACK takes it: the stack of its columns follows its blocks' layout,
+        # column-major when covariates lead, and A then takes a second copy.
+        a = np.asfortranarray(np.vstack([x.T, np.ones(n), z.T, d, w.T, y]).T)
+        a.flags.writeable = False
+        h, m = x.shape[1] + 1, x.shape[1] + z.shape[1] + 2
+        for name, view in (("A", a), ("X", a[:, : h - 1]), ("Z", a[:, h : m - 1]),
+                           ("D", a[:, m - 1]), ("W", a[:, m:-1]), ("Y", a[:, -1])):
+            object.__setattr__(self, name, view)
+
+    def __reduce__(self):
+        # A copy or pickle is rebuilt as built: its fields views of its own A.
+        return Dataset, (self.Y, self.D, self.Z, self.W, self.X)
 
     @property
     def n(self) -> int:
@@ -264,13 +272,6 @@ class EstimationConfig:
 # One R-factor per dataset and call
 # ---------------------------------------------------------------------------
 
-def _augmented(data: Dataset) -> np.ndarray:
-    """``A = [X, 1, Z, D, W, Y]``, column-major as LAPACK takes it: every
-    stage depends on the data only through it, a subsample on its rows.
-    Its columns are the rows of one C-order stack, so it takes one copy."""
-    return np.vstack([data.X.T, np.ones(data.n), data.Z.T, data.D, data.W.T, data.Y]).T
-
-
 class _Core(NamedTuple):
     """Thin-QR factors ``R`` of ``A`` for a stack of equal-size datasets,
     with the first stage solved on them.
@@ -280,8 +281,8 @@ class _Core(NamedTuple):
     are those of ``R L``. In the same coordinates the fit of ``W_j`` on ``M =
     (X, 1, Z, D)``, of width ``m``, is the top ``m`` rows of ``W_j``'s column
     ``m + j`` of ``R``; ``cols`` reads rows ``h:``, those of ``R22``. Nothing
-    n-row is kept: ``design(i)`` rebuilds dataset ``i``'s ``A`` from what the
-    caller holds, for :func:`_n_rows`.
+    n-row is kept: ``design(i)`` returns dataset ``i``'s ``A``, or a
+    subsample's rows of it, for :func:`_n_rows`.
     """
 
     n: int
@@ -293,7 +294,7 @@ class _Core(NamedTuple):
     coef: np.ndarray  # (B, m, p_w + 1): first-stage coefficients of W, Y
     fail: tuple  # per dataset: the rank error of M, or None
     y_sd: np.ndarray  # (B,): std(Y, ddof=1)
-    design: Callable  # i -> dataset i's A
+    design: Callable  # i -> dataset i's A, or a subsample's rows of it
 
     def cols(self, ds: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Sub-design ``cols[i]`` of problem ``i``'s dataset ``ds[i]``."""
@@ -306,14 +307,14 @@ class _Core(NamedTuple):
 
 def _factor(data: Dataset, design: Callable, size: int) -> _Core:
     """One thin QR, in mode ``"r"``, per ``A = design(i)`` for ``i < size``
-    (row subsets of ``data``, built one at a time), and the first stage on
-    each ``R``."""
+    (datasets' own ``A``, or row subsets of ``data``'s built one at a time),
+    and the first stage on each ``R``."""
     rs, ys = [], []
     for i in range(size):
         a = design(i)
         rs.append(np.linalg.qr(a, mode="r"))
         ys.append(a[:, -1].copy())
-        del a  # freed before the next A is built: room for Y's rows
+        del a  # a subsample's rows are freed before the next are gathered
     r = np.stack(rs)
     h, m = data.p_x + 1, data.p_x + data.p_z + 2
     coef, errors = solve_upper(r[:, :m, :m], r[:, :m, m:])
@@ -324,7 +325,7 @@ def _factor(data: Dataset, design: Callable, size: int) -> _Core:
 
 def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
     """One :func:`_factor` call over equal-shape datasets."""
-    return _factor(datasets[0], lambda i: _augmented(datasets[i]), len(datasets))
+    return _factor(datasets[0], lambda i: datasets[i].A, len(datasets))
 
 
 def _single(data: Dataset, ocps=()) -> _Core:
@@ -376,7 +377,7 @@ def _problem(data: Dataset, ocp_index: int, config: EstimationConfig | None = No
 
 def _what(data: Dataset, core: _Core, ocp_index: int) -> np.ndarray:
     # from C order: a column-major product rounds differently
-    return np.ascontiguousarray(_augmented(data)[:, : core.m]) @ core.coef[0][:, ocp_index]
+    return np.ascontiguousarray(data.A[:, : core.m]) @ core.coef[0][:, ocp_index]
 
 
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
@@ -885,7 +886,7 @@ def _subsample_size(b: int | None, n: int, min_b: int) -> int:
     """``b``, by default :func:`default_subsample_size`, once ``min_b < b <
     n``: at or below ``min_b = p_z + p_w + p_x + 1`` no subsample is a
     valid :class:`Dataset`."""
-    b = default_subsample_size(n) if b is None else int(b)
+    b = default_subsample_size(n) if b is None else as_index(b, "b")
     if not min_b < b < n:
         raise InvalidBound(f"need p_z + p_w + p_x + 1 = {min_b} < b < n = {n}, got b = {b}")
     return b
@@ -894,11 +895,11 @@ def _subsample_size(b: int | None, n: int, min_b: int) -> int:
 # Subsamples factored and fitted in one stack by subsample_ci (and
 # replications by simulation.run_monte_carlo): a bigger block saves numpy
 # call overhead and holds more heap. On 200 subsamples of n = 2500 rows
-# with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4, 2 vCPUs; medians
-# of 8 interleaved rounds), blocks of 20 take 71 ms and peak at 1.69 MB of
-# Python heap; blocks of 10 take 103 ms (1.08 MB), of 40 63 ms (2.88 MB),
-# of 100 52 ms (6.46 MB), one at a time 317 ms (0.73 MB) and one stack of
-# all 200 56 ms (12.0 MB).
+# with 10 TCPs and 10 OCPs (one BLAS thread, numpy 2.4, 1 vCPU; medians
+# of 8 interleaved rounds), blocks of 20 take 59 ms and peak at 1.23 MB of
+# Python heap; blocks of 10 take 71 ms (0.62 MB), of 40 51 ms (2.42 MB),
+# of 100 48 ms (6.00 MB), one at a time 263 ms (0.26 MB) and one stack of
+# all 200 49 ms (11.6 MB).
 _SUBSAMPLE_BLOCK = 20
 
 
@@ -906,17 +907,16 @@ def _subsample_fits(data: Dataset, config, n_subsamples: int, b: int, seed: int)
     """Blocks of subsample indices, each with :func:`_medians` of its
     subsamples; subsample ``i`` draws its ``b`` rows from the stream keyed
     by ``(seed, STREAM_SUBSAMPLE, i)``."""
-    a = _augmented(data)
     for first in range(0, n_subsamples, _SUBSAMPLE_BLOCK):
         block = range(first, min(first + _SUBSAMPLE_BLOCK, n_subsamples))
         draws = [
             np.sort(np.random.default_rng(
-                np.random.SeedSequence((int(seed), STREAM_SUBSAMPLE, i))
+                np.random.SeedSequence((seed, STREAM_SUBSAMPLE, i))
             ).choice(data.n, size=b, replace=False))
             for i in block
         ]
         # each subsample's rows of A, column-major like A
-        core = _factor(data, lambda s, draws=draws: np.take(a.T, draws[s], axis=1).T,
+        core = _factor(data, lambda s, draws=draws: np.take(data.A.T, draws[s], axis=1).T,
                        len(draws))
         yield block, *_medians(core, config, False)
 
@@ -954,6 +954,7 @@ def subsample_ci(
     config = config or EstimationConfig()
     n = data.n
     b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
+    n_subsamples, seed = as_index(n_subsamples, "n_subsamples"), as_index(seed, "seed")
     if n_subsamples < 1:
         raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
     if seed < 0:

@@ -23,11 +23,12 @@ non-finite entries is rank deficient without one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import RankDeficient
+from .exceptions import InvalidBound, RankDeficient
 
 __all__ = ["OlsFit", "project", "ols", "orthonormal_basis"]
 
@@ -64,6 +65,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as a Python int when it is a Python or numpy integer
+    (``operator.index``); anything else, a float included, is an
+    :class:`~proxsel.exceptions.InvalidBound` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidBound(f"{name} must be an integer, got {value!r}") from None
 
 
 def orthonormal_basis(design) -> np.ndarray:

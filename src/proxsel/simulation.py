@@ -25,7 +25,7 @@ config alone and do not depend on the blocking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .estimators import (
 from .estimators import estimate_invalid_tcp, estimate_invalid_tcp_ocp  # noqa: F401
 from .estimators import naive_p2sls, ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
-from .linalg import keep_first
+from .linalg import as_index, keep_first
 
 __all__ = [
     "SimConfig",
@@ -124,6 +124,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, as_index(getattr(self, f.name), f.name))
         if self.p_z < 1 or self.p_w < 1:
             raise InvalidBound(f"need p_z >= 1 and p_w >= 1, got p_z={self.p_z}, p_w={self.p_w}")
         if self.n <= self.p_z + self.p_w + 1:  # below it, no draw is a Dataset
@@ -217,6 +220,9 @@ class SubsampleCiConfig:
     recenter: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_subsamples", as_index(self.n_subsamples, "n_subsamples"))
+        if self.b is not None:
+            object.__setattr__(self, "b", as_index(self.b, "b"))
         if self.n_subsamples < 1:
             raise InvalidBound(f"n_subsamples must be >= 1, got {self.n_subsamples}")
 

@@ -99,11 +99,27 @@ class TestFirstStage:
             Y=y, D=rng.normal(size=20), Z=rng.normal(size=(20, 2)),
             W=rng.normal(size=(20, 1)),
         )
-        for arr in (data.Y, data.D, data.Z, data.W, data.X):
-            with pytest.raises(ValueError):
+        for arr in (data.Y, data.D, data.Z, data.W, data.X, data.A):
+            with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
         y[0] = 5.0  # the caller's own array stays writable ...
         assert data.Y[0] == 0.0  # ... and the dataset does not see it
+
+    def test_dataset_fields_are_read_only_views_of_one_column_major_a(self):
+        rng = np.random.default_rng(1)
+        y, d, z, w, x = (rng.normal(size=s) for s in (20, 20, (20, 3), (20, 2), (20, 2)))
+        data = Dataset(Y=y, D=d, Z=z, W=w, X=x)
+        assert data.A.flags.f_contiguous
+        np.testing.assert_array_equal(data.A, np.column_stack([x, np.ones(20), z, d, w, y]))
+        for arr in (data.X, data.Z, data.D, data.W, data.Y):
+            assert np.shares_memory(arr, data.A)
+        bare = Dataset(Y=y, D=d, Z=z, W=w)
+        assert bare.A.shape == (20, 8) and bare.A.flags.f_contiguous and bare.X.shape == (20, 0)
+        for built in (data, bare):  # a pickle is rebuilt as built
+            clone = pickle.loads(pickle.dumps(built))
+            assert clone.A.flags.f_contiguous and not clone.A.flags.writeable
+            assert all(np.shares_memory(arr, clone.A) for arr in (clone.Z, clone.D, clone.Y))
+            np.testing.assert_array_equal(clone.A, built.A)
 
     def test_writing_the_source_arrays_leaves_the_estimate_alone(self):
         base = generate_invalid_tcp_ocp_data(
@@ -150,7 +166,7 @@ class TestFirstStage:
         oracle_p2sls(data, (0, 1))
         naive_p2sls(data)
         first_stage(data, 1)
-        # each call takes one thin QR of A = [Z, D, X, 1, W, Y], 5 + 1 + 0
+        # each call takes one thin QR of A = [X, 1, Z, D, W, Y], 0 + 1 + 5
         # + 1 + 2 + 1 columns, and keeps nothing on the dataset
         assert calls == [[(300, 10)]] * 5
 
@@ -675,6 +691,27 @@ class TestFactor:
         tall = [mode for rows, mode in calls if rows > k]
         assert len(tall) > 10 and set(tall) == {"r"}
 
+    def test_a_full_sample_fit_factors_the_datasets_own_a(self, monkeypatch):
+        # No fit rebuilds A: the factor, first_stage's fitted OCP and the cv
+        # folds' rows all read the dataset's one copy.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=5, s_z=2, p_w=3, s_w=1, y_noise_sd=1.0), 0
+        )
+        inputs, qr = [], np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            inputs.append(a)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        estimate_invalid_tcp(data, 1)
+        estimate_invalid_tcp_ocp(data, EstimationConfig(lambda_mode="cv"))
+        first_stage(data, 2)
+        monkeypatch.undo()
+        tall = [a for a in inputs if np.shape(a)[-2] == data.n]
+        assert len(tall) == 3 and all(a is data.A for a in tall)
+        assert estimators_module._single(data).design(0) is data.A
+
     def test_a_block_factor_peaks_at_a_few_designs_not_the_block(self):
         datasets = [
             generate_invalid_tcp_ocp_data(
@@ -690,7 +727,7 @@ class TestFactor:
         finally:
             tracemalloc.stop()
         # Keeping each dataset's n-row Q would hold 20 designs' worth.
-        a_bytes = estimators_module._augmented(datasets[0]).nbytes
+        a_bytes = datasets[0].A.nbytes
         assert peak < 4 * a_bytes
         assert all(2500 not in f.shape for f in core if isinstance(f, np.ndarray))
 
@@ -1048,7 +1085,7 @@ class TestSubsampleCi:
         subsample_ci(data, n_subsamples=30, seed=3, recenter=True)  # factors A too
         monkeypatch.undo()
         assert svd_calls == []
-        k = 6 + 3 + 3  # A = [Z, D, 1, W, Y]
+        k = 6 + 3 + 3  # A = [X, 1, Z, D, W, Y]
         assert [f for shape, f in qr_inputs if shape in ((b, k), (400, k))] == [True] * 31
 
     def test_subsample_size_bounds_are_enforced(self):
@@ -1061,6 +1098,21 @@ class TestSubsampleCi:
             subsample_ci(data, b=300, n_subsamples=5)
         with pytest.raises(InvalidBound):
             subsample_ci(data, n_subsamples=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 2.9), ("seed", 2.0), ("b", 99.99), ("n_subsamples", 5.5), ("n_subsamples", "5"),
+    ])
+    def test_a_non_integer_count_is_an_invalid_bound(self, name, value):
+        # seed=2.9 used to draw seed 2's subsamples and b=99.99 b=99's rows;
+        # n_subsamples=5.5 died in numpy with a TypeError.
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=300, p_z=4, s_z=1, p_w=2, s_w=0, y_noise_sd=1.0), 2
+        )
+        with pytest.raises(InvalidBound, match=f"^{name} must be an integer"):
+            subsample_ci(data, **{"n_subsamples": 5, name: value})
+        numpy_ints = subsample_ci(data, n_subsamples=np.int64(5), b=np.int32(99),
+                                  seed=np.uint8(2))
+        assert numpy_ints == subsample_ci(data, n_subsamples=5, b=99, seed=2)
 
     def test_subsample_size_must_exceed_the_dataset_minimum(self):
         data = generate_invalid_tcp_ocp_data(

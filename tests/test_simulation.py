@@ -90,6 +90,20 @@ class TestConfigValidation:
     def test_the_list_holds_every_float_field(self):
         assert len(self.FLOAT_FIELDS) == 13
 
+    INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_non_integer_counts_are_invalid_bounds(self, field, value):
+        # reps=2.5 used to be accepted, and run_monte_carlo then raised a bare TypeError.
+        with pytest.raises(InvalidBound, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+        config = SimConfig(**{field: np.int64(getattr(SimConfig(), field))})
+        assert config == SimConfig() and type(getattr(config, field)) is int
+
+    def test_the_list_holds_every_int_field(self):
+        assert self.INT_FIELDS == ["n", "p_z", "p_w", "s_z", "s_w", "reps", "seed"]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_adaptive_floor_is_an_invalid_bound(self, value):
         # NaN used to fail as NoConvergence, inf as RankDeficient.
@@ -111,6 +125,14 @@ class TestSubsampleSettings:
     def test_no_subsamples_is_an_invalid_bound(self):
         with pytest.raises(InvalidBound, match="n_subsamples must be >= 1, got 0"):
             SubsampleCiConfig(n_subsamples=0)
+
+    @pytest.mark.parametrize("value", [2.5, 30.0, "30"])
+    @pytest.mark.parametrize("field", ["n_subsamples", "b"])
+    def test_a_non_integer_count_is_an_invalid_bound(self, field, value):
+        with pytest.raises(InvalidBound, match=f"^{field} must be an integer"):
+            SubsampleCiConfig(**{field: value})
+        config = SubsampleCiConfig(**{field: np.int64(30)})
+        assert getattr(config, field) == 30 and type(getattr(config, field)) is int
 
     @pytest.mark.parametrize("b", [5, 10, 300, 301])
     def test_a_size_out_of_range_fails_before_any_draw(self, b, monkeypatch):
@@ -487,7 +509,7 @@ class TestBlockedReplications:
         monkeypatch.setattr(estimators, "_factor", counting_factor)
         config = SimConfig(n=300, p_z=5, s_z=2, reps=4, y_noise_sd=1.0)
         run_monte_carlo(config, ("adaptive", "oracle", "naive", "ols"))
-        # A = [Z, D, X, 1, W, Y] has 5 + 1 + 0 + 1 + 1 + 1 columns
+        # A = [X, 1, Z, D, W, Y] has 0 + 1 + 5 + 1 + 1 + 1 columns
         assert calls == [[(300, 9)] * 4]
         calls.clear()
         # the median fits on its block's one factor too

@@ -273,6 +273,28 @@ def test_the_guard_finds_a_silenced_stage_and_a_placeholder_helper():
     assert definitions([("m", source)], "_positive") == ["m._positive"]
 
 
+def test_a_is_assembled_in_one_place():
+    # A Dataset stores A = [X, 1, Z, D, W, Y] once; every fit reads it, or a
+    # subsample's rows of it, and none rebuilds it.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert referrers(sources, "vstack") == ["estimators.__post_init__"]
+    assert definitions(sources, "_augmented") == []
+
+
+def test_the_guard_finds_a_second_assembly():
+    source = (
+        "class Dataset:\n"
+        "    def __post_init__(self):\n"
+        "        a = np.vstack([self.X.T, self.Y])\n"
+        "def _augmented(data):\n"
+        "    return vstack([data.X.T, data.Y]).T\n"
+        "def _what(data):\n"
+        "    return data.A\n"
+    )
+    assert referrers([("m", source)], "vstack") == ["m._augmented", "m.__post_init__"]
+    assert definitions([("m", source)], "_augmented") == ["m._augmented"]
+
+
 def test_estimators_take_a_qr_only_in_the_factor_and_the_refit():
     # With (X, 1) leading A, every other stage reads R22 and needs no QR.
     source = (SOURCES[0].parent / "estimators.py").read_text(encoding="utf-8")
