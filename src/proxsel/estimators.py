@@ -67,7 +67,7 @@ from .exceptions import (
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
 from .linalg import alive, as_index, as_matrix, as_vector, inner, keep_first, matvec
-from .linalg import solve_upper, swap
+from .linalg import NON_FINITE, solve_upper, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -329,10 +329,11 @@ def _factor_datasets(datasets: Sequence[Dataset]) -> _Core:
 
 
 def _single(data: Dataset, ocps=()) -> _Core:
-    """The factor of ``data`` alone once the OCP indices ``ocps`` are in
-    range; a failed first stage is left to the caller."""
+    """The factor of ``data`` alone once the OCP indices ``ocps`` are integers
+    (:func:`~proxsel.linalg.as_index`) in range; a failed first stage is left
+    to the caller."""
     for k in ocps:
-        if not 0 <= int(k) < data.p_w:
+        if not 0 <= as_index(k, "ocp_index") < data.p_w:
             raise IndexError(f"ocp_index must lie in [0, {data.p_w - 1}], got {k}")
     return _factor_datasets([data])
 
@@ -372,16 +373,16 @@ def _problem(data: Dataset, ocp_index: int, config: EstimationConfig | None = No
     """OCP ``ocp_index`` of ``data`` as a stack of one problem: its factor,
     dataset and OCP indices, and its :func:`_ledger` under ``config``."""
     core, ds = _single(data, [ocp_index]), np.array([0])
-    return core, ds, np.array([int(ocp_index)]), _ledger(core, ds, config)
+    return core, ds, np.array([ocp_index], dtype=int), _ledger(core, ds, config)
 
 
 def _what(data: Dataset, core: _Core, ocp_index: int) -> np.ndarray:
-    # from C order: a column-major product rounds differently
-    return np.ascontiguousarray(data.A[:, : core.m]) @ core.coef[0][:, ocp_index]
+    return data.A[:, : core.m] @ core.coef[0][:, ocp_index]
 
 
 def first_stage(data: Dataset, ocp_index: int = 0) -> FirstStage:
-    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``."""
+    """Reduced-form regressions of the outcome and one OCP on ``(Z, D, X, 1)``.
+    An ``ocp_index`` that is not an integer, or is a bool, is an :class:`InvalidBound`."""
     core, _, _, errors = _problem(data, ocp_index)
     _check(errors[0])
     tcp = core.coef[0, core.tcps]
@@ -579,7 +580,8 @@ def lasso_proximal(
     residualized-treatment regression of the alpha-adjusted outcome:
     ``beta = d_tilde'(Y - Z alpha) / ||d_tilde||^2``. The pair equals the
     minimizer of the jointly penalized regression at the same penalty, which
-    must not be negative or NaN (:class:`InvalidBound`).
+    must not be negative or NaN (:class:`InvalidBound`); nor may ``ocp_index``
+    be a non-integer or a bool.
     """
     core, ds, ocp, errors = _problem(data, ocp_index)
     lam = EstimationConfig(lambda_n=float(lam)).lambda_n  # InvalidBound unless >= 0
@@ -604,7 +606,8 @@ def adaptive_lasso_proximal(
     Weights are reciprocals of the median-ratio pilot magnitudes, so TCPs
     the pilot already flags as valid are penalized heavily (pilot values
     under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
-    A negative or NaN ``lambda_n`` is an :class:`InvalidBound`. Returns the
+    A negative or NaN ``lambda_n``, or an ``ocp_index`` that is not an
+    integer or is a bool, is an :class:`InvalidBound`. Returns the
     penalized coefficient vector and its support.
     """
     core, ds, ocp, errors = _problem(data, ocp_index)
@@ -678,6 +681,8 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
         rhs = r[:, :p, p + 1 : p + 2] - r[:, :p, p : p + 1] * beta[:, None, None]
         c, failed = solve_upper(r[:, :p, :p], rhs)
         keep_first(failed, degenerate, at=np.flatnonzero(bad))  # x's rank error first
+        overflow = np.flatnonzero(~np.all(np.isfinite(r), axis=(1, 2)))  # then Y or D's
+        keep_first(failed, [RankDeficient(NON_FINITE) for _ in overflow], at=overflow)
         # R L with A L = Y - beta D - (selected TCPs, raw OCPs) c: the fitted OCPs weigh 0
         c = c[:, :, 0]
         lin = np.concatenate([-c, -beta[:, None], np.ones((rows.size, 1)), -c[:, k:]], axis=1)
@@ -718,9 +723,10 @@ def _support(alpha: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in np.nonzero(alpha)[0])
 
 
-def _second_stage(data, ocps, selected, alpha_level, method) -> ProxyEstimate:
-    """:func:`_refit` on ``data`` alone, for the public refit entry points."""
-    sel = sorted(set(int(j) for j in selected))
+def _second_stage(data, ocps, selected, alpha_level, method, name="selected_set"):
+    """:func:`_refit` on ``data`` alone, for the public refit entry points;
+    ``name`` is the parameter that passed the TCPs ``selected``."""
+    sel = sorted(set(as_index(j, f"{name} entry") for j in selected))
     if sel and (sel[0] < 0 or sel[-1] >= data.p_z):
         raise IndexError(f"selected TCP indices must lie in [0, {data.p_z - 1}], got {sel}")
     fit = _given(_single(data, ocps), sel, ocps)
@@ -739,7 +745,9 @@ def post_adaptive_2sls(
     The treatment coefficient is the ratio form ``D' P_perp Y / D' P_perp D``
     with ``P_perp`` projecting off the non-treatment regressors; its
     closed-form interval uses the collapsed plug-in variance
-    ``sigma2_eps / mean(d_res^2)``, ``d_res = P_perp D``.
+    ``sigma2_eps / mean(d_res^2)``, ``d_res = P_perp D``. An ``ocp_index``
+    or ``selected_set`` entry that is not an integer, or is a bool, is an
+    :class:`InvalidBound`; one out of range an ``IndexError``.
     """
     return _second_stage(data, [ocp_index], selected_set, alpha_level, "post_adaptive_2sls")
 
@@ -755,9 +763,10 @@ def oracle_p2sls(
     The ratio-form refit of :func:`post_adaptive_2sls`, with its collapsed
     plug-in variance, on the true set instead of a selected one (and so the
     same code path exactly); reported separately because it anchors the
-    simulation studies.
+    simulation studies. Its indices are read as :func:`post_adaptive_2sls`'s.
     """
-    return _second_stage(data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls")
+    return _second_stage(data, [ocp_index], true_invalid_set, alpha_level, "oracle_p2sls",
+                         "true_invalid_set")
 
 
 def naive_p2sls(
@@ -771,7 +780,8 @@ def naive_p2sls(
     with no TCP terms; biased whenever some TCP has a direct outcome effect.
     ``ocp_index = None`` enters every fitted OCP column jointly (the multi-
     OCP benchmark variant); ``gamma_hat`` then reports the first column's
-    coefficient.
+    coefficient. Any other ``ocp_index`` that is not an integer, or is a
+    bool, is an :class:`InvalidBound`.
     """
     ocps = range(data.p_w) if ocp_index is None else [ocp_index]
     return _second_stage(data, ocps, (), alpha_level, "naive_p2sls")
@@ -815,7 +825,8 @@ def estimate_invalid_tcp(
     :func:`select_lambda` in ``config.lambda_mode``), the pilots and weighted
     lasso of :func:`adaptive_lasso_proximal`, then the closed-form interval
     of the :func:`post_adaptive_2sls` refit; a stack of one problem on the
-    dataset's ``R``.
+    dataset's ``R``. An ``ocp_index`` that is not an integer, or is a bool,
+    is an :class:`InvalidBound`.
     """
     config = config or EstimationConfig()
     core, ds, ocp, _ = _problem(data, ocp_index)
@@ -946,19 +957,17 @@ def subsample_ci(
     ``sqrt(b) * (estimate_b - estimate_n)`` (the orthodox construction; the
     raw-quantile default matches the reference simulation design), centred
     at ``center``, the full-sample estimate, which is computed when omitted.
-    Deterministic given ``seed`` (at least 0): subsample ``i`` draws from
-    an independent stream keyed by ``(seed, STREAM_SUBSAMPLE, i)``, and blocks of
-    subsamples are factored and fitted as stacks in which every problem is
-    computed on its own, so the interval does not depend on the blocking.
+    ``n_subsamples``, ``b`` and ``seed`` must be integers, not bools
+    (:class:`InvalidBound`). Deterministic given ``seed`` (at least 0):
+    subsample ``i`` draws from an independent stream keyed by ``(seed,
+    STREAM_SUBSAMPLE, i)``, and blocks of subsamples are factored and fitted
+    as stacks in which every problem is computed on its own, so the
+    interval does not depend on the blocking.
     """
     config = config or EstimationConfig()
     n = data.n
     b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
-    n_subsamples, seed = as_index(n_subsamples, "n_subsamples"), as_index(seed, "seed")
-    if n_subsamples < 1:
-        raise InvalidBound(f"n_subsamples must be >= 1, got {n_subsamples}")
-    if seed < 0:
-        raise InvalidBound(f"seed must be >= 0, got {seed}")
+    n_subsamples, seed = as_index(n_subsamples, "n_subsamples", 1), as_index(seed, "seed", 0)
 
     estimates, errors = np.full(n_subsamples, math.nan), []
     for block, _, medians, block_errors in _subsample_fits(data, config, n_subsamples, b, seed):
@@ -1019,7 +1028,8 @@ def select_lambda(
     path; folds are contiguous row blocks (no RNG) and ties prefer the larger
     penalty. The folds rebuild the n-row reduced design as ``A_M R_MM^-1 g``.
     The selection stage runs in full, weighted lasso included, so this fails
-    where and as the pipeline does, in :func:`_ledger`'s order.
+    where and as the pipeline does, in :func:`_ledger`'s order; an
+    ``ocp_index`` that is not an integer, or is a bool, first.
     """
     config = EstimationConfig(lambda_mode=mode)
     core, ds, ocp, errors = _problem(data, ocp_index, config)

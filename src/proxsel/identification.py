@@ -32,7 +32,7 @@ from .exceptions import (
     InvalidBound,
     SingularBlock,
 )
-from .linalg import as_matrix, as_vector, project
+from .linalg import as_index, as_matrix, as_vector, project
 
 __all__ = [
     "IdentificationReport", "DiagnosticReport", "check_majority_rule",
@@ -82,17 +82,11 @@ def check_majority_rule(p_z: int, invalid_bound: int) -> bool:
 
     Any two subsets of size ``p_z - invalid_bound + 1`` intersect once
     ``invalid_bound <= p_z / 2`` (real-valued comparison), which pins a
-    common ratio across subsets — no enumeration required.
+    common ratio across subsets — no enumeration required. A non-integer or
+    a bool is an :class:`~proxsel.exceptions.InvalidBound`.
     """
-    p_z = int(p_z)
-    invalid_bound = int(invalid_bound)
-    if p_z < 1:
-        raise InvalidBound(f"p_z must be >= 1, got {p_z}")
-    if not 1 <= invalid_bound <= p_z:
-        raise InvalidBound(
-            f"invalid_bound must lie in [1, p_z={p_z}], got {invalid_bound}"
-        )
-    return invalid_bound <= p_z / 2
+    p_z = as_index(p_z, "p_z", 1)
+    return as_index(invalid_bound, "invalid_bound", 1, p_z) <= p_z / 2
 
 
 def _subsets(p: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -129,7 +123,9 @@ def check_identification(
         offending indices.
     invalid_bound:
         Strict upper bound ``I`` on the number of invalid proxies,
-        ``1 <= I <= p_z``. Subsets have size ``p_z - I + 1``.
+        ``1 <= I <= p_z``; a non-integer or a bool is an
+        :class:`~proxsel.exceptions.InvalidBound`. Subsets have size
+        ``p_z - I + 1``.
     tol:
         Relative tolerance, both for a subset to admit a single ratio
         (``|delta[j]*q - gamma[j]| <= tol * max(|gamma[j]|, |delta[j]*q|)``)
@@ -155,11 +151,7 @@ def check_identification(
             f"got {delta.size} and {gamma.size}"
         )
     p_z = delta.size
-    invalid_bound = int(invalid_bound)
-    if not 1 <= invalid_bound <= p_z:
-        raise InvalidBound(
-            f"invalid_bound must lie in [1, p_z={p_z}], got {invalid_bound}"
-        )
+    invalid_bound = as_index(invalid_bound, "invalid_bound", 1, p_z)
     if not 0 <= tol < math.inf:
         raise InvalidBound(f"tol must lie in [0, inf), got {tol}")
     bad = [int(j) for j in np.nonzero(np.abs(delta) <= tol)[0]]
@@ -206,12 +198,13 @@ def irrepresentable_diagnostic(
     cannot be selection-consistent for that sign pattern no matter the
     penalty level.
 
-    ``invalid_set`` must be a nonempty proper subset of the columns;
+    ``invalid_set`` must be a nonempty proper subset of the columns (an
+    entry that is not an integer, or is a bool, is an :class:`InvalidBound`);
     ``sign_vector`` (entries ±1, length ``|A|``) defaults to all ones.
     """
     x = as_matrix(projected_design, "projected_design")
     n, p = x.shape
-    a_idx = sorted(set(int(j) for j in invalid_set))
+    a_idx = sorted(set(as_index(j, "invalid_set entry") for j in invalid_set))
     if not a_idx:
         raise EmptySupport("invalid_set must be nonempty")
     if a_idx[0] < 0 or a_idx[-1] >= p:
@@ -255,12 +248,12 @@ def rip_constants(design, sparsity_k: int) -> tuple[float, float]:
     :class:`~proxsel.exceptions.CombinatorialBlowup` when the support count
     exceeds ``MAX_COMBINATIONS``. Certifying these constants without
     enumeration is NP-hard in general, hence the guard rather than a fallback.
+    ``sparsity_k`` must be an integer in ``[1, p]``, not a bool
+    (:class:`~proxsel.exceptions.InvalidBound`).
     """
     x = as_matrix(design, "design")
     p = x.shape[1]
-    k = int(sparsity_k)
-    if not 1 <= k <= p:
-        raise InvalidBound(f"sparsity_k must lie in [1, p={p}], got {k}")
+    k = as_index(sparsity_k, "sparsity_k", 1, p)
     gram = x.T @ x
     delta_minus = math.inf
     delta_plus = -math.inf
@@ -283,15 +276,11 @@ def rip_recovery_margin(z, what, d_tilde, s_z: int) -> DiagnosticReport:
         margin = 2*lower(Z) - upper(Z) - 2*upper(P_what Z) - 2*upper(P_dtilde Z)
 
     A positive margin certifies that the penalized stage recovers the invalid
-    set at a suitable penalty level; requires ``2*s_z <= p_z``.
+    set at a suitable penalty level; requires an integer ``s_z`` in ``[1,
+    p_z // 2]``, not a bool (:class:`~proxsel.exceptions.InvalidBound`).
     """
     zm = as_matrix(z, "z")
-    p_z = zm.shape[1]
-    s = int(s_z)
-    if s < 1:
-        raise InvalidBound(f"s_z must be >= 1, got {s}")
-    if 2 * s > p_z:
-        raise InvalidBound(f"need 2*s_z <= p_z, got s_z={s}, p_z={p_z}")
+    s = as_index(s_z, "s_z", 1, zm.shape[1] // 2)
     z_on_what = project(what, zm)
     z_on_dtilde = project(d_tilde, zm)
     order = 2 * s

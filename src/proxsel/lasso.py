@@ -55,11 +55,14 @@ def kkt_violation(
     subgradient conditions are, with ``g = X'(X a - y)``:
     ``|g_j + lam * w_j * sign(a_j)| = 0`` on the support and
     ``|g_j| <= lam * w_j`` off it. Returns the largest absolute excess.
-    A NaN or negative ``lam`` is a ``ValueError``.
+    A NaN or negative ``lam``, or a response or coefficient vector whose
+    length does not match the design, is a ``ValueError``.
     """
-    x = as_matrix(design, "design")
-    y = as_vector(response, "response")
+    x, y = as_matrix(design, "design"), as_vector(response, "response")
     a = as_vector(coefficients, "coefficients")
+    if (y.size, a.size) != x.shape:
+        raise ValueError(f"design is {x.shape[0]} x {x.shape[1]} but response has {y.size} "
+                         f"entries and coefficients {a.size}")
     lam = _check_lam(lam)
     w = _check_weights(weights, x.shape[1])
     return float(_kkt(x.T @ (x @ a - y), a, lam * w))
@@ -114,9 +117,7 @@ def lasso_solve(design, response, lam: float, weights=None) -> np.ndarray:
     x = as_matrix(design, "design")
     y = as_vector(response, "response")
     if x.shape[0] != y.size:
-        raise ValueError(
-            f"design has {x.shape[0]} rows but response has {y.size}"
-        )
+        raise ValueError(f"design has {x.shape[0]} rows but response has {y.size}")
     lam = _check_lam(lam)
     w = _check_weights(weights, x.shape[1])
     x, y = x[None], y[None]

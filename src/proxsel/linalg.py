@@ -36,6 +36,9 @@ __all__ = ["OlsFit", "project", "ols", "orthonormal_basis"]
 #: rank-deficient. Chosen to separate genuine rank failure from rounding.
 RANK_TOL = 1e-10
 
+#: The rank error of a factor with non-finite entries, which no SVD certifies.
+NON_FINITE = "design is rank deficient: its factor has non-finite entries"
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite float64 2-D array (columns may be zero).
@@ -67,14 +70,22 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def as_index(value, name: str) -> int:
+def as_index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a Python int when it is a Python or numpy integer
-    (``operator.index``); anything else, a float included, is an
-    :class:`~proxsel.exceptions.InvalidBound` naming ``name``."""
+    (``operator.index``) and lies in ``[lo, hi]``, where given: the one
+    reader of an integer argument. Anything else, a float or a bool
+    included, is an :class:`~proxsel.exceptions.InvalidBound` naming ``name``."""
     try:
-        return operator.index(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        v = operator.index(value)
     except TypeError:
         raise InvalidBound(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= v <= hi:
+        raise InvalidBound(f"{name} must lie in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise InvalidBound(f"{name} must be >= {lo}, got {v}")
+    return v
 
 
 def orthonormal_basis(design) -> np.ndarray:
@@ -149,8 +160,7 @@ def solve_upper(r: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list]:
     errors, doubt = [None] * len(r), np.flatnonzero(~bounded)
     if doubt.size:  # near the cutoff, or defective
         finite = np.all(np.isfinite(r[doubt]), axis=(1, 2))
-        keep_first(errors, [RankDeficient("design is rank deficient: its factor has non-finite "
-                                          "entries") for _ in doubt[~finite]], at=doubt[~finite])
+        keep_first(errors, [RankDeficient(NON_FINITE) for _ in doubt[~finite]], at=doubt[~finite])
         keep_first(errors, [
             RankDeficient(
                 "design is rank deficient: smallest/largest singular value "

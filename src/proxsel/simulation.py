@@ -99,7 +99,9 @@ class SimConfig:
     scales must be positive. The first ``s_z`` TCPs have direct outcome
     effect ``alpha_invalid`` and treatment strength ``xi_z_invalid`` (the
     valid rest have strength ``xi_z_valid``); the first ``s_w`` OCPs load on
-    the treatment with ``xi_w_invalid``.
+    the treatment with ``xi_w_invalid``. The int fields must be integers, not
+    bools, with ``p_z, p_w, reps >= 1``, ``s_z`` in ``[0, p_z]``, ``s_w`` in
+    ``[0, p_w]`` and ``seed >= 0`` (:class:`InvalidBound`).
     """
 
     n: int = 2500
@@ -124,18 +126,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
+        for f in fields(self):  # in order: p_z and p_w are read before s_z and s_w
             if f.type == "int":
-                object.__setattr__(self, f.name, as_index(getattr(self, f.name), f.name))
-        if self.p_z < 1 or self.p_w < 1:
-            raise InvalidBound(f"need p_z >= 1 and p_w >= 1, got p_z={self.p_z}, p_w={self.p_w}")
+                lo, hi = {"n": (None, None), "s_z": (0, self.p_z), "s_w": (0, self.p_w),
+                          "seed": (0, None)}.get(f.name, (1, None))
+                object.__setattr__(self, f.name, as_index(getattr(self, f.name), f.name, lo, hi))
         if self.n <= self.p_z + self.p_w + 1:  # below it, no draw is a Dataset
             raise InvalidBound(
                 f"need n > p_z + p_w + 1 = {self.p_z + self.p_w + 1}, got n = {self.n}")
-        if not 0 <= self.s_z <= self.p_z:
-            raise InvalidBound(f"need 0 <= s_z <= p_z, got s_z={self.s_z}, p_z={self.p_z}")
-        if not 0 <= self.s_w <= self.p_w:
-            raise InvalidBound(f"need 0 <= s_w <= p_w, got s_w={self.s_w}, p_w={self.p_w}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidBound(f"{name} must be finite, got {value}")
@@ -144,10 +142,6 @@ class SimConfig:
                 raise InvalidBound(f"{name} must be > 0")
         if self.y_noise_sd < 0:
             raise InvalidBound("y_noise_sd must be >= 0")
-        if self.reps < 1:
-            raise InvalidBound(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise InvalidBound(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_invalid_tcp_ocp_data(config: SimConfig, rep_index: int) -> Dataset:
@@ -155,11 +149,11 @@ def generate_invalid_tcp_ocp_data(config: SimConfig, rep_index: int) -> Dataset:
 
     Deterministic given ``(config.seed, rep_index)``; the draw order is
     fixed (confounder, TCP noise, treatment noise, OCP noise, outcome
-    noise), so identical inputs yield bit-identical datasets.
+    noise), so identical inputs yield bit-identical datasets. ``rep_index``
+    must be an integer, at least 0 and not a bool (:class:`InvalidBound`).
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence((int(config.seed), STREAM_DATASET, int(rep_index)))
-    )
+    rep_index = as_index(rep_index, "rep_index", 0)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_DATASET, rep_index)))
     n, p_z, p_w = config.n, config.p_z, config.p_w
     c = config.intercept
 
@@ -213,18 +207,17 @@ def generate_invalid_tcp_data(config: SimConfig, rep_index: int) -> Dataset:
 
 @dataclass(frozen=True)
 class SubsampleCiConfig:
-    """Subsampling settings for methods without a closed-form interval."""
+    """Subsampling settings for methods without a closed-form interval;
+    ``n_subsamples >= 1`` and ``b`` must be integers, not bools."""
 
     n_subsamples: int = 200
     b: int | None = None
     recenter: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_subsamples", as_index(self.n_subsamples, "n_subsamples"))
+        object.__setattr__(self, "n_subsamples", as_index(self.n_subsamples, "n_subsamples", 1))
         if self.b is not None:
             object.__setattr__(self, "b", as_index(self.b, "b"))
-        if self.n_subsamples < 1:
-            raise InvalidBound(f"n_subsamples must be >= 1, got {self.n_subsamples}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +293,7 @@ def _fit_block(
         _, beta, errors = _medians(core, est_config, True)
         lo, hi = np.full((2, len(block)), math.nan)
         for i in np.flatnonzero(np.isfinite(beta)) if ci_config else ():
-            seed = np.random.SeedSequence((int(config.seed), STREAM_REP_SEED, block[i]))
+            seed = np.random.SeedSequence((config.seed, STREAM_REP_SEED, block[i]))
             try:
                 lo[i], hi[i] = subsample_ci(
                     datasets[i], est_config, n_subsamples=ci_config.n_subsamples,
@@ -381,40 +374,22 @@ def run_monte_carlo(
     )
 
 
-def _summarize(
-    beta: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    beta_true: float,
-    n_failed: int,
-) -> MethodMetrics:
+def _summarize(beta: np.ndarray, lo: np.ndarray, hi: np.ndarray, beta_true: float,
+               n_failed: int) -> MethodMetrics:
+    """A method's metrics over its finite estimates, of which there is at
+    least one: :func:`run_monte_carlo`'s 10% gate fails an all-NaN method."""
     ok = np.isfinite(beta)
     used = beta[ok]
     n_used = int(used.size)
-    if n_used == 0:
-        return MethodMetrics(
-            math.nan, math.nan, math.nan, math.nan, math.nan, 0, n_failed
-        )
     bias = float(np.mean(used) - beta_true)
     se = float(np.std(used, ddof=1)) if n_used >= 2 else math.nan
     rmse = float(math.sqrt(np.mean((used - beta_true) ** 2)))
     has_ci = ok & np.isfinite(lo) & np.isfinite(hi)
+    coverage = ci_length = math.nan
     if np.any(has_ci):
-        covered = (lo[has_ci] <= beta_true) & (beta_true <= hi[has_ci])
-        coverage = float(np.mean(covered))
+        coverage = float(np.mean((lo[has_ci] <= beta_true) & (beta_true <= hi[has_ci])))
         ci_length = float(np.mean(hi[has_ci] - lo[has_ci]))
-    else:
-        coverage = math.nan
-        ci_length = math.nan
-    return MethodMetrics(
-        coverage=coverage,
-        ci_length=ci_length,
-        bias=bias,
-        se=se,
-        rmse=rmse,
-        n_used=n_used,
-        n_failed=n_failed,
-    )
+    return MethodMetrics(coverage, ci_length, bias, se, rmse, n_used, n_failed)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,23 @@ class TestSimulateCommand:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_median_builds_its_interval_settings(self, tmp_path, capsys):
+        # the later --methods wins over run()'s own
+        code, out = self.run(
+            tmp_path, "median.json", ("--methods", "median_adaptive", "--subsample-n", "10"))
+        assert code == 0 and capsys.readouterr().err == ""
+        report = read_report(str(out))
+        assert report.config["subsample"] == {"n_subsamples": 10, "b": None, "recenter": False}
+        assert set(report.diagnostics["monte_carlo"]["methods"]) == {"median_adaptive"}
+
+    def test_an_unknown_method_exits_without_a_report(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["simulate", "--methods", "bogus", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: unknown method 'bogus'; available: adaptive, "
+            "median_adaptive, oracle, naive, ols\n")
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_unknown_study_is_rejected_by_the_parser(self, tmp_path):
@@ -855,3 +872,56 @@ class TestDiagnoseCommand:
         )
         assert code == 1
         assert "CombinatorialBlowup" in capsys.readouterr().err
+
+
+class TestArgumentErrors:
+    """Paths of the commands that no other test runs: each exit code, and
+    the line on stderr."""
+
+    @pytest.mark.parametrize("ocp, code, err", [
+        ("2", 0, ""),
+        ("99", 1, "error: ConfigError: --ocp index 99 out of range [0, 2]\n"),
+        ("w99", 1, "error: ConfigError: --ocp 'w99' is neither a known column name nor an "
+                   "index; columns: w1, w2, w3\n"),
+    ], ids=["index", "index-out-of-range", "unknown-name"])
+    def test_an_ocp_is_a_column_name_or_an_index(self, ocp, code, err, multi_ocp_csv, tmp_path,
+                                                 capsys):
+        data_path, schema_path, _ = multi_ocp_csv
+        out = tmp_path / "single.json"
+        assert main(["estimate", "--data", str(data_path), "--schema", str(schema_path),
+                     "--mode", "single", "--ocp", ocp, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+        if code == 0:
+            assert [row.label for row in read_report(str(out)).per_ocp] == ["w3"]
+
+    def test_estimate_echoes_an_explicit_subsample_size(self, multi_ocp_csv, tmp_path, capsys):
+        data_path, schema_path, _ = multi_ocp_csv
+        out = tmp_path / "median.json"
+        assert main(["estimate", "--data", str(data_path), "--schema", str(schema_path),
+                     "--subsample-n", "20", "--subsample-b", "150", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_report(str(out)).estimate["subsample_b"] == 150
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--delta-tilde", "1,2"], "--delta-tilde and --gamma-tilde must be given together"),
+        (["--gamma-tilde", "1,2"], "--delta-tilde and --gamma-tilde must be given together"),
+        (["--data", "d.csv"], "--data input needs --schema"),
+        ([], "provide either --delta-tilde/--gamma-tilde or --data/--schema"),
+        (["--delta-tilde", "1,x", "--gamma-tilde", "1,2"],
+         "--delta-tilde must be a comma-separated number list"),
+        (["--delta-tilde", " , ", "--gamma-tilde", "1,2"],
+         "--delta-tilde must contain at least one number"),
+    ], ids=["delta-alone", "gamma-alone", "data-without-schema", "no-input", "not-a-number",
+            "no-number"])
+    def test_identify_refuses_an_incomplete_input(self, argv, err, capsys):
+        assert main(["identify", *argv, "--invalid-bound", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: {err}\n"
+        assert captured.out == ""
+
+    def test_diagnose_needs_a_diagnostic(self, multi_ocp_csv, capsys):
+        data_path, schema_path, _ = multi_ocp_csv
+        assert main(["diagnose", "--data", str(data_path), "--schema", str(schema_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: provide --invalid-set and/or --sparsity\n")

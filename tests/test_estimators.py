@@ -47,6 +47,13 @@ from proxsel.exceptions import (
     RankDeficient,
     WeakProxyWarning,
 )
+from proxsel.identification import (
+    check_identification,
+    check_majority_rule,
+    irrepresentable_diagnostic,
+    rip_constants,
+    rip_recovery_margin,
+)
 from proxsel.linalg import ols
 from proxsel.simulation import (
     SimConfig,
@@ -1101,10 +1108,11 @@ class TestSubsampleCi:
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 2.9), ("seed", 2.0), ("b", 99.99), ("n_subsamples", 5.5), ("n_subsamples", "5"),
+        ("seed", True), ("b", np.True_), ("n_subsamples", True),
     ])
     def test_a_non_integer_count_is_an_invalid_bound(self, name, value):
         # seed=2.9 used to draw seed 2's subsamples and b=99.99 b=99's rows;
-        # n_subsamples=5.5 died in numpy with a TypeError.
+        # n_subsamples=5.5 died in numpy with a TypeError; seed=True drew seed 1's.
         data = generate_invalid_tcp_ocp_data(
             SimConfig(n=300, p_z=4, s_z=1, p_w=2, s_w=0, y_noise_sd=1.0), 2
         )
@@ -1161,3 +1169,64 @@ class TestBaselines:
         joint = naive_p2sls(data, ocp_index=None)
         single = naive_p2sls(data, ocp_index=0)
         assert joint.beta_hat != single.beta_hat
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("rep", range(3))
+def test_a_refit_whose_factor_overflows_is_rank_deficient(rep):
+    # At beta_true = 1e307 the outcome's column of R overflows: the refit
+    # used to return beta = inf (rep 0) or NaN with no error.
+    data = generate_invalid_tcp_ocp_data(
+        SimConfig(n=300, p_z=5, s_z=1, reps=3, beta_true=1e307, y_noise_sd=1.0), rep)
+    for fit in (lambda: oracle_p2sls(data, [0]), lambda: naive_p2sls(data),
+                lambda: ols_baseline(data), lambda: post_adaptive_2sls(data, 0, [0])):
+        with pytest.raises(RankDeficient, match="^design is rank deficient: its factor has "
+                                                "non-finite entries$"):
+            fit()
+
+
+# --- one integer rule -------------------------------------------------------
+
+_SMALL = SimConfig(n=300, p_z=5, s_z=1, p_w=3, s_w=0, y_noise_sd=1.0)
+
+#: Each entry point that reads an integer argument, with the parameter's name
+#: and a call on the small dataset ``d`` that takes the argument's value
+#: ``v``; every call is valid at ``v = 1``.
+INTEGER_ARGUMENTS = {
+    "check_majority_rule-p_z": ("p_z", lambda d, v: check_majority_rule(v, 1)),
+    "check_majority_rule-invalid_bound": (
+        "invalid_bound", lambda d, v: check_majority_rule(4, v)),
+    "check_identification": (
+        "invalid_bound", lambda d, v: check_identification([1, 2, 3, 4], [2, 4, 6, 9], v)),
+    "irrepresentable_diagnostic": (
+        "invalid_set entry", lambda d, v: irrepresentable_diagnostic(d.Z, [0, v])),
+    "rip_constants": ("sparsity_k", lambda d, v: rip_constants(d.Z, v)),
+    "rip_recovery_margin": ("s_z", lambda d, v: rip_recovery_margin(d.Z, d.W[:, 0], d.D, v)),
+    "first_stage": ("ocp_index", lambda d, v: first_stage(d, v)),
+    "lasso_proximal": ("ocp_index", lambda d, v: lasso_proximal(d, v, 1.0)),
+    "adaptive_lasso_proximal": ("ocp_index", lambda d, v: adaptive_lasso_proximal(d, v, 1.0)),
+    "estimate_invalid_tcp": ("ocp_index", lambda d, v: estimate_invalid_tcp(d, v)),
+    "select_lambda": ("ocp_index", lambda d, v: select_lambda(d, v, "rate")),
+    "post_adaptive_2sls-ocp_index": ("ocp_index", lambda d, v: post_adaptive_2sls(d, v, [0])),
+    "post_adaptive_2sls-selected_set": (
+        "selected_set entry", lambda d, v: post_adaptive_2sls(d, 0, [0, v])),
+    "oracle_p2sls-true_invalid_set": (
+        "true_invalid_set entry", lambda d, v: oracle_p2sls(d, [v])),
+    "oracle_p2sls-ocp_index": ("ocp_index", lambda d, v: oracle_p2sls(d, [0], ocp_index=v)),
+    "naive_p2sls": ("ocp_index", lambda d, v: naive_p2sls(d, v)),
+    "generate_invalid_tcp_ocp_data": (
+        "rep_index", lambda d, v: generate_invalid_tcp_ocp_data(_SMALL, v)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, np.True_, "1"])
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_an_integer_argument_is_read_by_one_rule(entry, value):
+    # 1.7 and True used to be truncated to OCP 1, [0.5, 1.9] to TCPs (0, 1),
+    # and an invalid_bound of 2.9 to 2; each is now refused by name.
+    name, call = INTEGER_ARGUMENTS[entry]
+    data = generate_invalid_tcp_ocp_data(_SMALL, 0)
+    with pytest.raises(InvalidBound, match=f"^{name} must be an integer, got {value!r}$"):
+        call(data, value)
+    # numpy integers take the path of Python ones, bit for bit
+    assert pickle.dumps(call(data, np.int64(1))) == pickle.dumps(call(data, 1))

@@ -243,6 +243,21 @@ class TestLassoSolve:
         with pytest.raises(ValueError):
             lasso_solve(np.eye(3), np.ones(4), 1.0)
 
+    @pytest.mark.parametrize("rows, cols", [
+        (slice(0, 1), slice(None)), (slice(None, -1), slice(None)),
+        (slice(None), slice(0, 3)), (slice(None), slice(0, 0)),
+    ], ids=["one-response", "short-response", "short-coefficients", "no-coefficients"])
+    def test_the_certificate_rejects_a_mismatched_response_or_coefficients(self, rows, cols):
+        # A one-entry response used to broadcast: the certificate returned a
+        # number (64.2 here), not an error; the others failed inside numpy.
+        x = np.random.default_rng(0).standard_normal((30, 4))
+        y = x @ np.array([1.0, -0.5, 0.0, 2.0]) + np.random.default_rng(1).standard_normal(30)
+        a = lasso_solve(x, y, 1.0)
+        with pytest.raises(ValueError, match=r"^design is 30 x 4 but response has \d+ entries "
+                                             r"and coefficients \d+$"):
+            kkt_violation(x, y[rows], a[cols], 1.0)
+        assert kkt_violation(x, y, a, 1.0) <= KKT_TOL
+
 
 # --- two-step penalized estimators vs the joint problem ---------------------
 

@@ -92,10 +92,11 @@ class TestConfigValidation:
 
     INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True, np.True_])
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_non_integer_counts_are_invalid_bounds(self, field, value):
-        # reps=2.5 used to be accepted, and run_monte_carlo then raised a bare TypeError.
+        # reps=2.5 used to be accepted, and run_monte_carlo then raised a bare
+        # TypeError; reps=True ran one replication.
         with pytest.raises(InvalidBound, match=f"^{field} must be an integer"):
             SimConfig(**{field: value})
         config = SimConfig(**{field: np.int64(getattr(SimConfig(), field))})
@@ -126,7 +127,7 @@ class TestSubsampleSettings:
         with pytest.raises(InvalidBound, match="n_subsamples must be >= 1, got 0"):
             SubsampleCiConfig(n_subsamples=0)
 
-    @pytest.mark.parametrize("value", [2.5, 30.0, "30"])
+    @pytest.mark.parametrize("value", [2.5, 30.0, "30", True, np.True_])
     @pytest.mark.parametrize("field", ["n_subsamples", "b"])
     def test_a_non_integer_count_is_an_invalid_bound(self, field, value):
         with pytest.raises(InvalidBound, match=f"^{field} must be an integer"):
@@ -423,6 +424,17 @@ def test_a_failed_monte_carlo_median_names_the_per_ocp_cause():
     assert str(err.value).endswith(
         "need at least 2; OCP 0 failed with AssumptionViolation: all 6 TCPs were "
         "selected as invalid at lambda_n=0.0; no valid TCP is left to identify the effect")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_an_overflowing_refit_counts_as_a_failed_replication():
+    # Replication 0's beta = inf used to count neither as failed nor as used:
+    # "failed on 2 of 3 replications ...; first failure: NoneType: None".
+    config = SimConfig(n=300, p_z=5, s_z=1, reps=3, beta_true=1e307, y_noise_sd=1.0)
+    with pytest.raises(AggregateFailure, match=r"^method 'oracle' failed on 3 of 3 replications "
+                       r"\(more than 10%\); first failure: RankDeficient: design is rank "
+                       "deficient: its factor has non-finite entries$"):
+        run_monte_carlo(config, ("oracle", "ols"))
 
 
 class TestBlockedReplications:

@@ -486,6 +486,56 @@ def test_the_guard_finds_a_write_to_a_built_object():
     assert frozen_writes(source) == ["line 5"]
 
 
+def parameter_truncations(source: str) -> list[str]:
+    """The ``int()`` calls of ``source``, as ``line N``, on a parameter of an
+    enclosing function, or, within a loop or comprehension over a parameter,
+    on a name it binds: ``int`` truncates a float and takes a bool, so an
+    integer argument is read by ``linalg.as_index`` instead."""
+    def bound(target) -> set[str]:
+        return {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+        scopes = [(fn, params)]
+        for node in ast.walk(fn):
+            loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+            names = set().union(*(bound(loop.target) for loop in loops
+                                  if getattr(loop.iter, "id", None) in params))
+            scopes.append((node, names))
+        found |= {
+            call.lineno for scope, names in scopes for call in ast.walk(scope)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
+            and call.args and getattr(call.args[0], "id", None) in names
+        }
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_integer_arguments_are_read_by_as_index(path):
+    # The command line parses strings with int(); everywhere else a count,
+    # index or seed goes through linalg.as_index, which refuses 1.5 and True.
+    assert parameter_truncations(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_a_truncated_argument():
+    source = (
+        "def read(k, ocps, *rest, flag=None):\n"
+        "    a = int(k)\n"
+        "    b = sorted(set(int(j) for j in ocps))\n"
+        "    for m in rest:\n"
+        "        c = int(m)\n"
+        "    d = int(len(ocps)), int(k + 1), int(flag.n), [int(j) for j in flag.ids]\n"
+        "    return as_index(k, 'k', 0)\n"
+        "def other(x):\n"
+        "    return int(k), [int(j) for j in range(x)], lambda v: int(v)\n"
+    )
+    assert parameter_truncations(source) == ["line 2", "line 3", "line 5", "line 9"]
+
+
 def test_a_monte_carlo_import_leaves_the_file_and_subset_layers_unloaded():
     code = ("import sys, proxsel.simulation; "
             "print(sorted({'proxsel.data_io', 'proxsel.identification'} & set(sys.modules)))")
