@@ -66,7 +66,7 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import alive, as_index, as_matrix, as_vector, inner, keep_first, matvec
+from .linalg import alive, as_index, as_matrix, as_real, as_vector, inner, keep_first, matvec
 from .linalg import NON_FINITE, solve_upper, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
@@ -258,13 +258,13 @@ class EstimationConfig:
     adaptive_floor: float = ADAPTIVE_FLOOR
 
     def __post_init__(self) -> None:
-        if self.lambda_n is not None and not self.lambda_n >= 0:
+        if self.lambda_n is not None and not as_real(self.lambda_n, "lambda_n") >= 0:
             raise InvalidBound(f"lambda_n must be >= 0, got {self.lambda_n}")
         if self.lambda_mode not in ("rate", "cv"):
             raise InvalidBound(f"lambda_mode must be 'rate' or 'cv', got {self.lambda_mode!r}")
-        if not 0.0 < self.alpha_level < 1.0:
+        if not 0.0 < as_real(self.alpha_level, "alpha_level") < 1.0:
             raise InvalidBound(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
-        if not 0 < self.adaptive_floor < math.inf:
+        if not 0 < as_real(self.adaptive_floor, "adaptive_floor") < math.inf:
             raise InvalidBound("adaptive_floor must be positive and finite")
 
 
@@ -454,7 +454,7 @@ def alpha_median(fs: FirstStage, gamma_m: float) -> np.ndarray:
     """
     gamma, delta = fs.gamma_hat_vec, fs.delta_hat_vec
     _check(_relevance_error(delta))
-    return gamma - float(gamma_m) * delta
+    return gamma - as_real(gamma_m, "gamma_m") * delta
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,7 @@ def lasso_proximal(
     be a non-integer or a bool.
     """
     core, ds, ocp, errors = _problem(data, ocp_index)
-    lam = EstimationConfig(lambda_n=float(lam)).lambda_n  # InvalidBound unless >= 0
+    lam = EstimationConfig(lambda_n=as_real(lam, "lam")).lambda_n  # InvalidBound unless >= 0
     red = _reduced_design(core, ds, ocp, errors)
     _check(errors[0])
     alpha, lasso_errors = red.lasso(ds, np.full((1, data.p_z), lam))
@@ -611,7 +611,7 @@ def adaptive_lasso_proximal(
     penalized coefficient vector and its support.
     """
     core, ds, ocp, errors = _problem(data, ocp_index)
-    config = EstimationConfig(lambda_n=float(lambda_n), adaptive_floor=adaptive_floor)
+    config = EstimationConfig(lambda_n=lambda_n, adaptive_floor=adaptive_floor)
     alpha, _ = _select(core, ds, ocp, config, True, errors)
     _check(errors[0])
     return alpha[0], _support(alpha[0])
@@ -623,7 +623,7 @@ def adaptive_lasso_proximal(
 
 
 def _zscore(alpha_level: float) -> float:
-    if not 0.0 < alpha_level < 1.0:
+    if not 0.0 < as_real(alpha_level, "alpha_level") < 1.0:
         raise InvalidBound(f"alpha_level must lie in (0, 1), got {alpha_level}")
     return NormalDist().inv_cdf(1.0 - alpha_level / 2.0)
 
@@ -968,6 +968,7 @@ def subsample_ci(
     n = data.n
     b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
     n_subsamples, seed = as_index(n_subsamples, "n_subsamples", 1), as_index(seed, "seed", 0)
+    center = None if center is None else as_real(center, "center")
 
     estimates, errors = np.full(n_subsamples, math.nan), []
     for block, _, medians, block_errors in _subsample_fits(data, config, n_subsamples, b, seed):

@@ -57,7 +57,7 @@ class AssumptionViolation(ProxselError):
 
 
 class SingularBlock(ProxselError):
-    """A required sub-block of a Gram matrix is numerically singular."""
+    """A required block of a design's columns is rank deficient: its Gram block is singular."""
 
 
 class NoConvergence(ProxselError):

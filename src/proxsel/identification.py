@@ -30,9 +30,10 @@ from .exceptions import (
     CombinatorialBlowup,
     EmptySupport,
     InvalidBound,
+    RankDeficient,
     SingularBlock,
 )
-from .linalg import as_index, as_matrix, as_vector, project
+from .linalg import _qr_fit, as_index, as_matrix, as_real, as_vector, project
 
 __all__ = [
     "IdentificationReport", "DiagnosticReport", "check_majority_rule",
@@ -42,9 +43,6 @@ __all__ = [
 
 #: Refuse brute-force enumerations beyond this many subsets.
 MAX_COMBINATIONS = 1_000_000
-
-#: Smallest eigenvalue of ``C[A, A]`` still treated as nonsingular.
-MIN_BLOCK_EIG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,22 +116,21 @@ def check_identification(
     delta_tilde, gamma_tilde:
         Equal-length reduced-form TCP coefficient blocks (proxy side and
         outcome side respectively). Every ``|delta_tilde[j]|`` must exceed
-        ``tol``; a near-zero entry violates the relevance assumption and
-        raises :class:`~proxsel.exceptions.AssumptionViolation` listing the
-        offending indices.
+        ``tol * max|delta_tilde|``; a smaller entry violates the relevance
+        assumption, an :class:`AssumptionViolation` listing the indices.
     invalid_bound:
         Strict upper bound ``I`` on the number of invalid proxies,
         ``1 <= I <= p_z``; a non-integer or a bool is an
         :class:`~proxsel.exceptions.InvalidBound`. Subsets have size
         ``p_z - I + 1``.
     tol:
-        Relative tolerance, both for a subset to admit a single ratio
-        (``|delta[j]*q - gamma[j]| <= tol * max(|gamma[j]|, |delta[j]*q|)``)
-        and for two subset ratios to count as equal. Purely relative, so the
-        verdict is invariant to rescaling all ``(delta, gamma)`` pairs by a
-        common nonzero constant; it must lie in ``[0, inf)``. Use the default
-        on population-style inputs; on estimated inputs pick a statistical
-        tolerance.
+        Relative tolerance, for that floor, for a subset to admit a single
+        ratio (``|delta[j]*q - gamma[j]| <= tol * max(|gamma[j]|,
+        |delta[j]*q|)``) and for two subset ratios to count as equal. Purely
+        relative, so the verdict and refusals are invariant to rescaling all
+        ``(delta, gamma)`` pairs by a common nonzero constant; a real number
+        in ``[0, inf)``, not a bool. Use the default on population-style
+        inputs; on estimated inputs pick a statistical tolerance.
 
     Returns
     -------
@@ -152,13 +149,13 @@ def check_identification(
         )
     p_z = delta.size
     invalid_bound = as_index(invalid_bound, "invalid_bound", 1, p_z)
-    if not 0 <= tol < math.inf:
+    if not 0 <= as_real(tol, "tol") < math.inf:
         raise InvalidBound(f"tol must lie in [0, inf), got {tol}")
-    bad = [int(j) for j in np.nonzero(np.abs(delta) <= tol)[0]]
+    bad = [int(j) for j in np.nonzero(np.abs(delta) <= tol * np.max(np.abs(delta)))[0]]
     if bad:
         raise AssumptionViolation(
-            f"|delta_tilde| must exceed tol={tol:g} for every proxy; "
-            f"violated at indices {bad}",
+            f"|delta_tilde| must exceed tol={tol:g} times its largest entry for "
+            f"every proxy; violated at indices {bad}",
             indices=bad,
         )
 
@@ -192,18 +189,19 @@ def irrepresentable_diagnostic(
 ) -> DiagnosticReport:
     """Evaluate the irrepresentable condition on a (projected) design.
 
-    Computes ``C = X'X / n``, partitions it by the assumed invalid set A, and
-    returns ``value = || C[A^c, A] @ C[A, A]^{-1} @ s ||_inf`` together with
-    the verdict ``value < 1``. A value at or above one means the lasso stage
-    cannot be selection-consistent for that sign pattern no matter the
-    penalty level.
+    Returns ``value = || C[A^c, A] C[A, A]^{-1} s ||_inf``, read as ``s' B``
+    with ``B`` the least-squares coefficients of ``X[:, A^c]`` on ``X[:, A]``
+    for the assumed invalid set A, and the verdict ``value < 1``: at or above
+    one, the lasso stage cannot be selection-consistent for that sign pattern
+    at any penalty. :func:`~proxsel.linalg.solve_upper` judges ``X[:, A]``'s
+    rank, free of units; a deficient one is a :class:`SingularBlock`.
 
     ``invalid_set`` must be a nonempty proper subset of the columns (an
     entry that is not an integer, or is a bool, is an :class:`InvalidBound`);
     ``sign_vector`` (entries ±1, length ``|A|``) defaults to all ones.
     """
     x = as_matrix(projected_design, "projected_design")
-    n, p = x.shape
+    p = x.shape[1]
     a_idx = sorted(set(as_index(j, "invalid_set entry") for j in invalid_set))
     if not a_idx:
         raise EmptySupport("invalid_set must be nonempty")
@@ -222,16 +220,11 @@ def irrepresentable_diagnostic(
         if np.any(np.abs(signs) != 1.0):
             raise ValueError("sign_vector entries must be +1 or -1")
 
-    c = (x.T @ x) / n
-    comp = [j for j in range(p) if j not in set(a_idx)]
-    c_aa = c[np.ix_(a_idx, a_idx)]
-    eigs = np.linalg.eigvalsh(c_aa)
-    if eigs[0] <= MIN_BLOCK_EIG:
-        raise SingularBlock(
-            f"C[A, A] is numerically singular (min eigenvalue {eigs[0]:.3e} "
-            f"<= {MIN_BLOCK_EIG:g})"
-        )
-    value = float(np.max(np.abs(c[np.ix_(comp, a_idx)] @ np.linalg.solve(c_aa, signs))))
+    try:
+        coef = _qr_fit(x[:, a_idx], np.delete(x, a_idx, axis=1))[1]
+    except RankDeficient as err:
+        raise SingularBlock(str(err)) from None
+    value = float(np.max(np.abs(signs @ coef)))
     return DiagnosticReport(
         irrepresentable_value=value,
         irrepresentable_holds=bool(value < 1.0),

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .exceptions import NoConvergence
-from .linalg import as_matrix, as_vector, inner, keep_first, matvec, swap
+from .linalg import as_matrix, as_real, as_vector, inner, keep_first, matvec, swap
 
 __all__ = [
     "lasso_solve",
@@ -76,7 +76,7 @@ def _kkt(grad: np.ndarray, a: np.ndarray, thresh: np.ndarray) -> np.ndarray:
 
 
 def _check_lam(lam) -> float:
-    lam = float(lam)
+    lam = as_real(lam, "lam")
     if not lam >= 0.0:  # NaN fails this too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     return lam

@@ -13,7 +13,7 @@ only if it has full column rank at a relative singular-value cutoff
 because a rank-deficient moment matrix means the identification assumptions
 have failed on the sample at hand.
 
-:func:`solve_upper` is the one rank certificate, for every triangular factor
+:func:`solve_upper` is the one rank certificate, of every factor and design
 of the package. Its back-substitution bounds ``kappa_F = ||R||_F ||R^-1||_F
 >= s_max / s_min`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 8), and a bound a hundredfold below ``1 / RANK_TOL`` certifies full rank.
@@ -23,6 +23,7 @@ non-finite entries is rank deficient without one.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -86,6 +87,15 @@ def as_index(value, name: str, lo: int | None = None, hi: int | None = None) -> 
     if lo is not None and v < lo:
         raise InvalidBound(f"{name} must be >= {lo}, got {v}")
     return v
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float when it is a ``numbers.Real`` (numpy's included):
+    the one reader of a real argument. Anything else, a bool or a string
+    included, is an :class:`~proxsel.exceptions.InvalidBound` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidBound(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def orthonormal_basis(design) -> np.ndarray:

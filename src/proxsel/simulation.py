@@ -48,7 +48,7 @@ from .estimators import (
 from .estimators import estimate_invalid_tcp, estimate_invalid_tcp_ocp  # noqa: F401
 from .estimators import naive_p2sls, ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
-from .linalg import as_index, keep_first
+from .linalg import as_index, as_real, keep_first
 
 __all__ = [
     "SimConfig",
@@ -99,9 +99,9 @@ class SimConfig:
     scales must be positive. The first ``s_z`` TCPs have direct outcome
     effect ``alpha_invalid`` and treatment strength ``xi_z_invalid`` (the
     valid rest have strength ``xi_z_valid``); the first ``s_w`` OCPs load on
-    the treatment with ``xi_w_invalid``. The int fields must be integers, not
-    bools, with ``p_z, p_w, reps >= 1``, ``s_z`` in ``[0, p_z]``, ``s_w`` in
-    ``[0, p_w]`` and ``seed >= 0`` (:class:`InvalidBound`).
+    the treatment with ``xi_w_invalid``. Int fields are integers, float fields
+    finite reals, neither bools, with ``p_z, p_w, reps >= 1``, ``s_z`` in
+    ``[0, p_z]``, ``s_w`` in ``[0, p_w]`` and ``seed >= 0`` (:class:`InvalidBound`).
     """
 
     n: int = 2500
@@ -127,16 +127,16 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):  # in order: p_z and p_w are read before s_z and s_w
+            value = getattr(self, f.name)
             if f.type == "int":
                 lo, hi = {"n": (None, None), "s_z": (0, self.p_z), "s_w": (0, self.p_w),
                           "seed": (0, None)}.get(f.name, (1, None))
-                object.__setattr__(self, f.name, as_index(getattr(self, f.name), f.name, lo, hi))
+                object.__setattr__(self, f.name, as_index(value, f.name, lo, hi))
+            elif f.type == "float" and not math.isfinite(as_real(value, f.name)):
+                raise InvalidBound(f"{f.name} must be finite, got {value}")
         if self.n <= self.p_z + self.p_w + 1:  # below it, no draw is a Dataset
             raise InvalidBound(
                 f"need n > p_z + p_w + 1 = {self.p_z + self.p_w + 1}, got n = {self.n}")
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidBound(f"{name} must be finite, got {value}")
         for name in ("u_sd", "z_noise_sd", "w_noise_sd", "d_noise_sd"):
             if getattr(self, name) <= 0:
                 raise InvalidBound(f"{name} must be > 0")

@@ -22,8 +22,12 @@ for the prefix, as it was before every lasso was solved along its exact
 path: ``cd_lasso_gram`` solved the selection stacks, polishing a zero start
 on its KKT support before the first sweep and each sweep's iterate after
 it, with a duality-gap and a stationarity certificate; ``cd_grid`` is the
-warm-started loop with which ``cv_penalty`` solved its grid. Tests compare
-the library against these functions.
+warm-started loop with which ``cv_penalty`` solved its grid.
+``irrepresentable_gram`` is
+``proxsel.identification.irrepresentable_diagnostic``'s formula as it was
+before it read least-squares coefficients, on the Gram matrix ``X'X/n``,
+but evaluated exactly.
+Tests compare the library against these functions.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import operator
 import warnings
 import weakref
+from fractions import Fraction
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -1221,3 +1227,33 @@ def cd_grid(gram, xty, yy, thresh):
         a[on] = out[on, k] = sol
         keep_first(errors, errs, at=on)
     return out, errors
+
+
+# ---------------------------------------------------------------------------
+# The irrepresentable value from the Gram matrix, in exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+def irrepresentable_gram(design: np.ndarray, invalid_set, signs) -> float:
+    """``|| C[A^c, A] C[A, A]^{-1} s ||_inf`` with ``C = X'X / n``, in exact
+    rational arithmetic (every float is a dyadic rational), rounded once. In
+    floating point the Gram block squares ``X[:, A]``'s condition number: on
+    random designs of condition at most 1e4 its solve lost up to 6.5e-9
+    relative, against 2.7e-12 for the library's least squares."""
+    n, p = design.shape
+    a_idx = sorted(invalid_set)
+    cols = [[Fraction(float(v)) for v in design[:, j]] for j in range(p)]
+    c = [[sum(map(operator.mul, cols[i], cols[j])) / n for j in range(p)] for i in range(p)]
+    # Gauss-Jordan on [C[A, A] | s], exact, so any nonzero pivot serves
+    rows = [[c[i][j] for j in a_idx] + [Fraction(float(si))] for i, si in zip(a_idx, signs)]
+    k = len(a_idx)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    u = [rows[r][k] / rows[r][r] for r in range(k)]
+    return float(max(abs(sum(map(operator.mul, (c[j][i] for i in a_idx), u)))
+                     for j in range(p) if j not in a_idx))

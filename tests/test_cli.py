@@ -832,6 +832,25 @@ class TestDiagnoseCommand:
         assert payloads[0] == payloads[1]
         assert payloads[0]["irrepresentable"]["invalid_set"] == ["z1", "z2"]
 
+    def test_the_irrepresentable_value_has_no_units(self, tmp_path, capsys):
+        # With the TCPs in units 1e5 times larger, the eigenvalue floor on
+        # X'X/n (1e-10) used to refuse C[A, A] as singular (1.7e-11).
+        data = generate_invalid_tcp_ocp_data(
+            SimConfig(n=2500, p_z=10, s_z=3, p_w=10, s_w=3, seed=1), 0)
+        tcps, ocps = [f"z{j + 1}" for j in range(10)], [f"w{k + 1}" for k in range(10)]
+        write_schema(tmp_path / "schema.json", tcps, ocps)
+        values = []
+        for scale in (1.0, 1e-5):
+            scaled = estimators.Dataset(Y=data.Y, D=data.D, Z=scale * data.Z, W=data.W)
+            dataset_to_csv(tmp_path / "data.csv", scaled, tcps, ocps)
+            assert main(["diagnose", "--data", str(tmp_path / "data.csv"), "--schema",
+                         str(tmp_path / "schema.json"), "--ocp", "w4",
+                         "--invalid-set", "z1,z2,z3"]) == 0
+            irrepresentable = json.loads(capsys.readouterr().out)["irrepresentable"]
+            assert irrepresentable["holds"] is True
+            values.append(irrepresentable["value"])
+        assert values[1] == pytest.approx(values[0], rel=1e-14, abs=0.0)
+
     def test_factors_the_data_once(self, multi_ocp_csv, capsys, monkeypatch):
         data_path, schema_path, _ = multi_ocp_csv
         factored = []

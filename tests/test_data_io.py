@@ -74,6 +74,12 @@ class TestSchemaMap:
         with pytest.raises(ConfigError):
             SchemaMap("y", "d", ("z1",), ())
 
+    @pytest.mark.parametrize("name", ["", 3])
+    def test_column_names_are_non_empty_strings(self, name):
+        with pytest.raises(ConfigError, match=f"^column names must be non-empty strings, "
+                                              f"got {name!r}$"):
+            SchemaMap("y", "d", ("z1", name), ("w1",))
+
     def test_round_trip_through_dict(self):
         schema = SchemaMap("y", "d", ("z1", "z2"), ("w1",), ("x1",))
         assert SchemaMap.from_dict(schema.to_dict()) == schema
@@ -522,6 +528,11 @@ def config_file(tmp_path, text, name="config.json"):
 
 
 class TestConfigParsing:
+    def test_an_unknown_kind_raises(self):
+        with pytest.raises(ConfigError, match="^kind must be one of sim, estimation, schema, "
+                                              "got 'bogus'$"):
+            parse_config(None, "bogus")
+
     def test_empty_text_gives_defaults(self, tmp_path):
         assert parse_config(config_file(tmp_path, ""), "sim") == SimConfig()
         blank = config_file(tmp_path, "  \n ")

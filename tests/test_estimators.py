@@ -1230,3 +1230,93 @@ def test_an_integer_argument_is_read_by_one_rule(entry, value):
         call(data, value)
     # numpy integers take the path of Python ones, bit for bit
     assert pickle.dumps(call(data, np.int64(1))) == pickle.dumps(call(data, 1))
+
+
+# --- error paths ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, message", [
+    ("D", "^D has 9 rows but Y has 10$"), ("Z", "^Z has 9 rows but Y has 10$"),
+    ("W", "^W has 9 rows but Y has 10$"), ("X", "^X has 9 rows but Y has 10$"),
+])
+def test_a_dataset_field_with_other_rows_raises(field, message):
+    rng = np.random.default_rng(0)
+    fields = dict(Y=rng.standard_normal(10), D=rng.standard_normal(10),
+                  Z=rng.standard_normal((10, 2)), W=rng.standard_normal((10, 1)),
+                  X=rng.standard_normal((10, 1)))
+    fields[field] = fields[field][:9]
+    with pytest.raises(ValueError, match=message):
+        Dataset(**fields)
+
+
+@pytest.mark.parametrize("field, block", [("Z", "TCP"), ("W", "OCP")])
+def test_a_dataset_needs_a_column_in_each_proxy_block(field, block):
+    rng = np.random.default_rng(0)
+    fields = dict(Y=rng.standard_normal(10), D=rng.standard_normal(10),
+                  Z=rng.standard_normal((10, 2)), W=rng.standard_normal((10, 1)))
+    fields[field] = np.zeros((10, 0))
+    with pytest.raises(ValueError, match=f"^{field} must contain at least one {block} column$"):
+        Dataset(**fields)
+
+
+def test_a_level_outside_zero_to_one_is_an_invalid_bound():
+    data, _ = make_exact_dataset()
+    with pytest.raises(InvalidBound, match=r"^alpha_level must lie in \(0, 1\), got 1.5$"):
+        EstimationConfig(alpha_level=1.5)
+    for refit in (lambda: oracle_p2sls(data, [0], alpha_level=1.5),
+                  lambda: post_adaptive_2sls(data, 0, [0], 1.5),
+                  lambda: naive_p2sls(data, alpha_level=1.5), lambda: ols_baseline(data, 1.5)):
+        with pytest.raises(InvalidBound, match=r"^alpha_level must lie in \(0, 1\), got 1.5$"):
+            refit()
+
+
+@pytest.mark.parametrize("invalid_set", [[4], [-1]])
+def test_a_tcp_index_outside_the_block_raises(invalid_set):
+    data, _ = make_exact_dataset()  # p_z = 4
+    with pytest.raises(IndexError, match=r"^selected TCP indices must lie in \[0, 3\], got "):
+        oracle_p2sls(data, invalid_set)
+
+
+# --- one real-number rule ---------------------------------------------------
+
+#: Each entry point that reads a real argument, with the parameter's name, a
+#: valid value ``v`` and a call on the small dataset ``d`` that takes it.
+REAL_ARGUMENTS = {
+    "EstimationConfig-lambda_n": (
+        "lambda_n", 1.0, lambda d, v: estimate_invalid_tcp(d, 0, EstimationConfig(lambda_n=v))),
+    "EstimationConfig-alpha_level": (
+        "alpha_level", 0.1,
+        lambda d, v: estimate_invalid_tcp(d, 0, EstimationConfig(alpha_level=v))),
+    "EstimationConfig-adaptive_floor": (
+        "adaptive_floor", 1e-6,
+        lambda d, v: estimate_invalid_tcp(d, 0, EstimationConfig(adaptive_floor=v))),
+    "oracle_p2sls-alpha_level": ("alpha_level", 0.1, lambda d, v: oracle_p2sls(d, [0], v)),
+    "alpha_median": ("gamma_m", 0.5, lambda d, v: alpha_median(first_stage(d, 0), v)),
+    "lasso_proximal": ("lam", 1.0, lambda d, v: lasso_proximal(d, 0, v)),
+    "adaptive_lasso_proximal": ("lambda_n", 1.0, lambda d, v: adaptive_lasso_proximal(d, 0, v)),
+    "check_identification": (
+        "tol", 1e-3, lambda d, v: check_identification([1, 2, 3, 4], [2, 4, 6, 9], 2, v)),
+    "subsample_ci": (
+        "center", 0.5,
+        lambda d, v: subsample_ci(d, n_subsamples=20, recenter=True, center=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"])
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_a_real_argument_is_read_by_one_rule(entry, value):
+    # True used to be 1 and "0.5" 0.5 (or numpy's UFuncTypeError); each is
+    # now refused by name.
+    name, valid, call = REAL_ARGUMENTS[entry]
+    data = generate_invalid_tcp_ocp_data(_SMALL, 0)
+    with pytest.raises(InvalidBound, match=f"^{name} must be a real number, got {value!r}$"):
+        call(data, value)
+    # numpy floats take the path of Python ones, bit for bit
+    assert pickle.dumps(call(data, np.float64(valid))) == pickle.dumps(call(data, valid))
+
+
+def test_a_config_echoes_its_real_fields_as_given():
+    config = EstimationConfig(lambda_n=2, alpha_level=np.float64(0.1))
+    assert type(config.lambda_n) is int and type(config.alpha_level) is np.float64
+    with pytest.raises(InvalidBound, match="^lambda_n must be a real number, got True$"):
+        EstimationConfig(lambda_n=True)

@@ -26,6 +26,7 @@ from proxsel.identification import (
 )
 from proxsel.linalg import orthonormal_basis
 
+import oracle
 from conftest import angular_sweep_extremes
 
 
@@ -97,6 +98,47 @@ class TestCheckIdentification:
                 [1.0, 1e-9, 2.0], [1.0, 1.0, 2.0], invalid_bound=1
             )
         assert err.value.indices == [1]
+
+    def test_relevance_floor_is_relative_to_the_largest_entry(self):
+        # At 1e-7 the floor was tol itself, and every proxy was refused.
+        delta = np.array([1.0, 2.0, 0.5, 1.5, 3.0])
+        gamma = 0.2 * delta
+        gamma[0] += 1.0
+        for scale in (1.0, 1e-5, 1e-7):
+            report = check_identification(scale * delta, scale * gamma, invalid_bound=2)
+            assert report.identified is True
+            assert [s for s, _ in report.subsets] == [(1, 2, 3, 4)]
+
+    def test_a_zero_tolerance_refuses_only_exact_zeros(self):
+        with pytest.raises(AssumptionViolation, match=r"violated at indices \[1\]$") as err:
+            check_identification([1.0, 0.0, 1e-300], [1.0, 1.0, 1.0], invalid_bound=1, tol=0.0)
+        assert err.value.indices == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(-60, 60), weak=st.booleans())
+    def test_scaling_by_a_power_of_two_changes_no_verdict_subset_or_refusal(
+        self, seed, k, weak
+    ):
+        rng = np.random.default_rng(seed)
+        delta = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        gamma = 1.3 * delta
+        gamma[:2] += rng.uniform(0.5, 1.5, 2)  # two invalid proxies
+        if weak:
+            delta[rng.integers(5)] *= 1e-7  # below tol times the largest entry
+
+        def verdict(c):
+            try:
+                report = check_identification(c * delta, c * gamma, invalid_bound=2)
+            except AssumptionViolation as err:
+                return err.indices
+            return report.identified, report.distinct_q_count, report.subsets
+
+        assert verdict(2.0**k) == verdict(1.0)
+
+    @pytest.mark.parametrize("tol", [True, "1e-6", None])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        with pytest.raises(InvalidBound, match=f"^tol must be a real number, got {tol!r}$"):
+            check_identification([1.0, 2.0], [1.0, 2.0], 1, tol=tol)
 
     def test_bound_out_of_range_raises(self):
         with pytest.raises(InvalidBound):
@@ -233,6 +275,57 @@ class TestIrrepresentable:
     def test_bad_sign_entries_raise(self):
         with pytest.raises(ValueError):
             irrepresentable_diagnostic(np.eye(3), [0], sign_vector=[0.5])
+
+    @pytest.mark.parametrize("invalid_set", [[3], [-1, 0]])
+    def test_out_of_range_invalid_set_raises(self, invalid_set):
+        with pytest.raises(IndexError, match=r"must lie in \[0, 2\]"):
+            irrepresentable_diagnostic(np.eye(3), invalid_set)
+
+    def test_sign_vector_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError, match=r"has length 2, expected \|A\| = 1$"):
+            irrepresentable_diagnostic(np.eye(3), [0], sign_vector=[1.0, -1.0])
+
+    def test_a_singular_block_carries_the_rank_certificate(self):
+        col = np.arange(6.0)
+        design = np.column_stack([col, 2.0 * col, np.ones(6)])
+        with pytest.raises(SingularBlock, match="^design is rank deficient: smallest/largest"):
+            irrepresentable_diagnostic(design, [0, 1])
+
+    def test_a_design_in_small_units_keeps_its_value(self):
+        # The eigenvalue floor on X'X/n, 1e-10, used to refuse the design in
+        # micro-units as singular.
+        design = np.random.default_rng(14).standard_normal((200, 5))
+        base = irrepresentable_diagnostic(design, [0, 1]).irrepresentable_value
+        small = irrepresentable_diagnostic(1e-6 * design, [0, 1]).irrepresentable_value
+        assert small == pytest.approx(base, rel=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-60, 60),
+        log_cond=st.floats(0.0, 4.0),
+        collinear=st.booleans(),
+    )
+    def test_value_is_the_gram_formula_and_has_no_units(self, seed, k, log_cond, collinear):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 7))
+        n, size = int(rng.integers(p + 1, 41)), int(rng.integers(1, p))
+        u = np.linalg.qr(rng.standard_normal((n, size)))[0]
+        v = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        sv = 10.0 ** rng.uniform(0.0, log_cond, size)  # X[:, A]'s singular values
+        design = np.column_stack([u * sv @ v.T, rng.standard_normal((n, p - size))])
+        if collinear:  # a column outside A close to A's span
+            design[:, -1] += rng.uniform(0.0, 100.0) * design[:, 0]
+        design *= 2.0 ** rng.integers(-8, 9, p)
+        a_idx = sorted(rng.permutation(p)[:size].tolist())
+        design = design[:, np.argsort(np.r_[a_idx, np.setdiff1d(np.arange(p), a_idx)])]
+        signs = rng.choice([-1.0, 1.0], size)
+        value = irrepresentable_diagnostic(design, a_idx, signs).irrepresentable_value
+        scaled = irrepresentable_diagnostic(2.0**k * design, a_idx, signs)
+        assert scaled.irrepresentable_value == value
+        if np.linalg.cond(design[:, a_idx]) <= 1e4:
+            exact = oracle.irrepresentable_gram(design, a_idx, signs)
+            assert value == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestRipConstants:

@@ -243,6 +243,18 @@ class TestLassoSolve:
         with pytest.raises(ValueError):
             lasso_solve(np.eye(3), np.ones(4), 1.0)
 
+    def test_weights_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="^weights has length 2, expected 3$"):
+            lasso_solve(np.eye(3), np.ones(3), 1.0, weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("lam", ["1", True, np.True_, None])
+    def test_a_penalty_that_is_not_a_real_number_is_an_invalid_bound(self, lam):
+        # "1" and True used to fit at penalty 1.
+        for call in (lambda: lasso_solve(np.eye(3), np.ones(3), lam),
+                     lambda: kkt_violation(np.eye(3), np.ones(3), np.zeros(3), lam)):
+            with pytest.raises(InvalidBound, match=f"^lam must be a real number, got {lam!r}$"):
+                call()
+
     @pytest.mark.parametrize("rows, cols", [
         (slice(0, 1), slice(None)), (slice(None, -1), slice(None)),
         (slice(None), slice(0, 3)), (slice(None), slice(0, 0)),

@@ -2,15 +2,45 @@
 
 from __future__ import annotations
 
+import fractions
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsel.exceptions import RankDeficient
-from proxsel.linalg import RANK_TOL, ols, orthonormal_basis, project, solve_upper
+from proxsel.exceptions import InvalidBound, RankDeficient
+from proxsel.linalg import (
+    RANK_TOL, as_matrix, as_real, as_vector, ols, orthonormal_basis, project, solve_upper,
+)
 
 import oracle
+
+
+class TestCoercions:
+    def test_a_matrix_has_two_dimensions_and_a_row(self):
+        with pytest.raises(ValueError, match="^x must be 1- or 2-dimensional, got ndim=3$"):
+            as_matrix(np.zeros((2, 2, 2)), "x")
+        with pytest.raises(ValueError, match="^x must have at least one row$"):
+            as_matrix(np.zeros((0, 3)), "x")
+        assert as_matrix([1.0, 2.0]).shape == (2, 1)
+
+    def test_a_vector_is_one_column_at_most(self):
+        np.testing.assert_array_equal(as_vector(np.array([[1.0], [2.0]])), [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^v must be 1-dimensional, got shape \(2, 2\)$"):
+            as_vector(np.eye(2), "v")
+
+    @pytest.mark.parametrize("value", [0.5, 2, np.float32(0.25), np.int64(3), np.float16("nan"),
+                                       fractions.Fraction(1, 4), -np.inf])
+    def test_a_real_number_is_read_as_a_float(self, value):
+        out = as_real(value, "x")
+        assert type(out) is float
+        assert out == float(value) or (np.isnan(out) and np.isnan(value))
+
+    @pytest.mark.parametrize("value", [True, np.False_, "0.5", None, 1j, np.array(0.5), [0.5]])
+    def test_anything_else_is_refused_by_name(self, value):
+        with pytest.raises(InvalidBound, match=r"^x must be a real number, got "):
+            as_real(value, "x")
 
 
 class TestProject:
@@ -53,6 +83,10 @@ class TestProject:
         design = np.column_stack([col, col * (1 + 1e-14)])
         with pytest.raises(RankDeficient):
             project(design, np.ones(5))
+
+    def test_a_target_with_other_rows_raises(self):
+        with pytest.raises(ValueError, match="^target has 3 rows but design has 4$"):
+            project(np.ones((4, 1)), np.ones(3))
 
     def test_symmetric_as_an_operator(self):
         rng = np.random.default_rng(2)
@@ -109,6 +143,10 @@ class TestOls:
         col = np.linspace(0.0, 1.0, 6)
         with pytest.raises(RankDeficient):
             ols(np.column_stack([col, 2 * col]), np.ones(6))
+
+    def test_a_response_with_other_rows_raises(self):
+        with pytest.raises(ValueError, match="^response has 5 rows but design has 4$"):
+            ols(np.eye(4), np.ones((5, 2)))
 
     def test_more_columns_than_rows_raises(self):
         design = np.random.default_rng(0).normal(size=(3, 5))

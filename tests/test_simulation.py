@@ -90,6 +90,25 @@ class TestConfigValidation:
     def test_the_list_holds_every_float_field(self):
         assert len(self.FLOAT_FIELDS) == 13
 
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_a_float_field_that_is_not_a_real_number_is_an_invalid_bound(self, field, value):
+        # beta_true="0.5" used to be accepted, and the draw then failed with
+        # numpy's UFuncTypeError; True was 1.
+        with pytest.raises(InvalidBound, match=f"^{field} must be a real number, got {value!r}$"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.float32("inf"), np.float16("nan")])
+    def test_a_numpy_float_that_is_not_finite_is_an_invalid_bound(self, value):
+        # Only Python floats used to be checked for finiteness.
+        with pytest.raises(InvalidBound, match="^beta_true must be finite, got "):
+            SimConfig(beta_true=value)
+
+    def test_a_config_echoes_its_float_fields_as_given(self):
+        config = SimConfig(beta_true=1, alpha_invalid=np.float32(0.5))
+        echo = dataclasses.asdict(config)
+        assert type(echo["beta_true"]) is int and type(echo["alpha_invalid"]) is np.float32
+
     INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
 
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True, np.True_])
@@ -256,6 +275,10 @@ class TestRunMonteCarlo:
         assert set(a.methods) == {"adaptive", "ols"}
         assert a.reps == 5
         assert_metrics_equal(a, b)
+
+    def test_a_worker_count_below_one_raises(self):
+        with pytest.raises(ValueError, match="^n_jobs must be >= 1, got 0$"):
+            run_monte_carlo(SimConfig(n=200, p_z=4, s_z=1, reps=2), ("ols",), n_jobs=0)
 
     def test_thread_count_does_not_change_the_report(self):
         config = SimConfig(n=200, p_z=4, s_z=1, reps=8, y_noise_sd=1.0)

@@ -358,8 +358,9 @@ def general_solves(source: str) -> list[str]:
 
 @pytest.mark.parametrize("name", ["estimators.py", "linalg.py"])
 def test_triangular_factors_are_solved_by_the_one_back_substitution(name):
-    # Every R factor is certified and solved by linalg.solve_upper; the
-    # symmetric Gram blocks of lasso and identification are not factors.
+    # Every R factor is certified and solved by linalg.solve_upper; lasso's
+    # symmetric Gram blocks are not factors, and identification solves
+    # nothing itself (see the test below).
     source = (SOURCES[0].parent / name).read_text(encoding="utf-8")
     assert "solve_upper(" in source
     assert general_solves(source) == []
@@ -375,6 +376,33 @@ def test_the_guard_finds_a_general_solve():
         "    return solve(r, b), linalg.solve_upper(r, b)\n"
     )
     assert general_solves(source) == ["line 1", "line 3", "line 4", "line 6"]
+
+
+def test_identification_judges_no_rank_of_its_own():
+    # irrepresentable_diagnostic reads X[:, A]'s coefficients through
+    # linalg._qr_fit, so its rank verdict is solve_upper's: no Gram block, no
+    # eigenvalue floor and no general solve. The eigenvalues of rip_constants
+    # are its restricted-isometry constants, not a rank test.
+    sources = [(path.stem, path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert general_solves(dict(sources)["identification"]) == []
+    assert referrers(sources, "eigvalsh") == ["identification.rip_constants"]
+    assert "identification.irrepresentable_diagnostic" in referrers(sources, "_qr_fit")
+
+
+def test_the_guard_finds_a_rank_rule_of_its_own():
+    source = (
+        "from numpy.linalg import solve\n"
+        "def irrepresentable_diagnostic(x, a, s):\n"
+        "    if np.linalg.eigvalsh(x[a])[0] <= MIN_BLOCK_EIG:\n"
+        "        raise SingularBlock('singular')\n"
+        "    return np.linalg.solve(x[a], s)\n"
+        "def rip_constants(gram):\n"
+        "    return eigvalsh(gram)\n"
+    )
+    assert general_solves(source) == ["line 1", "line 5"]
+    assert referrers([("identification", source)], "eigvalsh") == [
+        "identification.irrepresentable_diagnostic", "identification.rip_constants"
+    ]
 
 
 def test_the_one_rank_certificate_is_solve_upper():
@@ -486,17 +514,21 @@ def test_the_guard_finds_a_write_to_a_built_object():
     assert frozen_writes(source) == ["line 5"]
 
 
-def parameter_truncations(source: str) -> list[str]:
-    """The ``int()`` calls of ``source``, as ``line N``, on a parameter of an
-    enclosing function, or, within a loop or comprehension over a parameter,
-    on a name it binds: ``int`` truncates a float and takes a bool, so an
-    integer argument is read by ``linalg.as_index`` instead."""
+def parameter_truncations(source: str, builtin: str = "int") -> list[str]:
+    """The calls of ``builtin`` in ``source``, as ``line N``, on a parameter
+    of an enclosing function, or, within a loop or comprehension over a
+    parameter, on a name it binds. ``int`` truncates a float and takes a
+    bool, so an integer argument is read by ``linalg.as_index`` instead;
+    ``float`` takes a bool and a string, so a real argument is read by
+    ``linalg.as_real``, whose own ``float()`` is the one not counted."""
     def bound(target) -> set[str]:
         return {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
 
     found = set()
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if getattr(fn, "name", None) == "as_real":  # the reader itself
             continue
         a = fn.args
         params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
@@ -508,7 +540,7 @@ def parameter_truncations(source: str) -> list[str]:
             scopes.append((node, names))
         found |= {
             call.lineno for scope, names in scopes for call in ast.walk(scope)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == builtin
             and call.args and getattr(call.args[0], "id", None) in names
         }
     return [f"line {line}" for line in sorted(found)]
@@ -534,6 +566,30 @@ def test_the_guard_finds_a_truncated_argument():
         "    return int(k), [int(j) for j in range(x)], lambda v: int(v)\n"
     )
     assert parameter_truncations(source) == ["line 2", "line 3", "line 5", "line 9"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("cli.py", "data_io.py")],
+                         ids=lambda p: p.name)
+def test_real_arguments_are_read_by_as_real(path):
+    # The command line and the file readers parse strings with float();
+    # everywhere else a real argument goes through linalg.as_real, which
+    # refuses True and "0.5".
+    assert parameter_truncations(path.read_text(encoding="utf-8"), "float") == []
+
+
+def test_the_guard_finds_a_coerced_real_argument():
+    source = (
+        "def fit(data, lam, *, levels=()):\n"
+        "    a = EstimationConfig(lambda_n=float(lam))\n"
+        "    b = [float(x) for x in levels], int(lam)\n"
+        "    c = float(data.beta), float(lam * 2), float(len(levels))\n"
+        "    return as_real(lam, 'lam')\n"
+        "def other(x):\n"
+        "    return float(lam), lambda v: float(v)\n"
+        "def as_real(value, name):\n"
+        "    return float(value)\n"
+    )
+    assert parameter_truncations(source, "float") == ["line 2", "line 3", "line 7"]
 
 
 def test_a_monte_carlo_import_leaves_the_file_and_subset_layers_unloaded():
