@@ -28,6 +28,7 @@ from .exceptions import (
     ParseError,
     ProxselError,
 )
+from .linalg import as_flag
 from .simulation import MonteCarloReport, SimConfig
 
 __all__ = [
@@ -204,9 +205,10 @@ def load_csv(
     a mapped column, or a mapped cell that is missing, non-finite or not a
     plain ASCII number is read again, row by row, from the start. The
     arrays, row counts and errors are the same either way. A ``delimiter``
-    that is not exactly one character is a :class:`ConfigError`. A UTF-8
-    byte-order mark, as spreadsheets export, is skipped.
+    that is not one character is a :class:`ConfigError`, a ``strict`` that is
+    not a bool an :class:`InvalidBound`. A UTF-8 byte-order mark is skipped.
     """
+    strict = as_flag(strict, "strict")
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ConfigError(f"delimiter must be exactly one character, got {delimiter!r}")
     try:

@@ -66,8 +66,8 @@ from .exceptions import (
     WeakProxyWarning,
 )
 from .lasso import cv_penalty, kkt_violation, lasso_gram, lasso_solve
-from .linalg import alive, as_index, as_matrix, as_real, as_vector, inner, keep_first, matvec
-from .linalg import NON_FINITE, solve_upper, swap
+from .linalg import alive, as_flag, as_index, as_matrix, as_real, as_vector, inner, keep_first
+from .linalg import NON_FINITE, matvec, solve_upper, swap
 
 # Unused here, but the benchmark's traced runs wrap these names in this
 # module (bench/workloads.py), so they stay bound.
@@ -248,24 +248,20 @@ class EstimationConfig:
     ``lambda_n = None`` defers to :func:`select_lambda` with ``lambda_mode``
     (default: the rate rule, which grows like ``sqrt(n)/log(n)`` scaled by
     the response's standard deviation). ``alpha_level`` is the level of
-    every interval, :func:`subsample_ci`'s included. ``adaptive_floor`` caps
-    the adaptive weights for pilot coefficients that are numerically zero.
+    every interval, :func:`subsample_ci`'s included. Pilot coefficients
+    under ``ADAPTIVE_FLOOR`` get the capped adaptive weight ``1/ADAPTIVE_FLOOR``.
     """
 
     lambda_n: float | None = None
     lambda_mode: str = "rate"
     alpha_level: float = 0.05
-    adaptive_floor: float = ADAPTIVE_FLOOR
 
     def __post_init__(self) -> None:
         if self.lambda_n is not None and not as_real(self.lambda_n, "lambda_n") >= 0:
             raise InvalidBound(f"lambda_n must be >= 0, got {self.lambda_n}")
         if self.lambda_mode not in ("rate", "cv"):
             raise InvalidBound(f"lambda_mode must be 'rate' or 'cv', got {self.lambda_mode!r}")
-        if not 0.0 < as_real(self.alpha_level, "alpha_level") < 1.0:
-            raise InvalidBound(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
-        if not 0 < as_real(self.adaptive_floor, "adaptive_floor") < math.inf:
-            raise InvalidBound("adaptive_floor must be positive and finite")
+        _zscore(self.alpha_level)  # an InvalidBound outside (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +489,13 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     column and ``g`` one more off ``w``, formed per problem. ``g`` has rank
     ``p_z - 1`` with null direction ``delta``, which is why selection needs
     a majority or plurality of valid TCPs. Records in ``errors`` a
-    rank-deficient ``(what, X, 1)``, else a degenerate treatment, and
-    returns the design of the problems neither fails. The rank is certified
-    by :func:`~proxsel.linalg.solve_upper` on ``R11`` bordered by the fitted
-    OCP's column, its ``R22`` rows folded into their norm: a factor upper
-    triangular by construction, rank deficient too when an entry is not
-    finite.
+    rank-deficient ``(what, X, 1)``, else a degenerate treatment, else a
+    non-finite ``gram`` or ``xty`` (``NON_FINITE``, as where Y's column of
+    ``R`` overflows), and returns the design of the problems none fails. The
+    rank is certified by :func:`~proxsel.linalg.solve_upper` on ``R11``
+    bordered by the fitted OCP's column, its ``R22`` rows folded into their
+    norm: a factor upper triangular by construction, rank deficient too when
+    an entry is not finite.
     """
     h, m, top = core.h, core.m, core.r[:, core.h : core.m]  # top: M's rows of R22
     on = alive(errors)
@@ -520,7 +517,10 @@ def _reduced_design(core: _Core, ds: np.ndarray, ocp: np.ndarray, errors: list) 
     g -= dx[:, :, None] * (matvec(swap(g), dx) / inner(dx, dx)[:, None])[:, None]  # now Zp
     w = matvec(g, core.coef[ds[on], core.tcps, ocp[on]])
     g -= w[:, :, None] * (matvec(swap(g), w) / inner(w, w)[:, None])[:, None]
-    return _Reduced(on, g, y, swap(g) @ g, matvec(swap(g), y), d_tilde)
+    gram, xty = swap(g) @ g, matvec(swap(g), y)
+    ok = np.all(np.isfinite(gram), axis=(1, 2)) & np.all(np.isfinite(xty), axis=1)
+    keep_first(errors, [RankDeficient(NON_FINITE) for _ in np.flatnonzero(~ok)], at=on[~ok])
+    return _Reduced(on[ok], g[ok], y[ok], gram[ok], xty[ok], d_tilde[ok])
 
 
 def _degenerate(resid_sq: np.ndarray, d_sq: np.ndarray, kind, others: str):
@@ -561,7 +561,7 @@ def _select(core: _Core, ds: np.ndarray, ocp: np.ndarray, config, warn: bool, er
     red = _reduced_design(core, ds, ocp, errors)
     lam = _penalty(core, ds, config, red, errors)
     on = alive(errors)
-    weights = 1.0 / np.maximum(np.abs(_pilots(gamma[on], delta[on])[1]), config.adaptive_floor)
+    weights = 1.0 / np.maximum(np.abs(_pilots(gamma[on], delta[on])[1]), ADAPTIVE_FLOOR)
     alpha = np.zeros((ds.size, core.p_z))
     alpha[on], lasso_errors = red.lasso(np.searchsorted(red.on, on), lam[on, None] * weights)
     keep_first(errors, lasso_errors, at=on)
@@ -598,21 +598,18 @@ def adaptive_lasso_proximal(
     data: Dataset,
     ocp_index: int = 0,
     lambda_n: float = 0.0,
-    *,
-    adaptive_floor: float = ADAPTIVE_FLOOR,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Adaptively weighted lasso selection of invalid TCPs.
 
     Weights are reciprocals of the median-ratio pilot magnitudes, so TCPs
     the pilot already flags as valid are penalized heavily (pilot values
-    under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
+    under ``ADAPTIVE_FLOOR`` get the capped weight ``1/ADAPTIVE_FLOOR``).
     A negative or NaN ``lambda_n``, or an ``ocp_index`` that is not an
     integer or is a bool, is an :class:`InvalidBound`. Returns the
     penalized coefficient vector and its support.
     """
     core, ds, ocp, errors = _problem(data, ocp_index)
-    config = EstimationConfig(lambda_n=lambda_n, adaptive_floor=adaptive_floor)
-    alpha, _ = _select(core, ds, ocp, config, True, errors)
+    alpha, _ = _select(core, ds, ocp, EstimationConfig(lambda_n=lambda_n), True, errors)
     _check(errors[0])
     return alpha[0], _support(alpha[0])
 
@@ -689,6 +686,9 @@ def _refit(core: _Core, ds: np.ndarray, sel: np.ndarray, ocps: np.ndarray,
         lin[:, k:p] = 0.0
         eps = matvec(r, lin)
         sigma2 = inner(eps, eps) / r_d**2
+        off = np.flatnonzero(~np.isfinite(sigma2))  # then an overflow (beta's shows here too)
+        keep_first(failed, [RankDeficient("the refit's error variance is not finite")
+                            for _ in off], at=off)
         keep_first(errors, failed, at=rows)
         ok = alive(failed)
         good = rows[ok]
@@ -957,17 +957,17 @@ def subsample_ci(
     ``sqrt(b) * (estimate_b - estimate_n)`` (the orthodox construction; the
     raw-quantile default matches the reference simulation design), centred
     at ``center``, the full-sample estimate, which is computed when omitted.
-    ``n_subsamples``, ``b`` and ``seed`` must be integers, not bools
-    (:class:`InvalidBound`). Deterministic given ``seed`` (at least 0):
-    subsample ``i`` draws from an independent stream keyed by ``(seed,
-    STREAM_SUBSAMPLE, i)``, and blocks of subsamples are factored and fitted
-    as stacks in which every problem is computed on its own, so the
-    interval does not depend on the blocking.
+    ``n_subsamples``, ``b`` and ``seed`` must be integers, not bools, and
+    ``recenter`` a bool (:class:`InvalidBound`). Deterministic given
+    ``seed`` (at least 0): subsample ``i`` draws from an independent stream
+    keyed by ``(seed, STREAM_SUBSAMPLE, i)``, and blocks of subsamples are
+    factored and fitted as stacks in which every problem is computed on its
+    own, so the interval does not depend on the blocking.
     """
     config = config or EstimationConfig()
-    n = data.n
-    b = _subsample_size(b, n, data.p_z + data.p_w + data.p_x + 1)
+    b = _subsample_size(b, data.n, data.p_z + data.p_w + data.p_x + 1)
     n_subsamples, seed = as_index(n_subsamples, "n_subsamples", 1), as_index(seed, "seed", 0)
+    recenter = as_flag(recenter, "recenter")
     center = None if center is None else as_real(center, "center")
 
     estimates, errors = np.full(n_subsamples, math.nan), []
@@ -988,7 +988,7 @@ def subsample_ci(
         if center is None:
             center = estimate_invalid_tcp_ocp(data, config).beta_hat
         r_lo, r_hi = np.quantile(math.sqrt(b) * (values - center), [lo_q, hi_q])
-        scale = math.sqrt(n)
+        scale = math.sqrt(data.n)
         return float(center - r_hi / scale), float(center - r_lo / scale)
     lo, hi = np.quantile(values, [lo_q, hi_q])
     return float(lo), float(hi)

@@ -98,6 +98,14 @@ def as_real(value, name: str) -> float:
     return float(value)
 
 
+def as_flag(value, name: str) -> bool:
+    """A bool or numpy bool ``value`` as a Python bool: the one reader of a flag
+    argument. Anything else (0, 1, "no") is an :class:`InvalidBound` naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidBound(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def orthonormal_basis(design) -> np.ndarray:
     """Return an orthonormal basis Q for the column space of ``design``.
 

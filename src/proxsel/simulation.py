@@ -48,7 +48,7 @@ from .estimators import (
 from .estimators import estimate_invalid_tcp, estimate_invalid_tcp_ocp  # noqa: F401
 from .estimators import naive_p2sls, ols_baseline, oracle_p2sls  # noqa: F401
 from .exceptions import AggregateFailure, InvalidBound, ProxselError
-from .linalg import as_index, as_real, keep_first
+from .linalg import as_flag, as_index, as_real, keep_first
 
 __all__ = [
     "SimConfig",
@@ -208,7 +208,7 @@ def generate_invalid_tcp_data(config: SimConfig, rep_index: int) -> Dataset:
 @dataclass(frozen=True)
 class SubsampleCiConfig:
     """Subsampling settings for methods without a closed-form interval;
-    ``n_subsamples >= 1`` and ``b`` must be integers, not bools."""
+    ``n_subsamples >= 1`` and ``b`` are integers, not bools; ``recenter`` a bool."""
 
     n_subsamples: int = 200
     b: int | None = None
@@ -218,6 +218,7 @@ class SubsampleCiConfig:
         object.__setattr__(self, "n_subsamples", as_index(self.n_subsamples, "n_subsamples", 1))
         if self.b is not None:
             object.__setattr__(self, "b", as_index(self.b, "b"))
+        object.__setattr__(self, "recenter", as_flag(self.recenter, "recenter"))
 
 
 @dataclass(frozen=True)

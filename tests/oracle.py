@@ -441,19 +441,17 @@ def adaptive_lasso_proximal(
     data: Dataset,
     ocp_index: int = 0,
     lambda_n: float = 0.0,
-    *,
-    adaptive_floor: float = ADAPTIVE_FLOOR,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Adaptively weighted lasso selection of invalid TCPs.
 
     Weights are reciprocals of the median-ratio pilot magnitudes, so TCPs
     the pilot already flags as valid are penalized heavily (pilot values
-    under ``adaptive_floor`` get the capped weight ``1/adaptive_floor``).
+    under ``ADAPTIVE_FLOOR`` get the capped weight ``1/ADAPTIVE_FLOOR``).
     Returns the penalized coefficient vector and its support.
     """
     fs = first_stage(data, ocp_index)
     alpha_m = alpha_median(fs, median_gamma(fs))
-    weights = 1.0 / np.maximum(np.abs(alpha_m), adaptive_floor)
+    weights = 1.0 / np.maximum(np.abs(alpha_m), ADAPTIVE_FLOOR)
     g, _ = _reduced_design(data, fs.what)
     alpha_ad = lasso_solve(g, data.Y, lambda_n, weights)
     selected = tuple(int(j) for j in np.nonzero(alpha_ad)[0])
@@ -622,9 +620,7 @@ def estimate_invalid_tcp(
     lam = config.lambda_n
     if lam is None:
         lam = select_lambda(data, ocp_index, config.lambda_mode)
-    _, selected = adaptive_lasso_proximal(
-        data, ocp_index, lam, adaptive_floor=config.adaptive_floor
-    )
+    _, selected = adaptive_lasso_proximal(data, ocp_index, lam)
     return post_adaptive_2sls(data, ocp_index, selected, config.alpha_level)
 
 

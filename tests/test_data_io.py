@@ -34,6 +34,7 @@ from proxsel.estimators import EstimationConfig, estimate_invalid_tcp
 from proxsel.exceptions import (
     ConfigError,
     EmptyAfterFiltering,
+    InvalidBound,
     IoError,
     MissingColumn,
     ParseError,
@@ -219,6 +220,19 @@ class TestLoadCsv:
         result = load_csv(str(path), SCHEMA, strict=False)
         assert result.n_rows_dropped == 1
         assert result.dataset.n == 7
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_a_strict_that_is_not_a_bool_is_an_invalid_bound(self, tmp_path, value):
+        # strict="no" used to read strictly, "" and 0 leniently
+        rows = sample_rows()
+        rows[3][1] = "forty"
+        path = tmp_path / "data.csv"
+        write_rows(path, ["y", "d", "z1", "z2", "w1"], rows)
+        with pytest.raises(InvalidBound, match=f"^strict must be a bool, got {value!r}$"):
+            load_csv(str(path), SCHEMA, strict=value)
+        assert load_csv(str(path), SCHEMA, strict=np.False_).n_rows_dropped == 1
+        with pytest.raises(ParseError):
+            load_csv(str(path), SCHEMA, strict=np.True_)
 
     def test_all_rows_dropped_raises(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -557,6 +571,12 @@ class TestConfigParsing:
         text = json.dumps({"lambda_n": None, "lambda_mode": "cv"})
         cfg = parse_config(config_file(tmp_path, text), "estimation")
         assert cfg == EstimationConfig(lambda_n=None, lambda_mode="cv")
+
+    def test_an_adaptive_floor_is_an_unknown_key(self, tmp_path):
+        # the weights' floor is the constant estimators.ADAPTIVE_FLOOR, not a setting
+        path = config_file(tmp_path, '{"adaptive_floor": 1e-8}')
+        with pytest.raises(ConfigError, match="unknown key\\(s\\): adaptive_floor$"):
+            parse_config(path, "estimation")
 
     def test_unknown_key_names_the_source(self, tmp_path):
         path = config_file(tmp_path, '{"reps_per_cell": 3}', name="run.json")

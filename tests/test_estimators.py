@@ -619,7 +619,7 @@ class TestPipelineComposition:
         [
             EstimationConfig(alpha_level=0.1),
             EstimationConfig(lambda_mode="cv"),
-            EstimationConfig(lambda_n=4.0, adaptive_floor=1e-4),
+            EstimationConfig(lambda_n=4.0),
         ],
         ids=["rate", "cv", "fixed"],
     )
@@ -632,9 +632,7 @@ class TestPipelineComposition:
             lam = cfg.lambda_n
             if lam is None:
                 lam = select_lambda(data, j, cfg.lambda_mode)
-            _, selected = adaptive_lasso_proximal(
-                data, j, lam, adaptive_floor=cfg.adaptive_floor
-            )
+            _, selected = adaptive_lasso_proximal(data, j, lam)
             composed = post_adaptive_2sls(data, j, selected, cfg.alpha_level)
             assert_same_fit(estimate_invalid_tcp(data, j, cfg), composed)
             assert_same_fit(agg.per_ocp_fits[j], composed)
@@ -1185,6 +1183,40 @@ def test_a_refit_whose_factor_overflows_is_rank_deficient(rep):
             fit()
 
 
+_OVERFLOW = dict(n=300, p_z=5, s_z=1, reps=3, y_noise_sd=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_refit_whose_error_variance_overflows_is_rank_deficient():
+    # At beta_true = 1e300 R stays finite but sigma2_eps overflows: the refits
+    # used to return beta = 1e300 with variance inf and interval (-inf, inf).
+    data = generate_invalid_tcp_ocp_data(SimConfig(**_OVERFLOW, beta_true=1e300), 0)
+    for fit in (lambda: oracle_p2sls(data, [0]), lambda: post_adaptive_2sls(data, 0, [0]),
+                lambda: naive_p2sls(data), lambda: ols_baseline(data),
+                lambda: estimate_invalid_tcp(data, 0)):
+        with pytest.raises(RankDeficient, match="^the refit's error variance is not finite$"):
+            fit()
+    with pytest.raises(AggregateFailure, match="OCP 0 failed with RankDeficient: the refit's "
+                                               "error variance is not finite$"):
+        estimate_invalid_tcp_ocp(data)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("rep", range(3))
+def test_a_selection_on_an_overflowing_outcome_is_rank_deficient(rep):
+    # At beta_true = 1e307 the outcome's column of R overflows, and the lasso
+    # used to be handed a non-finite xty: NoConvergence, from its certificate
+    # or from a singular Gram block.
+    data = generate_invalid_tcp_ocp_data(SimConfig(**_OVERFLOW, beta_true=1e307), rep)
+    for fit in (lambda: estimate_invalid_tcp(data, 0),
+                lambda: adaptive_lasso_proximal(data, 0, 1.0),
+                lambda: lasso_proximal(data, 0, 1.0), lambda: select_lambda(data, 0, "rate"),
+                lambda: select_lambda(data, 0, "cv")):
+        with pytest.raises(RankDeficient, match="^design is rank deficient: its factor has "
+                                                "non-finite entries$"):
+            fit()
+
+
 # --- one integer rule -------------------------------------------------------
 
 _SMALL = SimConfig(n=300, p_z=5, s_z=1, p_w=3, s_w=0, y_noise_sd=1.0)
@@ -1287,9 +1319,6 @@ REAL_ARGUMENTS = {
     "EstimationConfig-alpha_level": (
         "alpha_level", 0.1,
         lambda d, v: estimate_invalid_tcp(d, 0, EstimationConfig(alpha_level=v))),
-    "EstimationConfig-adaptive_floor": (
-        "adaptive_floor", 1e-6,
-        lambda d, v: estimate_invalid_tcp(d, 0, EstimationConfig(adaptive_floor=v))),
     "oracle_p2sls-alpha_level": ("alpha_level", 0.1, lambda d, v: oracle_p2sls(d, [0], v)),
     "alpha_median": ("gamma_m", 0.5, lambda d, v: alpha_median(first_stage(d, 0), v)),
     "lasso_proximal": ("lam", 1.0, lambda d, v: lasso_proximal(d, 0, v)),
@@ -1320,3 +1349,18 @@ def test_a_config_echoes_its_real_fields_as_given():
     assert type(config.lambda_n) is int and type(config.alpha_level) is np.float64
     with pytest.raises(InvalidBound, match="^lambda_n must be a real number, got True$"):
         EstimationConfig(lambda_n=True)
+
+
+# --- one flag rule ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["no", 1, "", 0, None])
+def test_a_flag_is_read_by_one_rule(value):
+    # recenter="no" and 1 used to recentre, "" and 0 not; each is now refused by name.
+    data = generate_invalid_tcp_ocp_data(_SMALL, 0)
+    with pytest.raises(InvalidBound, match=f"^recenter must be a bool, got {value!r}$"):
+        subsample_ci(data, n_subsamples=20, recenter=value)
+    # numpy bools take the path of Python ones, bit for bit
+    for flag in (True, False):
+        assert (subsample_ci(data, n_subsamples=20, recenter=np.bool_(flag))
+                == subsample_ci(data, n_subsamples=20, recenter=flag))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from proxsel.exceptions import InvalidBound, RankDeficient
 from proxsel.linalg import (
-    RANK_TOL, as_matrix, as_real, as_vector, ols, orthonormal_basis, project, solve_upper,
+    RANK_TOL, as_flag, as_matrix, as_real, as_vector, ols, orthonormal_basis, project,
+    solve_upper,
 )
 
 import oracle
@@ -41,6 +42,16 @@ class TestCoercions:
     def test_anything_else_is_refused_by_name(self, value):
         with pytest.raises(InvalidBound, match=r"^x must be a real number, got "):
             as_real(value, "x")
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_a_flag_is_read_as_a_bool(self, value):
+        out = as_flag(value, "x")
+        assert type(out) is bool and out == value
+
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, np.int64(1), 1.0, None, np.array(True)])
+    def test_anything_else_is_not_a_flag(self, value):
+        with pytest.raises(InvalidBound, match=r"^x must be a bool, got "):
+            as_flag(value, "x")
 
 
 class TestProject:

@@ -124,12 +124,8 @@ class TestConfigValidation:
     def test_the_list_holds_every_int_field(self):
         assert self.INT_FIELDS == ["n", "p_z", "p_w", "s_z", "s_w", "reps", "seed"]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_adaptive_floor_is_an_invalid_bound(self, value):
-        # NaN used to fail as NoConvergence, inf as RankDeficient.
-        with pytest.raises(InvalidBound, match="adaptive_floor"):
-            EstimationConfig(adaptive_floor=value)
-        assert EstimationConfig(lambda_n=math.inf).lambda_n == math.inf  # a defined penalty
+    def test_an_infinite_penalty_is_defined(self):
+        assert EstimationConfig(lambda_n=math.inf).lambda_n == math.inf
 
     def test_single_ocp_generator_requires_one_valid_column(self):
         with pytest.raises(InvalidBound):
@@ -153,6 +149,20 @@ class TestSubsampleSettings:
             SubsampleCiConfig(**{field: value})
         config = SubsampleCiConfig(**{field: np.int64(30)})
         assert getattr(config, field) == 30 and type(getattr(config, field)) is int
+
+    @pytest.mark.parametrize("value", ["no", 1, "", 0, None])
+    def test_a_recenter_that_is_not_a_bool_is_an_invalid_bound(self, value):
+        # "no" and 1 used to recentre, "" and 0 not
+        with pytest.raises(InvalidBound, match=f"^recenter must be a bool, got {value!r}$"):
+            SubsampleCiConfig(recenter=value)
+
+    def test_a_numpy_recenter_is_kept_as_a_python_bool(self):
+        config = SimConfig(n=300, p_z=5, s_z=1, p_w=3, reps=4, seed=2)
+        given = SubsampleCiConfig(n_subsamples=20, recenter=np.True_)
+        assert given.recenter is True  # the simulate report echoes it as JSON
+        plain = SubsampleCiConfig(n_subsamples=20, recenter=True)
+        assert (run_monte_carlo(config, ("median_adaptive",), given).methods
+                == run_monte_carlo(config, ("median_adaptive",), plain).methods)
 
     @pytest.mark.parametrize("b", [5, 10, 300, 301])
     def test_a_size_out_of_range_fails_before_any_draw(self, b, monkeypatch):
@@ -458,6 +468,18 @@ def test_an_overflowing_refit_counts_as_a_failed_replication():
                        r"\(more than 10%\); first failure: RankDeficient: design is rank "
                        "deficient: its factor has non-finite entries$"):
         run_monte_carlo(config, ("oracle", "ols"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("method", ["oracle", "ols", "adaptive"])
+def test_an_overflowing_error_variance_counts_as_a_failed_replication(method):
+    # At beta_true = 1e300 each replication used to count as used, with
+    # coverage NaN and se inf.
+    config = SimConfig(n=300, p_z=5, s_z=1, reps=3, beta_true=1e300, y_noise_sd=1.0)
+    with pytest.raises(AggregateFailure, match=rf"^method '{method}' failed on 3 of 3 "
+                       r"replications \(more than 10%\); first failure: RankDeficient: the "
+                       "refit's error variance is not finite$"):
+        run_monte_carlo(config, (method,))
 
 
 class TestBlockedReplications:

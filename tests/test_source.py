@@ -592,6 +592,53 @@ def test_the_guard_finds_a_coerced_real_argument():
     assert parameter_truncations(source, "float") == ["line 2", "line 3", "line 7"]
 
 
+def unread_flags(source: str) -> list[str]:
+    """The ``bool``-annotated parameters of the public functions in
+    ``source``, as ``function.parameter``, whose first read is not as the
+    first argument of ``as_flag``. A flag read for truth takes ``"no"`` and
+    ``1`` as True, so a public flag goes through ``linalg.as_flag`` first."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        a = fn.args
+        for p in (*a.posonlyargs, *a.args, *a.kwonlyargs):
+            if getattr(p.annotation, "id", None) != "bool":
+                continue
+            reads = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == p.arg
+                     and isinstance(n.ctx, ast.Load)]
+            checked = {id(call.args[0]) for call in ast.walk(fn) if isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "as_flag" and call.args}
+            first = min(reads, key=lambda n: (n.lineno, n.col_offset), default=None)
+            if first is None or id(first) not in checked:
+                found.append(f"{fn.name}.{p.arg}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_public_flags_are_read_by_as_flag(path):
+    assert unread_flags(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_a_flag_read_for_truth():
+    source = (
+        "def load(path, *, strict: bool = True):\n"
+        "    strict = as_flag(strict, 'strict')\n"
+        "    return strict\n"
+        "def ci(data, recenter: bool = False):\n"
+        "    if recenter:\n"
+        "        return as_flag(recenter, 'recenter')\n"
+        "def fit(data, quiet: bool = False, n: int = 0):\n"
+        "    return data\n"
+        "def _select(core, warn: bool):\n"
+        "    return core if warn else None\n"
+        "class C:\n"
+        "    def run(self, verbose: bool = False, flag=None):\n"
+        "        return print(verbose, flag)\n"
+    )
+    assert unread_flags(source) == ["ci.recenter", "fit.quiet", "run.verbose"]
+
+
 def test_a_monte_carlo_import_leaves_the_file_and_subset_layers_unloaded():
     code = ("import sys, proxsel.simulation; "
             "print(sorted({'proxsel.data_io', 'proxsel.identification'} & set(sys.modules)))")
